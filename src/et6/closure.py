@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gas import GasSpec, State6, eos_evaluate, require_admissible
+from .gas import GasSpec, InadmissibleStateError, State6, eos_evaluate, require_admissible
 
 # Guard against exp overflow when Pi approaches the window boundary.
 LOG_OMEGA_GUARD = 500.0
@@ -84,29 +84,47 @@ class EntropyParts:
     g: float
 
 
-def _log_omega(rho: float, p: float, z: float, spec: GasSpec) -> float:
-    """ln(Omega) as an explicit function of (rho, p, Z=Pi/p).
+def entropy_terms(rho, p, z, spec: GasSpec):
+    """(h, k, ln Omega, ln Omega_E) of (rho, p, Z = Pi/p), on floats or arrays.
 
-    Evaluated fully in log space so that states close to the window
-    boundaries only overflow once |ln Omega| passes the guard.
+    The one home of these formulas, for the point API and the solver alike:
+
+        ln Omega_E = (D/2 + 1) ln rho - (D/2) ln p - ((D-1)/2) ln m
+                     - (3/2) ln(2 pi) - ln Gamma((D-3)/2)
+        k          = (kB/2m) ln[(1+Z)^3 (1 - 3Z/(D-3))^{D-3}]
+        ln Omega   = ln Omega_E - (m/kB) k
+        h          = (kB/m) rho (D/2 - ln Omega)
+
+    All in log space, so states near the window boundaries only overflow
+    once Omega itself is formed.  Outside the window arrays give NaN and
+    single numbers raise ValueError.
     """
-    half_dm3 = 0.5 * (spec.D - 3.0)
-    log_xi = math.log(rho) - math.log(2.0 * p) - math.log1p(z)
-    log_zeta = math.log(rho) - math.log(spec.m * p) - math.log1p(-3.0 * z / (spec.D - 3.0))
-    value = (
-        math.log(rho)
-        - math.log(spec.m)
-        - 1.5 * math.log(math.pi)
-        - math.lgamma(half_dm3)
-        + 1.5 * log_xi
-        + half_dm3 * log_zeta
+    # math is several times faster than numpy's ufuncs on single numbers
+    log, log1p = (np.log, np.log1p) if isinstance(rho, np.ndarray) else (math.log, math.log1p)
+    rgas = spec.gas_constant
+    dm3 = spec.D - 3.0
+    log_omega_eq = (
+        (0.5 * spec.D + 1.0) * log(rho)
+        - 0.5 * spec.D * log(p)
+        - 0.5 * (spec.D - 1.0) * math.log(spec.m)
+        - 1.5 * math.log(2.0 * math.pi)
+        - math.lgamma(0.5 * dm3)
     )
-    if abs(value) > LOG_OMEGA_GUARD:
+    k = 0.5 * rgas * (3.0 * log1p(z) + dm3 * log1p(-3.0 * z / dm3))
+    log_omega = log_omega_eq - k / rgas
+    h = rgas * rho * (0.5 * spec.D - log_omega)
+    return h, k, log_omega, log_omega_eq
+
+
+def _guard_log_omega(*values: float) -> float:
+    """Raise OverflowError once any |ln Omega| passes LOG_OMEGA_GUARD."""
+    value = max(abs(v) for v in values)
+    if value > LOG_OMEGA_GUARD:
         raise OverflowError(
-            f"|ln Omega| = {abs(value):.1f} exceeds the overflow guard "
+            f"|ln Omega| = {value:.1f} exceeds the overflow guard "
             f"{LOG_OMEGA_GUARD}; state too close to the window boundary"
         )
-    return value
+    return values[0]
 
 
 def multipliers_from_state(s: State6, spec: GasSpec) -> Multipliers:
@@ -122,16 +140,12 @@ def multipliers_from_state(s: State6, spec: GasSpec) -> Multipliers:
     p, _ = eos_evaluate(s.rho, s.T, spec)
     z = s.Pi / p
     if not 1.0 + z > 0.0:
-        from .gas import InadmissibleStateError
-
         raise InadmissibleStateError(
             f"Pi/p = {z:.6g} <= -1: xi would lose positivity",
             bound="lower",
             margin=1.0 + z,
         )
     if not 1.0 - 3.0 * z / (spec.D - 3.0) > 0.0:
-        from .gas import InadmissibleStateError
-
         raise InadmissibleStateError(
             f"Pi/p = {z:.6g} >= (D-3)/3 = {spec.z_upper:.6g}: "
             "zeta would lose positivity",
@@ -140,7 +154,7 @@ def multipliers_from_state(s: State6, spec: GasSpec) -> Multipliers:
         )
     xi = 0.5 * s.rho / p / (1.0 + z)
     zeta = s.rho / (spec.m * p) / (1.0 - 3.0 * z / (spec.D - 3.0))
-    log_omega = _log_omega(s.rho, p, z, spec)
+    log_omega = _guard_log_omega(entropy_terms(s.rho, p, z, spec)[2])
     return Multipliers(xi=xi, zeta=zeta, omega=math.exp(log_omega), log_omega=log_omega)
 
 
@@ -241,15 +255,10 @@ def entropy_parts(s: State6, spec: GasSpec) -> EntropyParts:
     """
     require_admissible(s, spec)
     p, _ = eos_evaluate(s.rho, s.T, spec)
-    z = s.Pi / p
-    rgas = spec.gas_constant
-    log_omega = _log_omega(s.rho, p, z, spec)
-    log_omega_eq = _log_omega(s.rho, p, 0.0, spec)
-    h = rgas * s.rho * (0.5 * spec.D - log_omega)
-    h_eq = rgas * s.rho * (0.5 * spec.D - log_omega_eq)
-    k = 0.5 * rgas * (3.0 * math.log1p(z) + (spec.D - 3.0) * math.log1p(-3.0 * z / (spec.D - 3.0)))
-    g = s.T * rgas * (1.0 + log_omega_eq)
-    return EntropyParts(h=h, h_E=h_eq, k=k, g=g)
+    h, k, log_omega, log_omega_eq = entropy_terms(s.rho, p, s.Pi / p, spec)
+    _guard_log_omega(log_omega, log_omega_eq)
+    g = s.T * spec.gas_constant * (1.0 + log_omega_eq)
+    return EntropyParts(h=h, h_E=h - s.rho * k, k=k, g=g)
 
 
 def main_field(s: State6, spec: GasSpec) -> MainField:

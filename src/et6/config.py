@@ -84,7 +84,6 @@ class SweepConfig:
     round_trip_tol: float = 1e-12
     convexity_states: int = 50
     gradient_tol: float = 1e-6
-    k_condition_tol: float = 1e-10
     k_d_values: tuple[float, ...] = (4.0, 5.0, 7.0, 12.0)
     speed_tol: float = 1e-10
 

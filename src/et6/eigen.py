@@ -39,14 +39,14 @@ class EquilibriumRequiredError(ValueError):
     """Operation defined only on the equilibrium manifold (Pi = 0)."""
 
 
-def et6_sound_speed(rho: float, p: float, Pi: float = 0.0) -> float:
-    """Acoustic speed sqrt(5 (p + Pi) / (3 rho)) of the six-field system."""
-    return math.sqrt(5.0 * (p + Pi) / (3.0 * rho))
+def et6_sound_speed(rho, p, Pi=0.0):
+    """Acoustic speed sqrt(5 (p + Pi) / (3 rho)) of the six-field system (floats or arrays)."""
+    return np.sqrt(5.0 * (p + Pi) / (3.0 * rho))
 
 
-def euler_sound_speed(rho: float, p: float, D: float) -> float:
-    """Acoustic speed sqrt((D+2)/D * p/rho) of the five-field subsystem."""
-    return math.sqrt((D + 2.0) / D * p / rho)
+def euler_sound_speed(rho, p, D: float):
+    """Acoustic speed sqrt((D+2)/D * p/rho) of the five-field subsystem (floats or arrays)."""
+    return np.sqrt((D + 2.0) / D * p / rho)
 
 
 def _unit(n) -> np.ndarray:

@@ -7,19 +7,23 @@ The hyperbolic substep is a first-order Rusanov (local Lax-Friedrichs)
 update, optionally second-order MUSCL with a minmod limiter and a two-stage
 SSP time integration.
 
-Cell data lives in arrays of shape (6, N) with rows (F, F_x, F_y, F_z,
-F_ll, G_ll); a five-row variant provides the reference solver for the
-equilibrium subsystem (the classical polyatomic gas dynamics).
+One marching kernel also runs the five-field equilibrium subsystem (the
+classical polyatomic gas dynamics) as a reference; a `System` supplies what
+differs.  Each state is decoded once per stage.  Cell data lives in arrays
+of shape (6, N) with rows (F, F_x, F_y, F_z, F_ll, G_ll); the five-field
+rows drop F_ll.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
+from .closure import entropy_terms
+from .eigen import et6_sound_speed, euler_sound_speed
 from .gas import GasSpec
 
 WAVE_SPEED_SAFETY = 1.1
@@ -39,86 +43,115 @@ class SolverError(RuntimeError):
 # vectorized state algebra
 # ---------------------------------------------------------------------------
 
-def primitive_fields(U: np.ndarray, spec: GasSpec) -> dict[str, np.ndarray]:
-    """Primitive arrays (rho, vx, vy, vz, v2, eps, p, T, Pi) from (6, N) data."""
+def _require(ok: np.ndarray, values: np.ndarray, what: str, place: str):
+    """Raise SolverError at the first entry where ok fails (NaN fails too)."""
+    if not np.all(ok):
+        first = np.unravel_index(np.argmin(ok), ok.shape)
+        raise SolverError(f"{what} {values[first]:.6g} at {place} {', '.join(map(str, first))}")
+
+
+def _decode(U: np.ndarray, spec: GasSpec) -> dict[str, np.ndarray]:
+    """rho, velocity, p and T from rows (F, F_x, F_y, F_z, ..., G_ll) of any
+    trailing shape; density and internal energy must be positive."""
     rho = U[0]
-    if np.any(rho <= 0):
-        raise SolverError("non-positive density in solver state")
+    _require(rho > 0.0, rho, "non-positive density", "index")
     vx, vy, vz = U[1] / rho, U[2] / rho, U[3] / rho
     v2 = vx * vx + vy * vy + vz * vz
-    rho_eps = 0.5 * (U[5] - rho * v2)
-    if np.any(rho_eps <= 0):
-        raise SolverError("non-positive internal energy in solver state")
+    rho_eps = 0.5 * (U[-1] - rho * v2)
+    _require(rho_eps > 0.0, rho_eps, "non-positive internal energy", "index")
     p = 2.0 * rho_eps / spec.D
-    Pi = (U[4] - rho * v2) / 3.0 - p
-    T = p / (spec.gas_constant * rho)
-    return {
-        "rho": rho, "vx": vx, "vy": vy, "vz": vz, "v2": v2,
-        "eps": rho_eps / rho, "p": p, "T": T, "Pi": Pi,
-    }
+    return {"rho": rho, "vx": vx, "vy": vy, "vz": vz, "v2": v2, "p": p,
+            "T": p / (spec.gas_constant * rho)}
 
 
-def flux_fields(U: np.ndarray, spec: GasSpec) -> np.ndarray:
-    """Physical flux along x for (6, N) data."""
-    w = primitive_fields(U, spec)
+def primitive_fields(U: np.ndarray, spec: GasSpec) -> dict[str, np.ndarray]:
+    """Primitive arrays (rho, vx, vy, vz, v2, p, T, Pi) from six-field data."""
+    w = _decode(U, spec)
+    w["Pi"] = (U[4] - w["rho"] * w["v2"]) / 3.0 - w["p"]
+    return w
+
+
+def _euler_flux(U: np.ndarray, w: dict[str, np.ndarray]) -> np.ndarray:
+    """Physical x-flux of the mass, momentum and G_ll (last) rows: the whole
+    five-field flux, to which flux_fields adds the F_ll row."""
     ppi = w["p"] + w["Pi"]
+    vx = w["vx"]
     out = np.empty_like(U)
     out[0] = U[1]
-    out[1] = U[1] * w["vx"] + ppi
-    out[2] = U[2] * w["vx"]
-    out[3] = U[3] * w["vx"]
-    out[4] = (5.0 * ppi + w["rho"] * w["v2"]) * w["vx"]
-    out[5] = (U[5] + 2.0 * ppi) * w["vx"]
+    out[1] = U[1] * vx + ppi
+    out[2] = U[2] * vx
+    out[3] = U[3] * vx
+    out[-1] = (U[-1] + 2.0 * ppi) * vx
     return out
 
 
-def max_wave_speed(U: np.ndarray, spec: GasSpec, safety: float = WAVE_SPEED_SAFETY) -> float:
-    """CFL bound max(|v_x| + safety * sqrt(5 (p+Pi) / 3 rho)) over cells.
+def flux_fields(U: np.ndarray, w: dict[str, np.ndarray]) -> np.ndarray:
+    """Physical flux along x of six-field data U with primitives w."""
+    out = _euler_flux(U, w)
+    out[4] = (5.0 * (w["p"] + w["Pi"]) + w["rho"] * w["v2"]) * w["vx"]
+    return out
 
-    The nonequilibrium acoustic speed carries (p + Pi), not p: for
+
+def _project_admissible(U: np.ndarray, w: dict[str, np.ndarray], spec: GasSpec) -> int:
+    """Pull Pi back inside the window at fixed rho, v, eps; return count.
+    U and its primitives w are updated in place."""
+    p, Pi = w["p"], w["Pi"]
+    lower = -p
+    upper = (spec.D - 3.0) / 3.0 * p
+    bad_low = Pi <= lower
+    bad_high = Pi >= upper
+    count = int(np.count_nonzero(bad_low) + np.count_nonzero(bad_high))
+    if count:
+        Pi = np.where(bad_low, PROJECTION_PULLBACK * lower, Pi)
+        Pi = np.where(bad_high, PROJECTION_PULLBACK * upper, Pi)
+        U[4] = w["rho"] * w["v2"] + 3.0 * (p + Pi)
+        w["Pi"] = Pi
+    return count
+
+
+class System(NamedTuple):
+    """What the marching kernel needs from one set of balance laws."""
+
+    decode: Callable        # (U, spec) -> primitives w
+    sound_speed: Callable   # (w, spec) -> c; |v_x| + c bounds the spectrum
+    flux: Callable          # (U, w) -> physical x-flux
+    relax: Callable         # (g, w, dt, spec) -> grid after the source substep
+    project: Callable       # (U, w, spec) -> cells pulled into the window
+
+
+# The six-field decode and relaxation are looked up when called, not bound
+# here, so that wrappers installed on this module's functions (tracing,
+# counting) see every call the kernel makes.
+SIX_FIELD = System(
+    decode=lambda U, spec: primitive_fields(U, spec),
+    sound_speed=lambda w, spec: et6_sound_speed(w["rho"], w["p"], w["Pi"]),
+    flux=flux_fields,
+    relax=lambda g, w, dt, spec: relaxation_step_exact(g, w, dt, spec),
+    project=_project_admissible,
+)
+# The equilibrium subsystem, rows (F, F_x, F_y, F_z, G_ll): no dynamic
+# pressure, hence nothing to project, and no production, so its source
+# substep is the identity.
+FIVE_FIELD = System(
+    decode=lambda U, spec: {**_decode(U, spec), "Pi": np.zeros(U.shape[1:])},
+    sound_speed=lambda w, spec: euler_sound_speed(w["rho"], w["p"], spec.D),
+    flux=_euler_flux,
+    relax=lambda g, w, dt, spec: g,
+    project=lambda U, w, spec: 0,
+)
+
+
+def max_wave_speed(w: dict[str, np.ndarray], spec: GasSpec, system: System,
+                   safety: float = WAVE_SPEED_SAFETY) -> float:
+    """CFL bound max(|v_x| + safety * c) over cells with primitives w.
+
+    The six-field c = sqrt(5 (p+Pi) / 3 rho) carries (p + Pi), not p: for
     Pi > 0.21 p the equilibrium value under-estimates the spectrum even
-    with the 10% safety margin, so the bound is evaluated on (p + Pi).
+    with the 10% safety margin.  A non-finite speed raises SolverError.
     """
-    w = primitive_fields(U, spec)
-    c = np.sqrt(5.0 * (w["p"] + w["Pi"]) / (3.0 * w["rho"]))
-    return float(np.max(np.abs(w["vx"]) + safety * c))
-
-
-def _interface_speed(UL: np.ndarray, UR: np.ndarray, spec: GasSpec) -> np.ndarray:
-    wl = primitive_fields(UL, spec)
-    wr = primitive_fields(UR, spec)
-    cl = np.abs(wl["vx"]) + np.sqrt(5.0 * (wl["p"] + wl["Pi"]) / (3.0 * wl["rho"]))
-    cr = np.abs(wr["vx"]) + np.sqrt(5.0 * (wr["p"] + wr["Pi"]) / (3.0 * wr["rho"]))
-    return np.maximum(cl, cr)
-
-
-def entropy_density_fields(U: np.ndarray, spec: GasSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell entropy density h and specific nonequilibrium part k.
-
-    Vectorized mirror of the closure formulas, evaluated in log space.
-    Cells outside the admissibility window get NaN (their entropy does not
-    exist); callers only see such cells transiently before projection.
-    """
-    w = primitive_fields(U, spec)
-    rho, p, Pi = w["rho"], w["p"], w["Pi"]
-    z = Pi / p
-    dm3 = spec.D - 3.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        log_xi = np.log(rho) - np.log(2.0 * (p + Pi))
-        # 2 rho eps - 3 (p + Pi) = (D - 3) p - 3 Pi
-        log_zeta = np.log(rho) + math.log(dm3) - math.log(spec.m) - np.log(dm3 * p - 3.0 * Pi)
-        log_omega = (
-            np.log(rho)
-            - math.log(spec.m)
-            - 1.5 * math.log(math.pi)
-            - gammaln(0.5 * dm3)
-            + 1.5 * log_xi
-            + 0.5 * dm3 * log_zeta
-        )
-        rgas = spec.gas_constant
-        h = rgas * rho * (0.5 * spec.D - log_omega)
-        k = 0.5 * rgas * (3.0 * np.log1p(z) + dm3 * np.log1p(-3.0 * z / dm3))
-    return h, k
+    speed = np.abs(w["vx"]) + safety * system.sound_speed(w, spec)
+    _require(np.isfinite(speed), speed, "non-finite wave speed", "cell")
+    return float(np.max(speed))
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +160,17 @@ def entropy_density_fields(U: np.ndarray, spec: GasSpec) -> tuple[np.ndarray, np
 
 @dataclass
 class Grid1D:
-    """Uniform cell-averaged grid of conserved six-field states."""
+    """Uniform cell-averaged grid of conserved six- or five-field states."""
 
     x_left: float
     x_right: float
-    U: np.ndarray                  # shape (6, N)
+    U: np.ndarray                  # shape (6, N), or (5, N) for the reference
     boundary: str = "periodic"
 
     def __post_init__(self):
         self.U = np.asarray(self.U, dtype=float)
-        if self.U.ndim != 2 or self.U.shape[0] != 6:
-            raise SolverError(f"grid data must have shape (6, N), got {self.U.shape}")
+        if self.U.ndim != 2 or self.U.shape[0] not in (5, 6):
+            raise SolverError(f"grid data must have shape (6, N) or (5, N), got {self.U.shape}")
         if self.N < 4:
             raise SolverError(f"need at least 4 cells, got {self.N}")
         if self.boundary not in BOUNDARIES:
@@ -235,34 +268,23 @@ class TimeSeries:
     total_entropy: list[float] = field(default_factory=list)
     max_abs_z: list[float] = field(default_factory=list)
     projections: list[int] = field(default_factory=list)   # cumulative
+    entropy_outflow: list[float] = field(default_factory=list)  # per step, dt * [h v_x]
     limiter_fraction: float = 0.0    # max per-step fraction of clipped slopes
     dx: float = 0.0
     periodic: bool = True
-
-    def pi_at(self, snapshot: int = -1) -> np.ndarray:
-        return self.snapshots[snapshot]["Pi"]
-
-    def velocity_at(self, snapshot: int = -1) -> np.ndarray:
-        return self.snapshots[snapshot]["vx"]
 
 
 # ---------------------------------------------------------------------------
 # initial conditions
 # ---------------------------------------------------------------------------
 
-def _pack(rho, vx, p, Pi, spec, vy=None, vz=None) -> np.ndarray:
+def _pack(rho, vx, p, Pi, spec) -> np.ndarray:
+    """Six-field rows of states at rest in y and z."""
     rho = np.asarray(rho, dtype=float)
-    vx = np.broadcast_to(np.asarray(vx, dtype=float), rho.shape)
-    vy = np.zeros_like(rho) if vy is None else np.asarray(vy, dtype=float)
-    vz = np.zeros_like(rho) if vz is None else np.asarray(vz, dtype=float)
-    p = np.broadcast_to(np.asarray(p, dtype=float), rho.shape)
-    Pi = np.broadcast_to(np.asarray(Pi, dtype=float), rho.shape)
-    v2 = vx * vx + vy * vy + vz * vz
-    U = np.empty((6, rho.size))
+    v2 = vx * vx
+    U = np.zeros((6, rho.size))
     U[0] = rho
     U[1] = rho * vx
-    U[2] = rho * vy
-    U[3] = rho * vz
     U[4] = rho * v2 + 3.0 * (p + Pi)
     U[5] = rho * v2 + spec.D * p
     return U
@@ -290,7 +312,7 @@ def initial_grid(sc: Scenario) -> Grid1D:
         kwave = 2.0 * math.pi / lam
         p0 = spec.gas_constant * sc.rho0 * sc.T0
         gamma_eq = (spec.D + 2.0) / spec.D
-        c_eq = math.sqrt(gamma_eq * p0 / sc.rho0)
+        c_eq = euler_sound_speed(sc.rho0, p0, spec.D)
         shape = np.sin(kwave * (x - sc.x_left))
         rho = sc.rho0 * (1.0 + sc.amplitude * shape)
         vx = c_eq * sc.amplitude * shape
@@ -324,88 +346,95 @@ def _pad(U: np.ndarray, boundary: str, ng: int) -> np.ndarray:
     return np.concatenate([ghost_l, U, ghost_r], axis=1)
 
 
-def _rusanov_flux(UL: np.ndarray, UR: np.ndarray, spec: GasSpec) -> np.ndarray:
-    a = _interface_speed(UL, UR, spec)
-    return 0.5 * (flux_fields(UL, spec) + flux_fields(UR, spec)) - 0.5 * a * (UR - UL)
-
-
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.where(np.abs(a) < np.abs(b), a, b)
     return np.where(a * b <= 0.0, 0.0, out)
 
 
-def _divergence(U: np.ndarray, g: Grid1D, spec: GasSpec, scheme: str,
-                limiter: str) -> tuple[np.ndarray, int]:
-    """-d/dx of the numerical flux, plus the count of limited slopes."""
-    clipped = 0
+def _reconstruct(U: np.ndarray, boundary: str, scheme: str,
+                 limiter: str) -> tuple[np.ndarray, int]:
+    """Edge states of the cells and one ghost each side, shape (rows, K, N+2),
+    and the count of limited slopes.  Along K, 0 is the right edge and -1
+    the left edge (one and the same at first order, K = 1)."""
     if scheme == "rusanov":
-        Up = _pad(U, g.boundary, 1)
-        UL = Up[:, :-1]
-        UR = Up[:, 1:]
-        F = _rusanov_flux(UL, UR, spec)
+        return _pad(U, boundary, 1)[:, None, :], 0
+    Up = _pad(U, boundary, 2)
+    fwd = Up[:, 2:] - Up[:, 1:-1]
+    bwd = Up[:, 1:-1] - Up[:, :-2]
+    clipped = 0
+    if limiter == "minmod":
+        slope = _minmod(bwd, fwd)
+        clipped = int(np.count_nonzero((bwd * fwd <= 0.0) & ((bwd != 0.0) | (fwd != 0.0))))
     else:
-        Up = _pad(U, g.boundary, 2)
-        fwd = Up[:, 2:] - Up[:, 1:-1]
-        bwd = Up[:, 1:-1] - Up[:, :-2]
-        if limiter == "minmod":
-            slope = _minmod(bwd, fwd)
-            clipped = int(np.count_nonzero((bwd * fwd <= 0.0) & ((bwd != 0.0) | (fwd != 0.0))))
-        else:
-            slope = 0.5 * (bwd + fwd)
-        left_face = Up[:, 1:-1] + 0.5 * slope    # right edge of each cell
-        right_face = Up[:, 1:-1] - 0.5 * slope   # left edge of each cell
-        UL = left_face[:, :-1]
-        UR = right_face[:, 1:]
-        F = _rusanov_flux(UL, UR, spec)
-    return -(F[:, 1:] - F[:, :-1]) / g.dx, clipped
+        slope = 0.5 * (bwd + fwd)
+    cells = Up[:, 1:-1]
+    return np.stack([cells + 0.5 * slope, cells - 0.5 * slope], axis=1), clipped
 
 
-def _project_admissible(U: np.ndarray, spec: GasSpec) -> int:
-    """Pull Pi back inside the window at fixed rho, v, eps; return count."""
-    w = primitive_fields(U, spec)
-    p, Pi = w["p"], w["Pi"]
-    lower = -p
-    upper = (spec.D - 3.0) / 3.0 * p
-    bad_low = Pi <= lower
-    bad_high = Pi >= upper
-    count = int(np.count_nonzero(bad_low) + np.count_nonzero(bad_high))
-    if count:
-        Pi = np.where(bad_low, PROJECTION_PULLBACK * lower, Pi)
-        Pi = np.where(bad_high, PROJECTION_PULLBACK * upper, Pi)
-        U[4] = w["rho"] * w["v2"] + 3.0 * (p + Pi)
-    return count
+def _stage(U: np.ndarray, g: Grid1D, spec: GasSpec, system: System, scheme: str,
+           limiter: str) -> tuple[np.ndarray, int, float]:
+    """-d/dx of the numerical flux, the count of limited slopes and the net
+    entropy flux out through outflow boundaries (0 for the other policies)."""
+    edges, clipped = _reconstruct(U, g.boundary, scheme, limiter)
+    w = system.decode(edges, spec)
+    speed = np.abs(w["vx"]) + system.sound_speed(w, spec)
+    a = np.maximum(speed[0, :-1], speed[-1, 1:])
+    _require(np.isfinite(a), a, "non-finite wave speed", "the face left of cell")
+    f = system.flux(edges, w)
+    F = 0.5 * (f[:, 0, :-1] + f[:, -1, 1:]) - 0.5 * a * (edges[:, -1, 1:] - edges[:, 0, :-1])
+    outflow = 0.0
+    if g.boundary == "outflow":
+        # both states of an end face equal the boundary cell, so the flux
+        # h v_x there is exact; take the domain-side edges of both end faces
+        end = {key: w[key][[-1, 0], [1, -2]] for key in ("rho", "p", "Pi", "vx")}
+        h = entropy_terms(end["rho"], end["p"], end["Pi"] / end["p"], spec)[0]
+        outflow = float(h[1] * end["vx"][1] - h[0] * end["vx"][0])
+    return -(F[:, 1:] - F[:, :-1]) / g.dx, clipped, outflow
 
 
-def hyperbolic_step(g: Grid1D, dt: float, spec: GasSpec, scheme: str = "rusanov",
-                    limiter: str = "minmod") -> tuple[Grid1D, int, int]:
+class TransportStep(NamedTuple):
+    """Result of hyperbolic_step."""
+
+    grid: Grid1D
+    w: dict[str, np.ndarray]       # primitives of grid.U, after projection
+    projections: int               # cells pulled back into the window
+    clipped: int                   # limited slopes, the larger of the stages
+    entropy_outflow: float         # dt * net h v_x out through outflow ends
+
+
+def hyperbolic_step(g: Grid1D, dt: float, spec: GasSpec, system: System,
+                    scheme: str = "rusanov", limiter: str = "minmod") -> TransportStep:
     """One conservative transport step.
 
     Rusanov is a forward-Euler monotone update; MUSCL reconstructs limited
-    slopes and uses two-stage SSP time integration.  Returns the new grid,
-    the number of admissibility projections and the number of limited
-    slopes (nonsmoothness indicator).
+    slopes and uses two-stage SSP time integration, whose flux is the mean
+    of the two stages' fluxes.  The new state is decoded once and projected
+    back into the admissible window.
     """
     if scheme == "rusanov":
-        rhs, clipped = _divergence(g.U, g, spec, scheme, limiter)
+        rhs, clipped, outflow = _stage(g.U, g, spec, system, scheme, limiter)
         U_new = g.U + dt * rhs
     else:
-        rhs1, c1 = _divergence(g.U, g, spec, scheme, limiter)
+        rhs1, c1, out1 = _stage(g.U, g, spec, system, scheme, limiter)
         U_stage = g.U + dt * rhs1
-        rhs2, c2 = _divergence(U_stage, g, spec, scheme, limiter)
+        rhs2, c2, out2 = _stage(U_stage, g, spec, system, scheme, limiter)
         U_new = 0.5 * (g.U + U_stage + dt * rhs2)
         clipped = max(c1, c2)
-    projections = _project_admissible(U_new, spec)
-    return g.with_data(U_new), projections, clipped
+        outflow = 0.5 * (out1 + out2)
+    w = system.decode(U_new, spec)
+    projections = system.project(U_new, w, spec)
+    return TransportStep(g.with_data(U_new), w, projections, clipped, dt * outflow)
 
 
-def relaxation_step_exact(g: Grid1D, dt: float, spec: GasSpec) -> Grid1D:
+def relaxation_step_exact(g: Grid1D, w: dict[str, np.ndarray], dt: float,
+                          spec: GasSpec) -> Grid1D:
     """Exact solution of the homogeneous relaxation subproblem.
 
-    Holding F, F_i, G_ll (hence rho, v, eps, p) fixed:
-    Pi <- Pi * exp(-dt/tau) and F_ll is rebuilt as rho v^2 + 3 (p + Pi).
-    Admissibility can only improve since |Pi| shrinks toward 0.
+    w are the primitives of g.  Holding F, F_i, G_ll (hence rho, v, eps, p)
+    fixed: Pi <- Pi * exp(-dt/tau) and F_ll is rebuilt as
+    rho v^2 + 3 (p + Pi).  Admissibility can only improve since |Pi| shrinks
+    toward 0.
     """
-    w = primitive_fields(g.U, spec)
     decay = math.exp(-dt / spec.tau)
     U_new = g.U.copy()
     U_new[4] = w["rho"] * w["v2"] + 3.0 * (w["p"] + w["Pi"] * decay)
@@ -416,200 +445,97 @@ def relaxation_step_exact(g: Grid1D, dt: float, spec: GasSpec) -> Grid1D:
 # time marching
 # ---------------------------------------------------------------------------
 
-def _record_diag(ts: TimeSeries, t: float, U: np.ndarray, dx: float,
-                 spec: GasSpec, projections: int):
-    w = primitive_fields(U, spec)
-    h, _ = entropy_density_fields(U, spec)
+def _record_diag(ts: TimeSeries, t: float, U: np.ndarray, w: dict[str, np.ndarray],
+                 spec: GasSpec, projections: int, entropy_outflow: float):
+    z = w["Pi"] / w["p"]
+    h = entropy_terms(w["rho"], w["p"], z, spec)[0]
     ts.diag_t.append(t)
-    ts.total_F.append(float(np.sum(U[0])) * dx)
-    ts.total_Fx.append(float(np.sum(U[1])) * dx)
-    ts.total_Gll.append(float(np.sum(U[5])) * dx)
-    ts.total_Fll.append(float(np.sum(U[4])) * dx)
-    ts.total_entropy.append(float(np.sum(h)) * dx)
-    ts.max_abs_z.append(float(np.max(np.abs(w["Pi"] / w["p"]))))
+    ts.total_F.append(float(np.sum(U[0])) * ts.dx)
+    ts.total_Fx.append(float(np.sum(U[1])) * ts.dx)
+    ts.total_Gll.append(float(np.sum(U[-1])) * ts.dx)
+    ts.total_Fll.append(float(np.sum(w["rho"] * w["v2"] + 3.0 * (w["p"] + w["Pi"]))) * ts.dx)
+    ts.total_entropy.append(float(np.sum(h)) * ts.dx)
+    ts.max_abs_z.append(float(np.max(np.abs(z))))
     ts.projections.append(projections)
+    ts.entropy_outflow.append(entropy_outflow)
 
 
-def _record_snapshot(ts: TimeSeries, t: float, U: np.ndarray, spec: GasSpec):
-    w = primitive_fields(U, spec)
-    h, k = entropy_density_fields(U, spec)
+def _record_snapshot(ts: TimeSeries, t: float, w: dict[str, np.ndarray], spec: GasSpec):
+    z = w["Pi"] / w["p"]
+    h, k, _, _ = entropy_terms(w["rho"], w["p"], z, spec)
+    snap = {key: w[key].copy() for key in ("rho", "vx", "T", "p", "Pi")}
     ts.snapshot_times.append(t)
-    ts.snapshots.append({
-        "rho": w["rho"].copy(),
-        "vx": w["vx"].copy(),
-        "T": w["T"].copy(),
-        "p": w["p"].copy(),
-        "Pi": w["Pi"].copy(),
-        "Pi_over_p": (w["Pi"] / w["p"]).copy(),
-        "h": h,
-        "k": k,
-    })
+    ts.snapshots.append({**snap, "Pi_over_p": z, "h": h, "k": k})
 
 
-def run_scenario(sc: Scenario, initial: Grid1D | None = None) -> TimeSeries:
-    """March a scenario to its end time and record diagnostics.
+def _march(sc: Scenario, g: Grid1D, system: System) -> TimeSeries:
+    """Advance g to sc.t_end, recording snapshots and per-step diagnostics.
 
-    Strang splitting: half relaxation, full hyperbolic step, half
-    relaxation.  The time step honors the CFL bound and is clipped to land
-    exactly on output-cadence times and on t_end.  A step that projects
-    more than 1% of the cells aborts with a diagnostic dump.
-
-    `initial` overrides the scenario's built-in initial condition.
+    Strang splitting: half source substep, full hyperbolic step, half
+    source substep.  The time step honors the CFL bound and is clipped to
+    land exactly on output-cadence times and on t_end.  A step that
+    projects more than 1% of the cells aborts.
     """
     spec = sc.spec
-    g = initial_grid(sc) if initial is None else initial
     ts = TimeSeries(x=g.centers, dx=g.dx, periodic=(sc.boundary == "periodic"))
     t = 0.0
     total_proj = 0
-    _record_diag(ts, t, g.U, g.dx, spec, total_proj)
-    _record_snapshot(ts, t, g.U, spec)
+    w = system.decode(g.U, spec)
+    _record_diag(ts, t, g.U, w, spec, total_proj, 0.0)
+    _record_snapshot(ts, t, w, spec)
     next_out = sc.output_cadence if sc.output_cadence > 0 else sc.t_end
-
-    max_steps = 10_000_000
-    for _ in range(max_steps):
+    for _ in range(10_000_000):
         if t >= sc.t_end - 1e-14 * sc.t_end:
             break
-        vmax = max_wave_speed(g.U, spec)
-        dt = sc.cfl * g.dx / vmax
-        dt = min(dt, sc.t_end - t, next_out - t if next_out > t else dt)
-        g = relaxation_step_exact(g, 0.5 * dt, spec)
-        g, projections, clipped = hyperbolic_step(g, dt, spec, sc.scheme, sc.limiter)
-        g = relaxation_step_exact(g, 0.5 * dt, spec)
+        try:
+            dt = sc.cfl * g.dx / max_wave_speed(w, spec, system)
+            dt = min(dt, sc.t_end - t, next_out - t if next_out > t else dt)
+            g = system.relax(g, w, 0.5 * dt, spec)
+            step = hyperbolic_step(g, dt, spec, system, sc.scheme, sc.limiter)
+            g = system.relax(step.grid, step.w, 0.5 * dt, spec)
+            w = system.decode(g.U, spec)
+        except SolverError as err:
+            raise SolverError(f"step from t = {t:.6g}: {err}") from err
         t += dt
-        total_proj += projections
-        if projections > ABORT_PROJECTION_FRACTION * g.N:
-            w = primitive_fields(g.U, spec)
+        total_proj += step.projections
+        if step.projections > ABORT_PROJECTION_FRACTION * g.N:
             raise SolverError(
-                f"admissibility projection hit {projections}/{g.N} cells at "
+                f"admissibility projection hit {step.projections}/{g.N} cells at "
                 f"t = {t:.6g}; max |Pi/p| = {np.max(np.abs(w['Pi'] / w['p'])):.3g}; "
                 "the run is not trustworthy at this resolution/CFL"
             )
-        if sc.scheme == "muscl" and g.N:
-            ts.limiter_fraction = max(ts.limiter_fraction, clipped / (6.0 * g.N))
-        _record_diag(ts, t, g.U, g.dx, spec, total_proj)
+        ts.limiter_fraction = max(ts.limiter_fraction, step.clipped / g.U.size)
+        _record_diag(ts, t, g.U, w, spec, total_proj, step.entropy_outflow)
         if t >= next_out - 1e-14 * max(next_out, 1.0):
-            _record_snapshot(ts, t, g.U, spec)
+            _record_snapshot(ts, t, w, spec)
             next_out = min(next_out + sc.output_cadence, sc.t_end) if sc.output_cadence > 0 else sc.t_end
             if next_out <= t:
                 next_out = sc.t_end
     else:
         raise SolverError("step budget exhausted")
     if ts.snapshot_times[-1] < sc.t_end - 1e-12 * sc.t_end:
-        _record_snapshot(ts, t, g.U, spec)
+        _record_snapshot(ts, t, w, spec)
     return ts
 
 
-# ---------------------------------------------------------------------------
-# equilibrium (five-field) reference solver
-# ---------------------------------------------------------------------------
+def run_scenario(sc: Scenario, initial: Grid1D | None = None) -> TimeSeries:
+    """March a scenario of the six-field system to its end time.
 
-def _euler_primitive(U: np.ndarray, spec: GasSpec) -> dict[str, np.ndarray]:
-    rho = U[0]
-    vx, vy, vz = U[1] / rho, U[2] / rho, U[3] / rho
-    v2 = vx * vx + vy * vy + vz * vz
-    rho_eps = 0.5 * (U[4] - rho * v2)
-    if np.any(rho_eps <= 0):
-        raise SolverError("non-positive internal energy in reference solver")
-    p = 2.0 * rho_eps / spec.D
-    return {"rho": rho, "vx": vx, "vy": vy, "vz": vz, "v2": v2, "p": p,
-            "T": p / (spec.gas_constant * rho)}
-
-
-def _euler_flux(U: np.ndarray, spec: GasSpec) -> np.ndarray:
-    w = _euler_primitive(U, spec)
-    out = np.empty_like(U)
-    out[0] = U[1]
-    out[1] = U[1] * w["vx"] + w["p"]
-    out[2] = U[2] * w["vx"]
-    out[3] = U[3] * w["vx"]
-    out[4] = (U[4] + 2.0 * w["p"]) * w["vx"]
-    return out
-
-
-def _euler_speed(U: np.ndarray, spec: GasSpec) -> np.ndarray:
-    w = _euler_primitive(U, spec)
-    return np.abs(w["vx"]) + np.sqrt((spec.D + 2.0) / spec.D * w["p"] / w["rho"])
+    Relaxation half-steps surround each transport step (see _march).
+    `initial` overrides the scenario's built-in initial condition.
+    """
+    return _march(sc, initial_grid(sc) if initial is None else initial, SIX_FIELD)
 
 
 def euler_reference(sc: Scenario) -> TimeSeries:
-    """Run the same scheme on the five-field equilibrium subsystem.
+    """Run the same kernel on the five-field equilibrium subsystem.
 
     The dynamic pressure is dropped entirely (lam_ll frozen at its
-    equilibrium value); state rows are (F, F_x, F_y, F_z, G_ll).
+    equilibrium value); state rows are (F, F_x, F_y, F_z, G_ll), and the
+    signal speed is the equilibrium sound speed sqrt((D+2) p / (D rho)).
     """
-    spec = sc.spec
-    g6 = initial_grid(sc)
-    U = np.delete(g6.U, 4, axis=0)  # drop the F_ll row
-    dx = g6.dx
-    ts = TimeSeries(x=g6.centers, dx=dx, periodic=(sc.boundary == "periodic"))
-
-    def record(t):
-        w = _euler_primitive(U, spec)
-        U6 = np.empty((6, U.shape[1]))
-        U6[0:4] = U[0:4]
-        U6[4] = w["rho"] * w["v2"] + 3.0 * w["p"]
-        U6[5] = U[4]
-        h, k = entropy_density_fields(U6, spec)
-        ts.snapshot_times.append(t)
-        ts.snapshots.append({
-            "rho": w["rho"].copy(), "vx": w["vx"].copy(), "T": w["T"].copy(),
-            "p": w["p"].copy(), "Pi": np.zeros_like(w["p"]),
-            "Pi_over_p": np.zeros_like(w["p"]), "h": h, "k": k,
-        })
-        ts.diag_t.append(t)
-        ts.total_F.append(float(np.sum(U[0])) * dx)
-        ts.total_Fx.append(float(np.sum(U[1])) * dx)
-        ts.total_Gll.append(float(np.sum(U[4])) * dx)
-        ts.total_Fll.append(float(np.sum(U6[4])) * dx)
-        ts.total_entropy.append(float(np.sum(h)) * dx)
-        ts.max_abs_z.append(0.0)
-        ts.projections.append(0)
-
-    def divergence(U_in):
-        clipped = 0
-        if sc.scheme == "rusanov":
-            Up = _pad(U_in, sc.boundary, 1)
-            UL, UR = Up[:, :-1], Up[:, 1:]
-        else:
-            Up = _pad(U_in, sc.boundary, 2)
-            fwd = Up[:, 2:] - Up[:, 1:-1]
-            bwd = Up[:, 1:-1] - Up[:, :-2]
-            slope = _minmod(bwd, fwd) if sc.limiter == "minmod" else 0.5 * (bwd + fwd)
-            UL = (Up[:, 1:-1] + 0.5 * slope)[:, :-1]
-            UR = (Up[:, 1:-1] - 0.5 * slope)[:, 1:]
-        a = np.maximum(_euler_speed(UL, spec), _euler_speed(UR, spec))
-        F = 0.5 * (_euler_flux(UL, spec) + _euler_flux(UR, spec)) - 0.5 * a * (UR - UL)
-        return -(F[:, 1:] - F[:, :-1]) / dx, clipped
-
-    record(0.0)
-    t = 0.0
-    next_out = sc.output_cadence if sc.output_cadence > 0 else sc.t_end
-    for _ in range(10_000_000):
-        if t >= sc.t_end - 1e-14 * sc.t_end:
-            break
-        # match the six-field step-size logic: |v| + 1.1 c
-        w = _euler_primitive(U, spec)
-        vmax = float(np.max(np.abs(w["vx"]) + WAVE_SPEED_SAFETY
-                            * np.sqrt((spec.D + 2.0) / spec.D * w["p"] / w["rho"])))
-        dt = sc.cfl * dx / vmax
-        dt = min(dt, sc.t_end - t, next_out - t if next_out > t else dt)
-        if sc.scheme == "rusanov":
-            rhs, _ = divergence(U)
-            U = U + dt * rhs
-        else:
-            rhs1, _ = divergence(U)
-            U1 = U + dt * rhs1
-            rhs2, _ = divergence(U1)
-            U = 0.5 * (U + U1 + dt * rhs2)
-        t += dt
-        if t >= next_out - 1e-14 * max(next_out, 1.0):
-            record(t)
-            next_out = min(next_out + sc.output_cadence, sc.t_end) if sc.output_cadence > 0 else sc.t_end
-            if next_out <= t:
-                next_out = sc.t_end
-    if ts.snapshot_times[-1] < sc.t_end - 1e-12 * sc.t_end:
-        record(t)
-    return ts
+    g = initial_grid(sc)
+    return _march(sc, g.with_data(np.delete(g.U, 4, axis=0)), FIVE_FIELD)
 
 
 # ---------------------------------------------------------------------------

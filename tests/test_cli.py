@@ -112,7 +112,38 @@ def test_run_cli_smooth_wave(tmp_path):
     snapshots = sorted(out.glob("run_snapshot_*.csv"))
     assert len(snapshots) >= 3
     diag = (out / "run_diagnostics.csv").read_text().splitlines()
-    assert diag[0] == "t,total_F,total_Fx,total_Gll,total_entropy,max_abs_Z,projections"
+    assert diag[0] == ("t,total_F,total_Fx,total_Gll,total_entropy,max_abs_Z,projections,"
+                       "entropy_outflow")
+
+
+def read_diagnostics(out):
+    rows = (out / "run_diagnostics.csv").read_text().strip().splitlines()
+    header = rows[0].split(",")
+    cols = list(zip(*[[float(v) for v in line.split(",")] for line in rows[1:]]))
+    return dict(zip(header, cols))
+
+
+def test_run_cli_counts_entropy_leaving_through_outflow(tmp_path):
+    # two rarefactions carry entropy out of both ends: the total falls, but
+    # each step's change plus the outflow does not
+    cfg_file = write(tmp_path / "outflow.cfg", "[scenario]\nkind = riemann\nscheme = rusanov\n"
+                     "N = 400\nboundary = outflow\nt_end = 0.15\nrho_left = 1\n"
+                     "rho_right = 1\np_left = 0.4\np_right = 0.4\nv_left = -2\nv_right = 2\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_file, "--output-dir", str(out)]) == 0
+    diag = read_diagnostics(out)
+    steps = [b - a for a, b in zip(diag["total_entropy"], diag["total_entropy"][1:])]
+    assert min(steps) < 0.0
+    assert min(s + o for s, o in zip(steps, diag["entropy_outflow"][1:])) >= 0.0
+
+
+def test_run_cli_periodic_conservation_with_zero_net_momentum(tmp_path):
+    cfg_file = write(tmp_path / "periodic.cfg", "[scenario]\nkind = riemann\nscheme = muscl\n"
+                     "N = 400\nboundary = periodic\nrho_right = 1\np_right = 1\n"
+                     "pi_left = -0.9\npi_right = 0.6\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_file, "--output-dir", str(out)]) == 0
+    assert max(abs(m) for m in read_diagnostics(out)["total_Fx"]) < 1e-12
 
 
 def test_cli_outputs_are_deterministic(tmp_path):

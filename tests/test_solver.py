@@ -5,11 +5,11 @@ import pytest
 
 from et6.gas import GasSpec
 from et6.solver import (
+    SIX_FIELD,
     Grid1D,
     Scenario,
     SolverError,
     bulk_viscosity,
-    entropy_density_fields,
     euler_reference,
     flux_fields,
     hyperbolic_step,
@@ -63,7 +63,7 @@ def test_flux_fields_match_closed_fluxes():
 
     spec = GasSpec(D=5.0)
     g = uniform_grid(spec, N=4, rho=1.2, T=0.8, vx=0.6, z=0.2)
-    fl_arrays = flux_fields(g.U, spec)
+    fl_arrays = flux_fields(g.U, primitive_fields(g.U, spec))
     s = State6(rho=1.2, v=[0.6, 0.0, 0.0], T=0.8, Pi=0.2 * 1.2 * 0.8)
     fl = closed_fluxes(s, spec)
     assert fl_arrays[1, 0] == pytest.approx(fl.F_ik[0, 0], rel=1e-14)
@@ -72,12 +72,13 @@ def test_flux_fields_match_closed_fluxes():
 
 
 def test_entropy_fields_match_point_values():
-    from et6.closure import entropy_parts
+    from et6.closure import entropy_parts, entropy_terms
     from et6.gas import State6
 
     spec = GasSpec(D=4.5)
     g = uniform_grid(spec, N=4, rho=0.7, T=1.1, z=-0.3)
-    h, k = entropy_density_fields(g.U, spec)
+    w = primitive_fields(g.U, spec)
+    h, k, _, _ = entropy_terms(w["rho"], w["p"], w["Pi"] / w["p"], spec)
     parts = entropy_parts(State6(rho=0.7, v=0.0, T=1.1, Pi=-0.3 * 0.7 * 1.1), spec)
     assert h[0] == pytest.approx(parts.h, rel=1e-13)
     assert k[0] == pytest.approx(parts.k, rel=1e-13)
@@ -87,17 +88,42 @@ def test_entropy_fields_match_point_values():
 def test_uniform_state_is_exact_steady_state(scheme):
     spec = GasSpec(D=5.0)
     g = uniform_grid(spec, vx=0.3, z=0.1)
-    g2, projections, _ = hyperbolic_step(g, 1e-3, spec, scheme=scheme)
-    np.testing.assert_array_equal(g2.U, g.U)
-    assert projections == 0
+    step = hyperbolic_step(g, 1e-3, spec, SIX_FIELD, scheme=scheme)
+    np.testing.assert_array_equal(step.grid.U, g.U)
+    assert step.projections == 0
+
+
+def test_decode_rejects_nan_state():
+    spec = GasSpec(D=5.0)
+    U = uniform_grid(spec).U
+    U[0, 3] = np.nan
+    with pytest.raises(SolverError, match="density nan at index 3"):
+        primitive_fields(U, spec)
+
+
+def test_muscl_vacuum_rarefaction_raises_instead_of_stepping_on_nan():
+    # two strong rarefactions drive a reconstructed face state to p + Pi < 0;
+    # its NaN wave speed must stop the step instead of turning dt into NaN
+    spec = GasSpec(D=5.0)
+    sc = Scenario(kind="riemann", spec=spec, N=400, boundary="outflow", t_end=0.15,
+                  scheme="muscl", rho_left=1.0, rho_right=1.0, p_left=0.4, p_right=0.4,
+                  v_left=-2.0, v_right=2.0)
+    g = initial_grid(sc)
+    with pytest.raises(SolverError, match="non-finite wave speed"):
+        for _ in range(2):
+            w = primitive_fields(g.U, spec)
+            dt = sc.cfl * g.dx / max_wave_speed(w, spec, SIX_FIELD)
+            g = relaxation_step_exact(g, w, 0.5 * dt, spec)
+            step = hyperbolic_step(g, dt, spec, SIX_FIELD, "muscl")
+            g = relaxation_step_exact(step.grid, step.w, 0.5 * dt, spec)
 
 
 def test_single_sod_step_conserves_mass():
     spec = GasSpec(D=5.0, tau=1e-2)
     sc = Scenario(kind="riemann", spec=spec, N=200, boundary="outflow", t_end=0.1)
     g = initial_grid(sc)
-    dt = 0.45 * g.dx / max_wave_speed(g.U, spec)
-    g2, _, _ = hyperbolic_step(g, dt, spec)
+    dt = 0.45 * g.dx / max_wave_speed(primitive_fields(g.U, spec), spec, SIX_FIELD)
+    g2 = hyperbolic_step(g, dt, spec, SIX_FIELD).grid
     before = np.sum(g.U[0]) * g.dx
     after = np.sum(g2.U[0]) * g2.dx
     assert abs(after - before) <= 1e-14 * before
@@ -106,14 +132,14 @@ def test_single_sod_step_conserves_mass():
 def test_relaxation_identity_at_equilibrium():
     spec = GasSpec(D=5.0, tau=0.1)
     g = uniform_grid(spec, z=0.0)
-    g2 = relaxation_step_exact(g, 0.05, spec)
+    g2 = relaxation_step_exact(g, primitive_fields(g.U, spec), 0.05, spec)
     np.testing.assert_allclose(g2.U, g.U, rtol=0, atol=1e-15)
 
 
 def test_relaxation_exact_exponential():
     spec = GasSpec(D=5.0, tau=0.1)
     g = uniform_grid(spec, z=0.3)  # p = 1, Pi = 0.3
-    g2 = relaxation_step_exact(g, 0.1, spec)
+    g2 = relaxation_step_exact(g, primitive_fields(g.U, spec), 0.1, spec)
     w = primitive_fields(g2.U, spec)
     assert w["Pi"][0] == pytest.approx(0.3 / math.e, rel=1e-14)
     # rho, v, T untouched
@@ -125,8 +151,9 @@ def test_relaxation_semigroup_composition():
     spec = GasSpec(D=5.0, tau=0.07)
     g = uniform_grid(spec, z=-0.5)
     dt = 0.033
-    one = relaxation_step_exact(g, dt, spec)
-    two = relaxation_step_exact(relaxation_step_exact(g, dt / 2, spec), dt / 2, spec)
+    one = relaxation_step_exact(g, primitive_fields(g.U, spec), dt, spec)
+    half = relaxation_step_exact(g, primitive_fields(g.U, spec), dt / 2, spec)
+    two = relaxation_step_exact(half, primitive_fields(half.U, spec), dt / 2, spec)
     np.testing.assert_allclose(two.U, one.U, rtol=1e-14)
 
 
@@ -212,9 +239,9 @@ def test_admissibility_projection_counts_and_clamps():
     g = uniform_grid(spec, N=8, z=0.0)
     # push Pi above the window by hand: F_ll = 3 (p + Pi) with Pi = p
     g.U[4, :] = 3.0 * (1.0 + 1.0)
-    g2, projections, _ = hyperbolic_step(g, 1e-4, spec)
-    assert projections == 8
-    w = primitive_fields(g2.U, spec)
+    step = hyperbolic_step(g, 1e-4, spec, SIX_FIELD)
+    assert step.projections == 8
+    w = primitive_fields(step.grid.U, spec)
     upper = (spec.D - 3.0) / 3.0 * w["p"]
     np.testing.assert_allclose(w["Pi"], 0.999 * upper, rtol=1e-12)
 
@@ -247,7 +274,7 @@ def test_cfl_bound_dominates_wave_fan():
         U[1] = rho * vx
         U[4] = rho * vx**2 + 3 * (p + z * p)
         U[5] = rho * vx**2 + spec.D * p
-        bound = max_wave_speed(U, spec)
+        bound = max_wave_speed(primitive_fields(U, spec), spec, SIX_FIELD)
         fan = wave_fan(Conserved6.from_array(U[:, 0]), [1, 0, 0], spec)
         assert bound >= np.max(np.abs(fan.speeds))
 
