@@ -4,26 +4,30 @@ Flux Jacobian, wave fans, acceleration-wave jump amplitudes, the
 production-coupling (Shizuta-Kawashima type) condition at equilibrium, and
 entropy convexity / symmetrizer checks.
 
-The Jacobian is assembled analytically by the chain rule through the
-primitive variables w = (rho, v, p, Pi); eigenpairs are computed with a
-general dense eigensolver.  At equilibrium the spectrum is (v_n x4,
-v_n +- sqrt(5 p / 3 rho)) independently of D.
+The flux Jacobian and the entropy Hessian H = d(main field)/du are
+assembled analytically by the chain rule through the primitive variables
+w = (rho, v, p, Pi), so the convexity check needs no finite differences:
+it compares dh/dw with the main field times du/dw, requires H to be
+negative definite and H A_n to be symmetric for each axis n.  Eigenpairs are
+computed with a general dense eigensolver.  At equilibrium the spectrum is
+(v_n x4, v_n +- sqrt(5 p / 3 rho)) independently of D.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .closure import entropy_parts, main_field
-from .gas import Conserved6, GasSpec, State6, admissibility, conserved_from_primitive, \
-    eos_evaluate, primitive_from_conserved
+from .gas import Conserved6, GasSpec, State6, conserved_from_primitive, eos_evaluate, \
+    primitive_from_conserved
 
 K_CONDITION_TOL = 1e-10     # |dPi| threshold, relative to the pressure scale
 K_MARGINAL_FACTOR = 1e-4    # below this the pass is flagged marginal
 EQUILIBRIUM_TOL = 1e-10     # |Pi|/p defining "on the equilibrium manifold"
+SYMMETRY_TOL = 1e-10        # |H A - (H A)^T|, relative to the largest entry of |H| |A|
 
 
 class HyperbolicityError(RuntimeError):
@@ -363,111 +367,77 @@ def _tangent_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ConvexityReport:
-    """Entropy-gradient and concavity check in conserved variables."""
+    """Entropy-gradient, concavity and symmetrizer check in conserved variables."""
 
     gradient_mismatch: float
     hessian_max_eigenvalue: float
     gradient_ok: bool
     hessian_negative_definite: bool
     passed: bool
-    reduced_confidence: bool = field(default=False)
+    symmetrizer_mismatch: float
 
 
-def _entropy_of(u_vec: np.ndarray, spec: GasSpec) -> float:
-    s = primitive_from_conserved(Conserved6.from_array(u_vec), spec)
-    return entropy_parts(s, spec).h
+def _entropy_derivatives(s: State6, spec: GasSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(dh/dw, d(main field)/dw) for w = (rho, v1, v2, v3, p, Pi).
 
+    With R = kB/m, q = p + Pi, r = p - 3 Pi/(D-3) and c0 a constant,
+        h / rho = c0 - R (D/2 + 1) ln rho + (3R/2) ln q + (R (D-3)/2) ln r
+        lam     = h / rho - R (D/2 + 1) + R rho v^2 / 2q
+        lam_i   = -R rho v_i / q,   mu_ll = R rho / 2r,   lam_ll + mu_ll = R rho / 2q
+    so dh/drho = h / rho - R (D/2 + 1), with h from entropy_parts.
+    """
+    p, _ = eos_evaluate(s.rho, s.T, spec)
+    rho, v, D, R = s.rho, s.v, spec.D, spec.gas_constant
+    q, r, dr_dpi = p + s.Pi, p - 3.0 * s.Pi / (D - 3.0), -3.0 / (D - 3.0)
+    v2 = float(np.dot(v, v))
+    h = entropy_parts(s, spec).h
+    dh = np.zeros(6)
+    dh[0] = h / rho - R * (0.5 * D + 1.0)
+    dh[4] = 1.5 * R * rho / q + 0.5 * R * (D - 3.0) * rho / r
+    dh[5] = 1.5 * R * rho / q - 1.5 * R * rho / r
 
-def _safe_step(u_vec: np.ndarray, j: int, step: float, spec: GasSpec) -> float:
-    """Shrink the step until the full central stencil stays admissible."""
-    for _ in range(40):
-        try:
-            up = u_vec.copy()
-            um = u_vec.copy()
-            up[j] += step
-            um[j] -= step
-            _entropy_of(up, spec)
-            _entropy_of(um, spec)
-            return step
-        except Exception:
-            step *= 0.5
-    raise FloatingPointError(f"no admissible finite-difference step for component {j}")
+    dmf = np.zeros((6, 6))
+    dmf[0, 0] = -R * (0.5 * D + 1.0) / rho + 0.5 * R * v2 / q
+    dmf[0, 1:4] = R * rho * v / q
+    dmf[0, 4] = 1.5 * R / q + 0.5 * R * (D - 3.0) / r - 0.5 * R * rho * v2 / q**2
+    dmf[0, 5] = 1.5 * R / q + 0.5 * R * (D - 3.0) * dr_dpi / r - 0.5 * R * rho * v2 / q**2
+    dmf[1:4, 0] = -R * v / q
+    dmf[1:4, 1:4] = -R * rho / q * np.eye(3)
+    dmf[1:4, 4] = dmf[1:4, 5] = R * rho * v / q**2
+    # mu_ll, then lam_ll = R rho / 2q - mu_ll
+    dmf[5] = [0.5 * R / r, 0.0, 0.0, 0.0, -0.5 * R * rho / r**2, -0.5 * R * rho * dr_dpi / r**2]
+    dmf[4] = [0.5 * R / q, 0.0, 0.0, 0.0, -0.5 * R * rho / q**2, -0.5 * R * rho / q**2]
+    dmf[4] -= dmf[5]
+    return dh, dmf
 
 
 def convexity_check(u: Conserved6, spec: GasSpec, grad_tol: float = 1e-6) -> ConvexityReport:
-    """Verify that the main field is the entropy gradient and h(u) is concave.
+    """Verify that the main field is the entropy gradient, that h(u) is
+    concave, and that the entropy Hessian symmetrizes the system.
 
-    Central differences with one Richardson halving for the gradient; plain
-    central second differences for the Hessian.  Near the window boundary
-    the steps are shrunk to stay admissible and the report is flagged
-    reduced-confidence.
+    All in closed form through w = (rho, v, p, Pi):
+    - gradient: dh/dw against main field . du/dw, relative to the largest
+      entry of the latter;
+    - Hessian: H = d(main field)/du = d(main field)/dw . (du/dw)^-1 must be
+      negative definite;
+    - symmetrizer: H A_n must be symmetric for n = x, y, z, the mismatch
+      measured relative to the largest entry of |H| |A_n|, the round-off
+      scale of the product (entries of H A_n itself can cancel to far
+      less), and passing below SYMMETRY_TOL.
     """
     s = primitive_from_conserved(u, spec)
-    rep = admissibility(s, spec)
-    window = rep.margin_lower + rep.margin_upper
-    near_boundary = min(rep.margin_lower, rep.margin_upper) < 0.02 * window
-    u_vec = u.as_array()
-    mf = main_field(s, spec).as_array()
-    mf_scale = float(np.max(np.abs(mf)))
-
-    grad = np.zeros(6)
-    reduced = near_boundary
-    for j in range(6):
-        base = 1e-6 * max(abs(u_vec[j]), 1.0)
-        try:
-            step = _safe_step(u_vec, j, base, spec)
-        except FloatingPointError:
-            return ConvexityReport(
-                gradient_mismatch=math.inf,
-                hessian_max_eigenvalue=math.inf,
-                gradient_ok=False,
-                hessian_negative_definite=False,
-                passed=False,
-                reduced_confidence=True,
-            )
-        if step < base:
-            reduced = True
-        estimates = []
-        for h in (step, 0.5 * step):
-            up = u_vec.copy()
-            um = u_vec.copy()
-            up[j] += h
-            um[j] -= h
-            estimates.append((_entropy_of(up, spec) - _entropy_of(um, spec)) / (2 * h))
-        grad[j] = (4.0 * estimates[1] - estimates[0]) / 3.0
-
-    mismatch = float(np.max(np.abs(grad - mf) / np.maximum(np.abs(mf), mf_scale)))
-
-    steps = np.zeros(6)
-    for j in range(6):
-        base = 1e-4 * max(abs(u_vec[j]), 1.0)
-        try:
-            steps[j] = _safe_step(u_vec, j, base, spec)
-        except FloatingPointError:
-            steps[j] = 0.0
-        if steps[j] < base:
-            reduced = True
-    hess = np.zeros((6, 6))
-    h0 = _entropy_of(u_vec, spec)
-    for i in range(6):
-        hi = steps[i]
-        upi = u_vec.copy()
-        umi = u_vec.copy()
-        upi[i] += hi
-        umi[i] -= hi
-        hess[i, i] = (_entropy_of(upi, spec) - 2.0 * h0 + _entropy_of(umi, spec)) / hi**2
-        for j in range(i + 1, 6):
-            hj = steps[j]
-            upp = u_vec.copy(); upp[i] += hi; upp[j] += hj
-            upm = u_vec.copy(); upm[i] += hi; upm[j] -= hj
-            ump = u_vec.copy(); ump[i] -= hi; ump[j] += hj
-            umm = u_vec.copy(); umm[i] -= hi; umm[j] -= hj
-            val = (
-                _entropy_of(upp, spec) - _entropy_of(upm, spec)
-                - _entropy_of(ump, spec) + _entropy_of(umm, spec)
-            ) / (4.0 * hi * hj)
-            hess[i, j] = hess[j, i] = val
-
+    dh, dmf = _entropy_derivatives(s, spec)
+    jacobians = [_jacobians_primitive(s, n, spec) for n in np.eye(3)]
+    du = jacobians[0][1]
+    mf_du = main_field(s, spec).as_array() @ du
+    hess = np.linalg.solve(du.T, dmf.T).T
+    asymmetry = 0.0
+    for df, _ in jacobians:
+        a_matrix = np.linalg.solve(du.T, df.T).T
+        ha = hess @ a_matrix
+        scale = np.max(np.abs(hess) @ np.abs(a_matrix))
+        asymmetry = max(asymmetry, float(np.max(np.abs(ha - ha.T)) / scale))
+    mismatch = float(np.max(np.abs(dh - mf_du)) / np.max(np.abs(mf_du)))
     max_eig = float(np.max(np.linalg.eigvalsh(0.5 * (hess + hess.T))))
     grad_ok = mismatch <= grad_tol
     hess_ok = max_eig < 0.0
@@ -476,8 +446,8 @@ def convexity_check(u: Conserved6, spec: GasSpec, grad_tol: float = 1e-6) -> Con
         hessian_max_eigenvalue=max_eig,
         gradient_ok=grad_ok,
         hessian_negative_definite=hess_ok,
-        passed=grad_ok and hess_ok,
-        reduced_confidence=reduced,
+        passed=grad_ok and hess_ok and asymmetry <= SYMMETRY_TOL,
+        symmetrizer_mismatch=asymmetry,
     )
 
 

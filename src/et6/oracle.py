@@ -7,13 +7,17 @@ I**alpha dI.  This module evaluates those integrals numerically and never
 touches the closed-form flux expressions; the only shared ingredient is the
 multiplier inversion (xi, zeta, Omega).
 
-The distribution is separable, so tensor-product Gauss rules apply factor by
-factor: Gauss-Hermite in each velocity axis (nodes scaled by 1/sqrt(2 xi))
-and generalized Gauss-Laguerre in I (weight I^alpha e^-I, nodes scaled by
-1/zeta).  The Laguerre weight absorbs I**alpha exactly, which keeps the
-integrable singularity at I = 0 harmless for 3 < D < 5.  Monomial weights of
-the degrees used here are then integrated exactly up to roundoff.  A slower
-adaptive rule provides an independent fallback; on disagreement the Laguerre
+The distribution is separable, so every moment is Omega times a short sum
+of products of 1-D integrals, and each state needs one small table of them:
+S_a[k] = int c^k exp(-xi (c - v_a)^2) dc per velocity axis, by Gauss-Hermite
+nodes scaled by 1/sqrt(2 xi) and shifted by v_a (by 0 for moments in
+peculiar velocity), and L[j] = int I^(alpha+j) exp(-zeta I) dI, by
+generalized Gauss-Laguerre nodes (weight I^alpha e^-I) scaled by 1/zeta.
+The Laguerre weight absorbs I**alpha exactly, which keeps the integrable
+singularity at I = 0 harmless for 3 < D < 5.  Monomial weights of the
+degrees used here are then integrated exactly up to roundoff.  With
+validation on, every quantity is recomputed from the adaptive twins of its
+table entries (each computed once per table); on disagreement the Laguerre
 order is doubled before the check is declared failed.
 """
 
@@ -27,7 +31,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import roots_genlaguerre, roots_hermitenorm
 
-from .closure import Multipliers, entropy_parts, multipliers_from_state
+from .closure import entropy_parts, multipliers_from_state
 from .gas import GasSpec, State6, eos_evaluate
 
 REL_ERR_FLOOR = 1e-300
@@ -114,41 +118,13 @@ class MomentWeight:
         return self.ax + self.ay + self.az + 2 * self.a2
 
 
-# polynomial in (Cx, Cy, Cz, I): dict mapping exponent tuples to coefficients
-Poly = dict[tuple[int, int, int, int], float]
+# One product of the table: coeff * S_x[kx] S_y[ky] S_z[kz] L[j], as
+# (coeff, (kx, ky, kz), j).  A quantity is a short list of them.
+Term = tuple[float, tuple[int, int, int], int]
 
 
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0.0) + ca * cb
-    return out
-
-
-def _poly_c(axis: int, v: np.ndarray) -> Poly:
-    """c_axis = C_axis + v_axis as a polynomial."""
-    e = [0, 0, 0, 0]
-    e[axis] = 1
-    out: Poly = {tuple(e): 1.0}
-    if v[axis] != 0.0:
-        out[(0, 0, 0, 0)] = float(v[axis])
-    return out
-
-
-def _poly_to_weights(p: Poly) -> list[MomentWeight]:
-    return [
-        MomentWeight(ax=e[0], ay=e[1], az=e[2], ai=e[3], coeff=c)
-        for e, c in sorted(p.items())
-        if c != 0.0
-    ]
-
-
-def _expand_c2(w: MomentWeight) -> list[tuple[float, int, int, int, int]]:
+def _expand_c2(w: MomentWeight) -> list[Term]:
     """Expand (C^2)^a2 into axis monomials via the multinomial theorem."""
-    if w.a2 == 0:
-        return [(w.coeff, w.ax, w.ay, w.az, w.ai)]
     terms = []
     n = w.a2
     for i in range(n + 1):
@@ -157,8 +133,23 @@ def _expand_c2(w: MomentWeight) -> list[tuple[float, int, int, int, int]]:
             mult = math.factorial(n) // (
                 math.factorial(i) * math.factorial(j) * math.factorial(k)
             )
-            terms.append((w.coeff * mult, w.ax + 2 * i, w.ay + 2 * j, w.az + 2 * k, w.ai))
+            terms.append((w.coeff * mult, (w.ax + 2 * i, w.ay + 2 * j, w.az + 2 * k), w.ai))
     return terms
+
+
+def _powers(*axes: int) -> tuple[int, int, int]:
+    """Velocity powers of the product of c_a over the given axes."""
+    return tuple(axes.count(a) for a in range(3))
+
+
+def _speed2(*axes: int) -> list[Term]:
+    """c^2 times the product of c_a over axes: one term per axis."""
+    return [(1.0, _powers(b, b, *axes), 0) for b in range(3)]
+
+
+def _energy(spec: GasSpec, *axes: int) -> list[Term]:
+    """(c^2 + 2 I/m) times the product of c_a over axes."""
+    return _speed2(*axes) + [(2.0 / spec.m, _powers(*axes), 1)]
 
 
 @lru_cache(maxsize=32)
@@ -171,106 +162,97 @@ def _laguerre_rule(order: int, alpha: float):
     return roots_genlaguerre(order, alpha)
 
 
-class _GaussFactors:
-    """Cached 1-D integrals against the state's (xi, zeta).
+class _Table:
+    """The 1-D integrals of one state's density, seen through one lens.
 
-    H(a) = int C^a exp(-xi C^2) dC over R, nodes x_i / sqrt(2 xi)
-    L(j) = int I^(alpha+j) exp(-zeta I) dI over [0, inf), nodes y_i / zeta
+    S_a[k] = int c^k exp(-xi (c - v_a)^2) dc over R: Gauss-Hermite nodes
+             x_i / sqrt(2 xi) shifted by v_a (v = 0 in peculiar velocity)
+    L[j]   = int I^(alpha+j) exp(-zeta I) dI over [0, inf): generalized
+             Gauss-Laguerre nodes y_i / zeta
+
+    Every moment is Omega times a sum of products S_x[kx] S_y[ky] S_z[kz]
+    L[j].  The table holds the powers that the given terms use; the
+    adaptive twin of each entry is computed on first use and kept.
     """
 
-    def __init__(self, mul: Multipliers, alpha: float, quad: QuadratureSpec):
-        self.mul = mul
-        self.alpha = alpha
-        self.quad = quad
+    def __init__(self, s: State6, spec: GasSpec, quad: QuadratureSpec, v,
+                 terms: list[Term]):
+        self.mul = multipliers_from_state(s, spec)
+        self.v, self.alpha, self.quad = np.asarray(v, dtype=float), spec.alpha, quad
+        degree = max(max(k) for _, k, _ in terms)
+        self._power = max(j for _, _, j in terms)
         x, wx = _hermite_rule(quad.hermite_order)
-        scale = 1.0 / math.sqrt(2.0 * mul.xi)
-        self._c_nodes = x * scale
-        self._c_weights = wx * scale
-        y, wy = _laguerre_rule(quad.laguerre_order, alpha)
-        self._i_nodes = y / mul.zeta
-        self._i_weights = wy * mul.zeta ** (-(alpha + 1.0))
+        scale = 1.0 / math.sqrt(2.0 * self.mul.xi)
+        nodes = x * scale + self.v[:, None]
+        self.S = (wx * scale) @ nodes[:, :, None] ** np.arange(degree + 1)
+        self._set_laguerre_order(quad.laguerre_order)
+        self._twins: dict[tuple, float] = {}
 
-    def hermite(self, a: int) -> float:
-        return float(np.dot(self._c_weights, self._c_nodes**a))
-
-    def laguerre(self, j: int) -> float:
-        return float(np.dot(self._i_weights, self._i_nodes**j))
-
-    def hermite_adaptive(self, a: int, tol: float) -> float:
-        xi = self.mul.xi
-        val, _ = integrate.quad(
-            lambda c: c**a * math.exp(-xi * c * c), -np.inf, np.inf, epsabs=tol, epsrel=tol
-        )
-        return val
-
-    def laguerre_adaptive(self, j: int, tol: float) -> float:
-        zeta, alpha = self.mul.zeta, self.alpha
-        # split at I = 1/zeta: algebraic endpoint weight on the inner part
-        # (alpha may be negative), plain decaying tail outside
-        cut = 1.0 / zeta
-        inner, _ = integrate.quad(
-            lambda i_val: i_val**j * math.exp(-zeta * i_val),
-            0.0,
-            cut,
-            weight="alg",
-            wvar=(alpha, 0.0),
-            epsabs=tol,
-            epsrel=tol,
-        )
-        outer, _ = integrate.quad(
-            lambda i_val: i_val ** (alpha + j) * math.exp(-zeta * i_val),
-            cut,
-            np.inf,
-            epsabs=tol,
-            epsrel=tol,
-        )
-        return inner + outer
+    def _set_laguerre_order(self, order: int):
+        self.laguerre_order = order
+        y, wy = _laguerre_rule(order, self.alpha)
+        zeta = self.mul.zeta
+        self.L = (wy * zeta ** (-(self.alpha + 1.0))) @ (y / zeta)[:, None] ** np.arange(
+            self._power + 1)
 
     def rule_name(self) -> str:
-        return f"gh{self.quad.hermite_order}xgl{self.quad.laguerre_order}"
+        return f"gh{self.quad.hermite_order}xgl{self.laguerre_order}"
 
+    def integral(self, terms: list[Term]) -> float:
+        """Omega times the sum of the terms, by the Gauss rules."""
+        S, L = self.S, self.L
+        return self.mul.omega * float(sum(
+            c * S[0, kx] * S[1, ky] * S[2, kz] * L[j] for c, (kx, ky, kz), j in terms))
 
-def _weight_integral(factors: _GaussFactors, weights, adaptive: bool = False) -> float:
-    """Integral of f times a monomial weight, without the leading mass factor."""
-    if isinstance(weights, MomentWeight):
-        weights = [weights]
-    total = 0.0
-    tol = factors.quad.adaptive_tol
-    for w in weights:
-        for coeff, ax, ay, az, ai in _expand_c2(w):
-            if adaptive:
-                hx = factors.hermite_adaptive(ax, tol)
-                hy = factors.hermite_adaptive(ay, tol)
-                hz = factors.hermite_adaptive(az, tol)
-                li = factors.laguerre_adaptive(ai, tol)
-            else:
-                hx = factors.hermite(ax)
-                hy = factors.hermite(ay)
-                hz = factors.hermite(az)
-                li = factors.laguerre(ai)
-            total += coeff * hx * hy * hz * li
-    return factors.mul.omega * total
+    def _hermite_twin(self, shift: float, k: int) -> float:
+        key = ("S", shift, k)
+        if key not in self._twins:
+            xi, tol = self.mul.xi, self.quad.adaptive_tol
+            self._twins[key], _ = integrate.quad(
+                lambda c: (c + shift) ** k * math.exp(-xi * c * c), -np.inf, np.inf,
+                epsabs=tol, epsrel=tol)
+        return self._twins[key]
 
+    def _laguerre_twin(self, j: int) -> float:
+        key = ("L", j)
+        if key not in self._twins:
+            zeta, alpha, tol = self.mul.zeta, self.alpha, self.quad.adaptive_tol
+            # split at I = 1/zeta: algebraic endpoint weight on the inner part
+            # (alpha may be negative), plain decaying tail outside
+            cut = 1.0 / zeta
+            inner, _ = integrate.quad(
+                lambda i_val: i_val**j * math.exp(-zeta * i_val), 0.0, cut,
+                weight="alg", wvar=(alpha, 0.0), epsabs=tol, epsrel=tol)
+            outer, _ = integrate.quad(
+                lambda i_val: i_val ** (alpha + j) * math.exp(-zeta * i_val), cut, np.inf,
+                epsabs=tol, epsrel=tol)
+            self._twins[key] = inner + outer
+        return self._twins[key]
 
-def _validated_integral(factors: _GaussFactors, weights, quad: QuadratureSpec,
-                        spec: GasSpec) -> tuple[float, _GaussFactors]:
-    """Gauss value, escalating the Laguerre order if the fallback disagrees."""
-    value = _weight_integral(factors, weights)
-    if not quad.validate:
-        return value, factors
-    reference = _weight_integral(factors, weights, adaptive=True)
-    current = quad
-    scale = max(abs(value), abs(reference), 1.0)
-    while abs(value - reference) > quad.adaptive_tol * scale:
-        if current.laguerre_order >= quad.max_laguerre_order:
-            raise OracleError(
-                f"quadrature non-convergence: gauss {value!r} vs adaptive "
-                f"{reference!r} at laguerre order {current.laguerre_order}"
-            )
-        current = replace(current, laguerre_order=2 * current.laguerre_order)
-        factors = _GaussFactors(factors.mul, spec.alpha, current)
-        value = _weight_integral(factors, weights)
-    return value, factors
+    def adaptive_integral(self, terms: list[Term]) -> float:
+        """Omega times the sum of the terms, by the adaptive rule."""
+        v = self.v
+        return self.mul.omega * sum(
+            c * self._hermite_twin(v[0], kx) * self._hermite_twin(v[1], ky)
+            * self._hermite_twin(v[2], kz) * self._laguerre_twin(j)
+            for c, (kx, ky, kz), j in terms)
+
+    def validated(self, terms: list[Term]) -> float:
+        """Gauss value, escalating the Laguerre order if the adaptive twin disagrees."""
+        value = self.integral(terms)
+        if not self.quad.validate:
+            return value
+        reference = self.adaptive_integral(terms)
+        scale = max(abs(value), abs(reference), 1.0)
+        while abs(value - reference) > self.quad.adaptive_tol * scale:
+            if self.laguerre_order >= self.quad.max_laguerre_order:
+                raise OracleError(
+                    f"quadrature non-convergence: gauss {value!r} vs adaptive "
+                    f"{reference!r} at laguerre order {self.laguerre_order}"
+                )
+            self._set_laguerre_order(2 * self.laguerre_order)
+            value = self.integral(terms)
+        return value
 
 
 def oracle_moment(s: State6, weight, spec: GasSpec, quad: QuadratureSpec | None = None) -> float:
@@ -285,37 +267,31 @@ def oracle_moment(s: State6, weight, spec: GasSpec, quad: QuadratureSpec | None 
     for w in ws:
         if w.velocity_degree > 6:
             raise ValueError(f"velocity degree {w.velocity_degree} exceeds 6")
-    mul = multipliers_from_state(s, spec)
-    factors = _GaussFactors(mul, spec.alpha, quad)
-    value, _ = _validated_integral(factors, ws, quad, spec)
-    return spec.m * value
+    terms = [t for w in ws for t in _expand_c2(w)]
+    return spec.m * _Table(s, spec, quad, np.zeros(3), terms).validated(terms)
 
 
-def _shifted_weight_sets(s: State6, spec: GasSpec) -> list[tuple[str, float, list[MomentWeight]]]:
-    """(name, closed value, weight terms) for every flux entry.
+def _check(s: State6, spec: GasSpec, quad: QuadratureSpec,
+           targets: list[tuple[str, float, list[Term]]]) -> list[OracleReport]:
+    """Report each (name, closed value, terms) target against the lab-frame table.
 
-    Closed values come from the analytic flux expressions evaluated through
-    the public closure API in the caller; here only names and weights.
+    Relative errors are floored at the largest closed value of the family.
     """
-    v = s.v
-    sets = []
-    c = [_poly_c(axis, v) for axis in range(3)]
-    c2: Poly = {}
-    for axis in range(3):
-        for e, coeff in _poly_mul(c[axis], c[axis]).items():
-            c2[e] = c2.get(e, 0.0) + coeff
-    labels = "xyz"
-    for i in range(3):
-        for k in range(i, 3):
-            sets.append((f"F_{labels[i]}{labels[k]}", _poly_to_weights(_poly_mul(c[i], c[k]))))
-    c2_plus_int = dict(c2)
-    key_i = (0, 0, 0, 1)
-    c2_plus_int[key_i] = c2_plus_int.get(key_i, 0.0) + 2.0 / spec.m
-    for k in range(3):
-        sets.append((f"F_ll{labels[k]}", _poly_to_weights(_poly_mul(c2, c[k]))))
-    for k in range(3):
-        sets.append((f"G_ll{labels[k]}", _poly_to_weights(_poly_mul(c2_plus_int, c[k]))))
-    return sets
+    table = _Table(s, spec, quad, s.v, [t for _, _, terms in targets for t in terms])
+    family_scale = max(abs(closed) for _, closed, _ in targets)
+    reports = []
+    for name, closed, terms in targets:
+        value = spec.m * table.validated(terms)
+        reports.append(
+            OracleReport(
+                quantity=name,
+                closed_form=closed,
+                quadrature=value,
+                rel_err=rel_err(closed, value, floor=family_scale),
+                rule=table.rule_name(),
+            )
+        )
+    return reports
 
 
 def oracle_flux_check(s: State6, spec: GasSpec, quad: QuadratureSpec | None = None,
@@ -331,31 +307,14 @@ def oracle_flux_check(s: State6, spec: GasSpec, quad: QuadratureSpec | None = No
 
     quad = quad or QuadratureSpec()
     fl = closed_fluxes(s, spec)
-    closed = {}
     labels = "xyz"
-    for i in range(3):
-        for k in range(i, 3):
-            closed[f"F_{labels[i]}{labels[k]}"] = fl.F_ik[i, k]
-    for k in range(3):
-        closed[f"F_ll{labels[k]}"] = fl.F_llk[k]
-        closed[f"G_ll{labels[k]}"] = fl.G_llk[k]
-
-    mul = multipliers_from_state(s, spec)
-    factors = _GaussFactors(mul, spec.alpha, quad)
-    family_scale = max(abs(v) for v in closed.values())
-    reports = []
-    for name, weights in _shifted_weight_sets(s, spec):
-        value, factors = _validated_integral(factors, weights, quad, spec)
-        value *= spec.m
-        reports.append(
-            OracleReport(
-                quantity=name,
-                closed_form=closed[name],
-                quadrature=value,
-                rel_err=rel_err(closed[name], value, floor=family_scale),
-                rule=factors.rule_name(),
-            )
-        )
+    targets = [
+        (f"F_{labels[i]}{labels[k]}", fl.F_ik[i, k], [(1.0, _powers(i, k), 0)])
+        for i in range(3) for k in range(i, 3)
+    ]
+    targets += [(f"F_ll{labels[k]}", fl.F_llk[k], _speed2(k)) for k in range(3)]
+    targets += [(f"G_ll{labels[k]}", fl.G_llk[k], _energy(spec, k)) for k in range(3)]
+    reports = _check(s, spec, quad, targets)
     failures = [r for r in reports if r.rel_err > quad.flux_tol]
     if failures and raise_on_failure:
         raise OracleVerificationError(failures, reports)
@@ -369,39 +328,13 @@ def oracle_constraint_check(s: State6, spec: GasSpec,
     p, eps = eos_evaluate(s.rho, s.T, spec)
     v = s.v
     v2 = float(np.dot(v, v))
-    mul = multipliers_from_state(s, spec)
-    factors = _GaussFactors(mul, spec.alpha, quad)
-    c = [_poly_c(axis, v) for axis in range(3)]
-    c2: Poly = {}
-    for axis in range(3):
-        for e, coeff in _poly_mul(c[axis], c[axis]).items():
-            c2[e] = c2.get(e, 0.0) + coeff
-    c2_plus_int = dict(c2)
-    c2_plus_int[(0, 0, 0, 1)] = c2_plus_int.get((0, 0, 0, 1), 0.0) + 2.0 / spec.m
-
-    targets = [
-        ("F", s.rho, [MomentWeight()]),
-        ("F_x", s.rho * v[0], _poly_to_weights(c[0])),
-        ("F_y", s.rho * v[1], _poly_to_weights(c[1])),
-        ("F_z", s.rho * v[2], _poly_to_weights(c[2])),
-        ("F_ll", s.rho * v2 + 3.0 * (p + s.Pi), _poly_to_weights(c2)),
-        ("G_ll", s.rho * v2 + 2.0 * s.rho * eps, _poly_to_weights(c2_plus_int)),
+    targets = [("F", s.rho, [(1.0, _powers(), 0)])]
+    targets += [(f"F_{x}", s.rho * v[a], [(1.0, _powers(a), 0)]) for a, x in enumerate("xyz")]
+    targets += [
+        ("F_ll", s.rho * v2 + 3.0 * (p + s.Pi), _speed2()),
+        ("G_ll", s.rho * v2 + 2.0 * s.rho * eps, _energy(spec)),
     ]
-    family_scale = max(abs(t[1]) for t in targets)
-    reports = []
-    for name, closed, weights in targets:
-        value, factors = _validated_integral(factors, weights, quad, spec)
-        value *= spec.m
-        reports.append(
-            OracleReport(
-                quantity=name,
-                closed_form=closed,
-                quadrature=value,
-                rel_err=rel_err(closed, value, floor=family_scale),
-                rule=factors.rule_name(),
-            )
-        )
-    return reports
+    return _check(s, spec, quad, targets)
 
 
 def oracle_entropy(s: State6, spec: GasSpec, quad: QuadratureSpec | None = None) -> float:
@@ -412,12 +345,12 @@ def oracle_entropy(s: State6, spec: GasSpec, quad: QuadratureSpec | None = None)
     logarithms near the underflow region).
     """
     quad = quad or QuadratureSpec()
-    mul = multipliers_from_state(s, spec)
-    factors = _GaussFactors(mul, spec.alpha, quad)
-    number, factors = _validated_integral(factors, MomentWeight(), quad, spec)
-    int_i, factors = _validated_integral(factors, MomentWeight(ai=1), quad, spec)
-    int_c2, factors = _validated_integral(factors, MomentWeight(a2=1), quad, spec)
-    return -spec.kB * (mul.log_omega * number - mul.zeta * int_i - mul.xi * int_c2)
+    number, internal, speed2 = [(1.0, _powers(), 0)], [(1.0, _powers(), 1)], _speed2()
+    table = _Table(s, spec, quad, np.zeros(3), number + internal + speed2)
+    mul = table.mul
+    return -spec.kB * (mul.log_omega * table.validated(number)
+                       - mul.zeta * table.validated(internal)
+                       - mul.xi * table.validated(speed2))
 
 
 @dataclass(frozen=True)

@@ -64,10 +64,15 @@ def _decode(U: np.ndarray, spec: GasSpec) -> dict[str, np.ndarray]:
             "T": p / (spec.gas_constant * rho)}
 
 
+def _dynamic_pressure(F_ll: np.ndarray, w: dict[str, np.ndarray]) -> np.ndarray:
+    """Pi from the F_ll row and the decoded rho, v^2 and p."""
+    return (F_ll - w["rho"] * w["v2"]) / 3.0 - w["p"]
+
+
 def primitive_fields(U: np.ndarray, spec: GasSpec) -> dict[str, np.ndarray]:
     """Primitive arrays (rho, vx, vy, vz, v2, p, T, Pi) from six-field data."""
     w = _decode(U, spec)
-    w["Pi"] = (U[4] - w["rho"] * w["v2"]) / 3.0 - w["p"]
+    w["Pi"] = _dynamic_pressure(U[4], w)
     return w
 
 
@@ -115,7 +120,7 @@ class System(NamedTuple):
     decode: Callable        # (U, spec) -> primitives w
     sound_speed: Callable   # (w, spec) -> c; |v_x| + c bounds the spectrum
     flux: Callable          # (U, w) -> physical x-flux
-    relax: Callable         # (g, w, dt, spec) -> grid after the source substep
+    relax: Callable         # (g, w, dt, spec) -> (grid, primitives) after the source substep
     project: Callable       # (U, w, spec) -> cells pulled into the window
 
 
@@ -136,7 +141,7 @@ FIVE_FIELD = System(
     decode=lambda U, spec: {**_decode(U, spec), "Pi": np.zeros(U.shape[1:])},
     sound_speed=lambda w, spec: euler_sound_speed(w["rho"], w["p"], spec.D),
     flux=_euler_flux,
-    relax=lambda g, w, dt, spec: g,
+    relax=lambda g, w, dt, spec: (g, w),
     project=lambda U, w, spec: 0,
 )
 
@@ -427,18 +432,20 @@ def hyperbolic_step(g: Grid1D, dt: float, spec: GasSpec, system: System,
 
 
 def relaxation_step_exact(g: Grid1D, w: dict[str, np.ndarray], dt: float,
-                          spec: GasSpec) -> Grid1D:
+                          spec: GasSpec) -> tuple[Grid1D, dict[str, np.ndarray]]:
     """Exact solution of the homogeneous relaxation subproblem.
 
     w are the primitives of g.  Holding F, F_i, G_ll (hence rho, v, eps, p)
     fixed: Pi <- Pi * exp(-dt/tau) and F_ll is rebuilt as
     rho v^2 + 3 (p + Pi).  Admissibility can only improve since |Pi| shrinks
-    toward 0.
+    toward 0.  Returns the new grid and its primitives, which differ from w
+    only in Pi, so the caller need not decode it again.  That Pi is read
+    back from the new F_ll row, as primitive_fields would read it.
     """
     decay = math.exp(-dt / spec.tau)
     U_new = g.U.copy()
     U_new[4] = w["rho"] * w["v2"] + 3.0 * (w["p"] + w["Pi"] * decay)
-    return g.with_data(U_new)
+    return g.with_data(U_new), {**w, "Pi": _dynamic_pressure(U_new[4], w)}
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +497,9 @@ def _march(sc: Scenario, g: Grid1D, system: System) -> TimeSeries:
         try:
             dt = sc.cfl * g.dx / max_wave_speed(w, spec, system)
             dt = min(dt, sc.t_end - t, next_out - t if next_out > t else dt)
-            g = system.relax(g, w, 0.5 * dt, spec)
+            g, _ = system.relax(g, w, 0.5 * dt, spec)
             step = hyperbolic_step(g, dt, spec, system, sc.scheme, sc.limiter)
-            g = system.relax(step.grid, step.w, 0.5 * dt, spec)
-            w = system.decode(g.U, spec)
+            g, w = system.relax(step.grid, step.w, 0.5 * dt, spec)
         except SolverError as err:
             raise SolverError(f"step from t = {t:.6g}: {err}") from err
         t += dt

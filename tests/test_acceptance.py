@@ -33,6 +33,7 @@ from et6.solver import (
     ns_limit_diagnostic,
     run_scenario,
 )
+from finite_differences import fd_gradient
 
 SOUND = 1.2909944487358056  # sqrt(5/3)
 
@@ -102,10 +103,13 @@ def test_c03_entropy_structure():
 
 
 def test_c04_main_field_gradient_identity():
-    """Numeric entropy gradient equals the multipliers; Hessian concave."""
+    """Entropy gradient equals the multipliers, analytically and by finite
+    differences; Hessian concave; H A_n symmetric."""
     rng = np.random.default_rng(314)
     worst_grad = 0.0
+    worst_fd = 0.0
     worst_eig = -np.inf
+    all_passed = True
     for _ in range(50):
         d_val = float(rng.choice([4.0, 5.0, 7.0]))
         spec = GasSpec(D=d_val)
@@ -114,12 +118,18 @@ def test_c04_main_field_gradient_identity():
         v = rng.uniform(-1.0, 1.0, size=3)
         z = float(rng.uniform(-0.7, 0.7 * spec.z_upper))
         s = State6(rho=rho, v=v, T=temperature, Pi=z * rho * temperature * spec.gas_constant)
-        rep = convexity_check(conserved_from_primitive(s, spec), spec)
+        u = conserved_from_primitive(s, spec)
+        rep = convexity_check(u, spec)
+        all_passed &= rep.passed
         worst_grad = max(worst_grad, rep.gradient_mismatch)
         worst_eig = max(worst_eig, rep.hessian_max_eigenvalue)
-    ok = worst_grad <= 1e-6 and worst_eig < 0.0
-    report(4, ok, f"gradient mismatch {worst_grad:.3e} <= 1e-6 and max Hessian "
-                  f"eigenvalue {worst_eig:.3e} < 0 on 50 random states")
+        mf = main_field(s, spec).as_array()
+        grad = fd_gradient(u.as_array(), spec)
+        relative = np.abs(grad - mf) / np.maximum(np.abs(mf), np.max(np.abs(mf)))
+        worst_fd = max(worst_fd, float(np.max(relative)))
+    ok = all_passed and worst_grad <= 1e-6 and worst_fd <= 1e-6 and worst_eig < 0.0
+    report(4, ok, f"gradient mismatch {worst_grad:.3e} (finite differences {worst_fd:.3e}) "
+                  f"<= 1e-6 and max Hessian eigenvalue {worst_eig:.3e} < 0 on 50 random states")
 
 
 def test_c05_equilibrium_eigenstructure():

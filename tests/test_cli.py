@@ -89,6 +89,17 @@ def test_eigen_cli_flag_overrides_config(tmp_path):
     assert row.split(",")[header.split(",").index("D")] == "7"
 
 
+def test_eigen_cli_passes_near_upper_window_edge(tmp_path, capsys):
+    # Z = 0.666 against the bound 2/3 at D = 5
+    assert main(["eigen", "--Z", "0.666", "--output-dir", str(tmp_path / "out")]) == 0
+    assert "[PASS] entropy convexity" in capsys.readouterr().out
+
+
+def test_eigen_cli_rejects_z_outside_window(tmp_path, capsys):
+    assert main(["eigen", "--Z", "5", "--output-dir", str(tmp_path / "out")]) == 2
+    assert "outside the admissible window" in capsys.readouterr().err
+
+
 def test_check_cli_quick_passes(tmp_path):
     code = main(["check", "--quick", "--output-dir", str(tmp_path / "out")])
     assert code == 0
@@ -123,12 +134,17 @@ def read_diagnostics(out):
     return dict(zip(header, cols))
 
 
+def two_rarefactions(scheme):
+    """Riemann config whose two strong rarefactions leave a near vacuum."""
+    return ("[scenario]\nkind = riemann\nscheme = " + scheme + "\n"
+            "N = 400\nboundary = outflow\nt_end = 0.15\nrho_left = 1\n"
+            "rho_right = 1\np_left = 0.4\np_right = 0.4\nv_left = -2\nv_right = 2\n")
+
+
 def test_run_cli_counts_entropy_leaving_through_outflow(tmp_path):
     # two rarefactions carry entropy out of both ends: the total falls, but
     # each step's change plus the outflow does not
-    cfg_file = write(tmp_path / "outflow.cfg", "[scenario]\nkind = riemann\nscheme = rusanov\n"
-                     "N = 400\nboundary = outflow\nt_end = 0.15\nrho_left = 1\n"
-                     "rho_right = 1\np_left = 0.4\np_right = 0.4\nv_left = -2\nv_right = 2\n")
+    cfg_file = write(tmp_path / "outflow.cfg", two_rarefactions("rusanov"))
     out = tmp_path / "out"
     assert main(["run", "--config", cfg_file, "--output-dir", str(out)]) == 0
     diag = read_diagnostics(out)
@@ -144,6 +160,15 @@ def test_run_cli_periodic_conservation_with_zero_net_momentum(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", cfg_file, "--output-dir", str(out)]) == 0
     assert max(abs(m) for m in read_diagnostics(out)["total_Fx"]) < 1e-12
+
+
+def test_run_cli_solver_error_exits_one(tmp_path, capsys):
+    # MUSCL drives a face state between the rarefactions to p + Pi < 0
+    cfg_file = write(tmp_path / "vacuum.cfg", two_rarefactions("muscl"))
+    assert main(["run", "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("solver error: step from t = 0: non-finite wave speed")
 
 
 def test_cli_outputs_are_deterministic(tmp_path):

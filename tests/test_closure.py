@@ -15,6 +15,7 @@ from et6.closure import (
     production_bgk,
     state_from_multipliers,
 )
+from finite_differences import fd_gradient
 
 # frozen reference values, kB = m = 1 units (30-digit arithmetic)
 OMEGA_EQ = 0.063493635934240969786        # (2 pi)^(-3/2), rho=1 T=1 D=5
@@ -253,30 +254,6 @@ def test_main_field_boost_consistency(d5):
     assert direct.mu_ll == pytest.approx(boosted.mu_ll, rel=1e-12)
 
 
-def _entropy_of_conserved(u_vec, spec):
-    from et6.gas import Conserved6, primitive_from_conserved
-
-    s = primitive_from_conserved(Conserved6.from_array(u_vec), spec)
-    return entropy_parts(s, spec).h
-
-
-def _fd_gradient(u_vec, spec, rel_step=1e-6):
-    # central differences with one Richardson halving
-    grad = np.zeros(6)
-    for j in range(6):
-        scale = max(abs(u_vec[j]), 1.0)
-        est = []
-        for hfac in (1.0, 0.5):
-            h = rel_step * scale * hfac
-            up = u_vec.copy()
-            um = u_vec.copy()
-            up[j] += h
-            um[j] -= h
-            est.append((_entropy_of_conserved(up, spec) - _entropy_of_conserved(um, spec)) / (2 * h))
-        grad[j] = (4.0 * est[1] - est[0]) / 3.0
-    return grad
-
-
 @pytest.mark.parametrize("D", [4.0, 5.0, 7.0])
 def test_gradient_identity_dh(D):
     # dh = lam dF + lam_i dF_i + lam_ll dF_ll + mu_ll dG_ll
@@ -289,6 +266,6 @@ def test_gradient_identity_dh(D):
         z = rng.uniform(-0.6, 0.6 * spec.z_upper)
         s = State6(rho=rho, v=v, T=T, Pi=z * rho * T)
         u = conserved_from_primitive(s, spec).as_array()
-        grad = _fd_gradient(u, spec)
+        grad = fd_gradient(u, spec)
         mf = main_field(s, spec).as_array()
         np.testing.assert_allclose(grad, mf, rtol=1e-6, atol=1e-9)

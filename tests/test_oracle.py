@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from et6.gas import GasSpec, State6
 from et6.closure import entropy_parts
 from et6.oracle import (
     MomentWeight,
+    OracleError,
     QuadratureSpec,
     mep_optimality_probe,
     oracle_constraint_check,
@@ -89,6 +92,30 @@ def test_gauss_agrees_with_adaptive_fallback(d5):
     # validation raises internally on disagreement; reaching here means pass
     reports = oracle_flux_check(s, d5, quad)
     assert all(r.rel_err <= 1e-8 for r in reports)
+
+
+def test_validation_computes_each_adaptive_twin_once(d5, monkeypatch):
+    from et6 import oracle
+
+    calls = []
+    quad_fn = oracle.integrate.quad
+    monkeypatch.setattr(oracle, "integrate", types.SimpleNamespace(
+        quad=lambda *args, **kwargs: calls.append(1) or quad_fn(*args, **kwargs)))
+    s = State6(rho=0.8, v=[0.2, -0.1, 0.3], T=1.4, Pi=0.3)
+    oracle_flux_check(s, d5, QuadratureSpec(validate=True))
+    # S_a[k] for three axes and k <= 3, L[0] and L[1] in two pieces each
+    assert 0 < len(calls) <= 3 * 4 + 2 * 2
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_validation_escalates_laguerre_order_before_failing():
+    # a tolerance below round-off can never be met: the order doubles from
+    # 8 up to the cap, then the check fails naming it
+    quad = QuadratureSpec(validate=True, adaptive_tol=1e-16, laguerre_order=8,
+                          max_laguerre_order=32)
+    s = State6(rho=1.0, v=[0.4, -0.25, 0.15], T=1.0, Pi=0.1)
+    with pytest.raises(OracleError, match="laguerre order 32"):
+        oracle_flux_check(s, GasSpec(D=3.5), quad)
 
 
 def test_entropy_quadrature_equilibrium(d5, quad):

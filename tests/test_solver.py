@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from et6 import solver as solver_module
 from et6.gas import GasSpec
 from et6.solver import (
     SIX_FIELD,
@@ -113,9 +114,9 @@ def test_muscl_vacuum_rarefaction_raises_instead_of_stepping_on_nan():
         for _ in range(2):
             w = primitive_fields(g.U, spec)
             dt = sc.cfl * g.dx / max_wave_speed(w, spec, SIX_FIELD)
-            g = relaxation_step_exact(g, w, 0.5 * dt, spec)
+            g, _ = relaxation_step_exact(g, w, 0.5 * dt, spec)
             step = hyperbolic_step(g, dt, spec, SIX_FIELD, "muscl")
-            g = relaxation_step_exact(step.grid, step.w, 0.5 * dt, spec)
+            g, _ = relaxation_step_exact(step.grid, step.w, 0.5 * dt, spec)
 
 
 def test_single_sod_step_conserves_mass():
@@ -132,14 +133,14 @@ def test_single_sod_step_conserves_mass():
 def test_relaxation_identity_at_equilibrium():
     spec = GasSpec(D=5.0, tau=0.1)
     g = uniform_grid(spec, z=0.0)
-    g2 = relaxation_step_exact(g, primitive_fields(g.U, spec), 0.05, spec)
+    g2, _ = relaxation_step_exact(g, primitive_fields(g.U, spec), 0.05, spec)
     np.testing.assert_allclose(g2.U, g.U, rtol=0, atol=1e-15)
 
 
 def test_relaxation_exact_exponential():
     spec = GasSpec(D=5.0, tau=0.1)
     g = uniform_grid(spec, z=0.3)  # p = 1, Pi = 0.3
-    g2 = relaxation_step_exact(g, primitive_fields(g.U, spec), 0.1, spec)
+    g2, _ = relaxation_step_exact(g, primitive_fields(g.U, spec), 0.1, spec)
     w = primitive_fields(g2.U, spec)
     assert w["Pi"][0] == pytest.approx(0.3 / math.e, rel=1e-14)
     # rho, v, T untouched
@@ -151,10 +152,35 @@ def test_relaxation_semigroup_composition():
     spec = GasSpec(D=5.0, tau=0.07)
     g = uniform_grid(spec, z=-0.5)
     dt = 0.033
-    one = relaxation_step_exact(g, primitive_fields(g.U, spec), dt, spec)
-    half = relaxation_step_exact(g, primitive_fields(g.U, spec), dt / 2, spec)
-    two = relaxation_step_exact(half, primitive_fields(half.U, spec), dt / 2, spec)
+    one, _ = relaxation_step_exact(g, primitive_fields(g.U, spec), dt, spec)
+    half, _ = relaxation_step_exact(g, primitive_fields(g.U, spec), dt / 2, spec)
+    two, _ = relaxation_step_exact(half, primitive_fields(half.U, spec), dt / 2, spec)
     np.testing.assert_allclose(two.U, one.U, rtol=1e-14)
+
+
+def test_relaxation_returns_primitives_of_new_grid():
+    spec = GasSpec(D=5.0, tau=0.07)
+    g = uniform_grid(spec, vx=0.4, z=-0.5)
+    g2, w2 = relaxation_step_exact(g, primitive_fields(g.U, spec), 0.033, spec)
+    decoded = primitive_fields(g2.U, spec)
+    assert w2.keys() == decoded.keys()
+    for key, value in decoded.items():
+        np.testing.assert_array_equal(w2[key], value, err_msg=key)
+
+
+@pytest.mark.parametrize("run, decode", [(run_scenario, "primitive_fields"),
+                                         (euler_reference, "_decode")])
+def test_one_cell_decode_per_muscl_step(run, decode, monkeypatch):
+    # per step: the edge states of both stages and the post-transport cells;
+    # the source substep hands back its primitives, so the step ends decoded
+    calls = []
+    original = getattr(solver_module, decode)
+    monkeypatch.setattr(solver_module, decode,
+                        lambda *args: calls.append(1) or original(*args))
+    ts = run(Scenario(kind="smooth_wave", N=32, t_end=0.05, scheme="muscl"))
+    steps = len(ts.diag_t) - 1
+    assert steps > 0
+    assert len(calls) == 3 * steps + 1
 
 
 @pytest.mark.parametrize("tau", [1.0, 0.1, 1e-3])
