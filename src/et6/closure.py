@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gas import GasSpec, InadmissibleStateError, State6, eos_evaluate, require_admissible
+from .gas import GasSpec, State6, energy_moment, eos_evaluate, require_admissible
 
 # Guard against exp overflow when Pi approaches the window boundary.
 LOG_OMEGA_GUARD = 500.0
@@ -137,21 +137,8 @@ def multipliers_from_state(s: State6, spec: GasSpec) -> Multipliers:
     with Z = Pi/p.  Positivity of all three is equivalent to admissibility;
     an inadmissible state raises naming the multiplier that would lose it.
     """
-    p, _ = eos_evaluate(s.rho, s.T, spec)
-    z = s.Pi / p
-    if not 1.0 + z > 0.0:
-        raise InadmissibleStateError(
-            f"Pi/p = {z:.6g} <= -1: xi would lose positivity",
-            bound="lower",
-            margin=1.0 + z,
-        )
-    if not 1.0 - 3.0 * z / (spec.D - 3.0) > 0.0:
-        raise InadmissibleStateError(
-            f"Pi/p = {z:.6g} >= (D-3)/3 = {spec.z_upper:.6g}: "
-            "zeta would lose positivity",
-            bound="upper",
-            margin=spec.z_upper - z,
-        )
+    z = require_admissible(s, spec).z
+    p = s.pressure(spec)
     xi = 0.5 * s.rho / p / (1.0 + z)
     zeta = s.rho / (spec.m * p) / (1.0 - 3.0 * z / (spec.D - 3.0))
     log_omega = _guard_log_omega(entropy_terms(s.rho, p, z, spec)[2])
@@ -217,8 +204,22 @@ def equilibrium_distribution_value(C, I: float, rho: float, T: float, spec: GasS
     return math.exp(log_pref - (0.5 * spec.m * c2 + I) / kT)
 
 
+def flux_rows(F_i, G_ll, rho_v2, ppi, v_k, k: int):
+    """Flux along axis k of (F, F_i, F_ll, G_ll), on floats or arrays:
+
+        F_k,  F_i v_k + (p + Pi) delta_ik,  (5 (p + Pi) + rho v^2) v_k,
+        (G_ll + 2 (p + Pi)) v_k
+
+    with rho_v2 = rho v^2 and ppi = p + Pi.  closed_fluxes applies it along
+    x, y and z, the solver along x.  No checks.
+    """
+    momentum = [F_i[0] * v_k, F_i[1] * v_k, F_i[2] * v_k]
+    momentum[k] = momentum[k] + ppi
+    return (F_i[k], *momentum, (5.0 * ppi + rho_v2) * v_k, (G_ll + 2.0 * ppi) * v_k)
+
+
 def closed_fluxes(s: State6, spec: GasSpec) -> FluxSet:
-    """Closed fluxes of the six-field system.
+    """Closed fluxes of the six-field system, flux_rows along x, y and z.
 
     F_ik  = rho v_i v_k + (p + Pi) delta_ik
     F_llk = (5(p + Pi) + rho v^2) v_k
@@ -228,14 +229,18 @@ def closed_fluxes(s: State6, spec: GasSpec) -> FluxSet:
     value is delegated to production_bgk.
     """
     require_admissible(s, spec)
-    p, eps = eos_evaluate(s.rho, s.T, spec)
-    v = s.v
-    v2 = float(np.dot(v, v))
-    ppi = p + s.Pi
-    F_ik = s.rho * np.outer(v, v) + ppi * np.eye(3)
-    F_llk = (5.0 * ppi + s.rho * v2) * v
-    G_llk = (s.rho * v2 + 2.0 * s.rho * eps + 2.0 * ppi) * v
-    return FluxSet(F_ik=F_ik, F_llk=F_llk, G_llk=G_llk, P_ll=production_bgk(s, spec))
+    p, _ = eos_evaluate(s.rho, s.T, spec)
+    v = s.v.tolist()
+    v2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+    G_ll = energy_moment(s.rho, v2, p, spec.D)
+    F_i = [s.rho * v_a for v_a in v]
+    columns = np.array([flux_rows(F_i, G_ll, s.rho * v2, p + s.Pi, v[k], k) for k in range(3)])
+    # row k holds (rho v_i) v_k + ppi delta_ik, column k of F_ik; the mirror
+    # entry (rho v_k) v_i differs by round-off, so copy one triangle over
+    F_ik = columns[:, 1:4]
+    F_ik[[0, 0, 1], [1, 2, 2]] = F_ik[[1, 2, 2], [0, 0, 1]]
+    return FluxSet(F_ik=F_ik, F_llk=columns[:, 4], G_llk=columns[:, 5],
+                   P_ll=production_bgk(s, spec))
 
 
 def production_bgk(s: State6, spec: GasSpec) -> float:
@@ -289,7 +294,7 @@ def main_field(s: State6, spec: GasSpec) -> MainField:
     return MainField(lam=lam, lam_i=lam_i, lam_ll=lam_ll, mu_ll=mu_ll)
 
 
-def boost_main_field(rest: MainField, v, _spec: GasSpec | None = None) -> MainField:
+def boost_main_field(rest: MainField, v) -> MainField:
     """Galilean transformation of the multipliers from the rest frame.
 
     With hatted rest-frame components:

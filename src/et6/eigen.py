@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closure import entropy_parts, main_field
-from .gas import Conserved6, GasSpec, State6, conserved_from_primitive, eos_evaluate, \
-    primitive_from_conserved
+from .gas import Conserved6, GasSpec, State6, eos_evaluate, primitive_from_conserved
 
 K_CONDITION_TOL = 1e-10     # |dPi| threshold, relative to the pressure scale
 K_MARGINAL_FACTOR = 1e-4    # below this the pass is flagged marginal
@@ -62,7 +61,12 @@ def _unit(n) -> np.ndarray:
 
 
 def _jacobians_primitive(s: State6, n: np.ndarray, spec: GasSpec):
-    """(d flux_n / dw, d u / dw) for w = (rho, v1, v2, v3, p, Pi)."""
+    """(d flux_n / dw, d u / dw) for w = (rho, v1, v2, v3, p, Pi).
+
+    du/dw is the derivative of the moment map (gas.momentum_flux_trace and
+    gas.energy_moment) and maps a primitive jump dw to its conserved jump
+    du @ dw.
+    """
     p, _ = eos_evaluate(s.rho, s.T, spec)
     rho, v, Pi, D = s.rho, s.v, s.Pi, spec.D
     v2 = float(np.dot(v, v))
@@ -107,8 +111,10 @@ def flux_jacobian(u: Conserved6, n, spec: GasSpec) -> np.ndarray:
 
     Conserved ordering (F, F_x, F_y, F_z, F_ll, G_ll).
     """
-    n = _unit(n)
-    s = primitive_from_conserved(u, spec)
+    return _flux_jacobian(primitive_from_conserved(u, spec), _unit(n), spec)
+
+
+def _flux_jacobian(s: State6, n: np.ndarray, spec: GasSpec) -> np.ndarray:
     df, du = _jacobians_primitive(s, n, spec)
     # A = df/dw * (du/dw)^-1, solved rather than inverted
     return np.linalg.solve(du.T, df.T).T
@@ -136,11 +142,12 @@ def wave_fan(u: Conserved6, n, spec: GasSpec, imag_tol: float = 1e-9) -> WaveFan
     Raises HyperbolicityError when an eigenvalue pair is complex beyond
     imag_tol relative to the characteristic speed scale.
     """
-    n = _unit(n)
-    s = primitive_from_conserved(u, spec)
+    return _wave_fan(primitive_from_conserved(u, spec), _unit(n), spec, imag_tol)
+
+
+def _wave_fan(s: State6, n: np.ndarray, spec: GasSpec, imag_tol: float = 1e-9) -> WaveFan:
     p, _ = eos_evaluate(s.rho, s.T, spec)
-    a_matrix = flux_jacobian(u, n, spec)
-    values, vectors = np.linalg.eig(a_matrix)
+    values, vectors = np.linalg.eig(_flux_jacobian(s, n, spec))
     vn = float(np.dot(s.v, n))
     scale = abs(vn) + et6_sound_speed(s.rho, p, s.Pi)
     max_imag = float(np.max(np.abs(values.imag)))
@@ -170,22 +177,6 @@ def wave_fan(u: Conserved6, n, spec: GasSpec, imag_tol: float = 1e-9) -> WaveFan
         else:
             tags.append("other")
     return WaveFan(n=n, speeds=speeds, right_eigenvectors=vecs, tags=tuple(tags))
-
-
-def _conserved_jump(s: State6, spec: GasSpec, d_rho: float, d_v: np.ndarray,
-                    d_eps: float, d_pi: float) -> np.ndarray:
-    """Jump of (F, F_i, F_ll, G_ll) induced by primitive jumps at state s."""
-    v = s.v
-    _, eps = eos_evaluate(s.rho, s.T, spec)
-    d_rho_v2 = float(np.dot(v, v)) * d_rho + 2.0 * s.rho * float(np.dot(v, d_v))
-    d_rho_eps = eps * d_rho + s.rho * d_eps
-    d_p = 2.0 * d_rho_eps / spec.D
-    return np.array([
-        d_rho,
-        *(v * d_rho + s.rho * d_v),
-        d_rho_v2 + 3.0 * (d_p + d_pi),
-        d_rho_v2 + 2.0 * d_rho_eps,
-    ])
 
 
 @dataclass(frozen=True)
@@ -222,9 +213,12 @@ def acceleration_wave(u_eq: Conserved6, n, delta_rho: float,
     s = _require_equilibrium(u_eq, spec)
     p, eps = eos_evaluate(s.rho, s.T, spec)
     vn = float(np.dot(s.v, n))
+    _, du = _jacobians_primitive(s, n, spec)
     waves = []
     d_eps = 2.0 / spec.D * eps / s.rho * delta_rho
     d_pi = 4.0 / (3.0 * spec.D**2) * (spec.D - 3.0) * eps * delta_rho
+    # p = (2/D) rho eps
+    d_p = 2.0 / spec.D * (eps * delta_rho + s.rho * d_eps)
     for branch in (-1, +1):
         v_char = branch * et6_sound_speed(s.rho, p)
         d_v = n * v_char * delta_rho / s.rho
@@ -236,7 +230,7 @@ def acceleration_wave(u_eq: Conserved6, n, delta_rho: float,
                 delta_v=d_v,
                 delta_eps=d_eps,
                 delta_pi=d_pi,
-                conserved_jump=_conserved_jump(s, spec, delta_rho, d_v, d_eps, d_pi),
+                conserved_jump=du @ np.array([delta_rho, *d_v, d_p, d_pi]),
             )
         )
     return waves[0], waves[1]
@@ -244,7 +238,10 @@ def acceleration_wave(u_eq: Conserved6, n, delta_rho: float,
 
 def grad_pi_conserved(u: Conserved6, spec: GasSpec) -> np.ndarray:
     """Analytic gradient of Pi with respect to (F, F_i, F_ll, G_ll)."""
-    s = primitive_from_conserved(u, spec)
+    return _grad_pi(primitive_from_conserved(u, spec), spec)
+
+
+def _grad_pi(s: State6, spec: GasSpec) -> np.ndarray:
     coeff = 1.0 / 3.0 - 1.0 / spec.D
     v = s.v
     v2 = float(np.dot(v, v))
@@ -306,10 +303,10 @@ def k_condition(u_eq: Conserved6, n, spec: GasSpec) -> KConditionReport:
     s = _require_equilibrium(u_eq, spec)
     p, _ = eos_evaluate(s.rho, s.T, spec)
     vn = float(np.dot(s.v, n))
-    grad = grad_pi_conserved(u_eq, spec)
+    grad = _grad_pi(s, spec)
     entries = []
 
-    fan = wave_fan(u_eq, n, spec)
+    fan = _wave_fan(s, n, spec)
     for j in range(6):
         if fan.tags[j] != "sound":
             continue
@@ -322,19 +319,10 @@ def k_condition(u_eq: Conserved6, n, spec: GasSpec) -> KConditionReport:
     # delta p = p in every basis vector (see class docstring)
     t1, t2 = _tangent_basis(n)
     c_speed = math.sqrt(p / s.rho)
-    contact_modes = [
-        {"d_rho": s.rho, "d_v": np.zeros(3), "d_p": p},
-        {"d_rho": 0.0, "d_v": c_speed * t1, "d_p": p},
-        {"d_rho": 0.0, "d_v": c_speed * t2, "d_p": p},
-        {"d_rho": 0.0, "d_v": np.zeros(3), "d_p": p},
-    ]
-    for mode in contact_modes:
-        d_p = mode["d_p"]
-        d_pi = -d_p
-        # eps follows from the thermal/caloric relations: p = (2/D) rho eps
-        d_eps = 0.5 * spec.D * (d_p - mode["d_rho"] / s.rho * p) / s.rho
-        jump = _conserved_jump(s, spec, mode["d_rho"], mode["d_v"], d_eps, d_pi)
-        delta_pi = float(np.dot(grad, jump))
+    _, du = _jacobians_primitive(s, n, spec)
+    for d_rho, d_v in ((s.rho, np.zeros(3)), (0.0, c_speed * t1), (0.0, c_speed * t2),
+                       (0.0, np.zeros(3))):
+        delta_pi = float(np.dot(grad, du @ np.array([d_rho, *d_v, p, -p])))
         entries.append(_k_entry(vn, "contact", delta_pi, p, spec))
 
     entries.sort(key=lambda e: e.speed)
@@ -469,16 +457,15 @@ def hyperbolicity_scan(d_values, n_z: int = 21, coverage: float = 0.99,
     Never suppresses a failure: each point records the largest imaginary
     part relative to the speed scale.
     """
+    n = _unit(n)
     points = []
     for d_val in d_values:
         spec = GasSpec(D=float(d_val))
         zs = np.linspace(-coverage, coverage * spec.z_upper, n_z)
+        p, _ = eos_evaluate(rho, T, spec)
         for z in zs:
-            s = State6(rho=rho, v=0.0, T=T, Pi=z * rho * spec.gas_constant * T)
-            u = conserved_from_primitive(s, spec)
-            a_matrix = flux_jacobian(u, n, spec)
-            values = np.linalg.eigvals(a_matrix)
-            p, _ = eos_evaluate(rho, T, spec)
+            s = State6(rho=rho, v=0.0, T=T, Pi=z * p)
+            values = np.linalg.eigvals(_flux_jacobian(s, n, spec))
             scale = et6_sound_speed(rho, p, s.Pi)
             ratio = float(np.max(np.abs(values.imag))) / scale
             points.append(ScanPoint(D=float(d_val), z=float(z),

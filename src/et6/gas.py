@@ -8,6 +8,8 @@ pressure is only meaningful inside an open window around equilibrium,
     -p < Pi < (D - 3) * p / 3,       p = (kB/m) * rho * T,
 
 outside of which the underlying phase-space density ceases to be integrable.
+The window, the moment map and its inverse are small functions on floats or
+numpy arrays, shared by the point API, the solver and the oracle.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class GasSpec:
     @property
     def z_upper(self) -> float:
         """Upper admissibility bound on Z = Pi/p (the lower bound is -1)."""
-        return (self.D - 3.0) / 3.0
+        return window_bounds(1.0, self.D)[1]
 
 
 def _as_vec3(v) -> np.ndarray:
@@ -177,15 +179,48 @@ def eos_evaluate(rho: float, T: float, spec: GasSpec) -> tuple[float, float]:
     return p, eps
 
 
+def window_bounds(p, D: float):
+    """(-p, (D-3) p / 3): the open window of admissible Pi, on floats or
+    arrays.  At p = 1 these are the bounds on Z = Pi/p."""
+    return -p, (D - 3.0) / 3.0 * p
+
+
+def momentum_flux_trace(rho, v2, p, Pi):
+    """F_ll = rho v^2 + 3 (p + Pi), on floats or arrays; dynamic_pressure
+    inverts it.  With F = rho, F_i = rho v_i and energy_moment this is the
+    moment map of the six fields.  No checks."""
+    return rho * v2 + 3.0 * (p + Pi)
+
+
+def energy_moment(rho, v2, p, D: float):
+    """G_ll = rho v^2 + D p, on floats or arrays; velocity_pressure inverts
+    it.  No checks."""
+    return rho * v2 + D * p
+
+
+def velocity_pressure(F, F_i, G_ll, D: float):
+    """(v_x, v_y, v_z, v^2, p) of F, F_i = (F_x, F_y, F_z) and G_ll, on floats
+    or arrays: the inverse moment map but for Pi (see dynamic_pressure), all
+    the five-field subsystem needs.  No checks: callers guard F > 0, p > 0."""
+    vx, vy, vz = (f / F for f in F_i)
+    v2 = vx * vx + vy * vy + vz * vz
+    return vx, vy, vz, v2, (G_ll - F * v2) / D
+
+
+def dynamic_pressure(F_ll, rho, v2, p):
+    """Pi = (F_ll - rho v^2) / 3 - p, on floats or arrays."""
+    return (F_ll - rho * v2) / 3.0 - p
+
+
 def admissibility(s: State6, spec: GasSpec) -> AdmissibilityReport:
     """Check -1 < Pi/p < (D-3)/3 and report the signed margins."""
     z = s.z_ratio(spec)
-    lower = z + 1.0
-    upper = spec.z_upper - z
+    lower, upper = window_bounds(1.0, spec.D)
+    margin_lower, margin_upper = z - lower, upper - z
     return AdmissibilityReport(
-        admissible=(lower > 0.0 and upper > 0.0),
-        margin_lower=lower,
-        margin_upper=upper,
+        admissible=(margin_lower > 0.0 and margin_upper > 0.0),
+        margin_lower=margin_lower,
+        margin_upper=margin_upper,
         z=z,
     )
 
@@ -197,13 +232,13 @@ def require_admissible(s: State6, spec: GasSpec) -> AdmissibilityReport:
         if rep.margin_lower <= 0.0:
             raise InadmissibleStateError(
                 f"Pi/p = {rep.z:.6g} violates the lower bound -1 "
-                f"(margin {rep.margin_lower:.3g})",
+                f"(margin {rep.margin_lower:.3g}): xi would lose positivity",
                 bound="lower",
                 margin=rep.margin_lower,
             )
         raise InadmissibleStateError(
             f"Pi/p = {rep.z:.6g} violates the upper bound (D-3)/3 = "
-            f"{spec.z_upper:.6g} (margin {rep.margin_upper:.3g})",
+            f"{spec.z_upper:.6g} (margin {rep.margin_upper:.3g}): zeta would lose positivity",
             bound="upper",
             margin=rep.margin_upper,
         )
@@ -212,14 +247,11 @@ def require_admissible(s: State6, spec: GasSpec) -> AdmissibilityReport:
 
 def conserved_from_primitive(s: State6, spec: GasSpec) -> Conserved6:
     """Map (rho, v, T, Pi) to the densities (F, F_i, F_ll, G_ll)."""
-    p, eps = eos_evaluate(s.rho, s.T, spec)
-    v2 = float(np.dot(s.v, s.v))
-    return Conserved6(
-        F=s.rho,
-        F_i=s.rho * s.v,
-        F_ll=s.rho * v2 + 3.0 * (p + s.Pi),
-        G_ll=s.rho * v2 + 2.0 * s.rho * eps,
-    )
+    p, _ = eos_evaluate(s.rho, s.T, spec)
+    vx, vy, vz = s.v.tolist()
+    v2 = vx * vx + vy * vy + vz * vz
+    return Conserved6(F=s.rho, F_i=s.rho * s.v, F_ll=momentum_flux_trace(s.rho, v2, p, s.Pi),
+                      G_ll=energy_moment(s.rho, v2, p, spec.D))
 
 
 def primitive_from_conserved(u: Conserved6, spec: GasSpec) -> State6:
@@ -228,18 +260,13 @@ def primitive_from_conserved(u: Conserved6, spec: GasSpec) -> State6:
     Raises ReconstructionError for non-positive density or internal energy,
     and InadmissibleStateError when the recovered Pi leaves the window.
     """
-    rho = u.F
+    rho = float(u.F)
     if not rho > 0:
         raise ReconstructionError(f"non-positive density F = {rho}")
-    v = u.F_i / rho
-    v2 = float(np.dot(v, v))
-    rho_eps = 0.5 * (u.G_ll - rho * v2)
-    if not rho_eps > 0:
-        raise ReconstructionError(f"non-positive internal energy rho*eps = {rho_eps}")
-    eps = rho_eps / rho
-    T = 2.0 * eps * spec.m / (spec.D * spec.kB)
-    p = 2.0 * rho_eps / spec.D
-    Pi = (u.F_ll - rho * v2) / 3.0 - p
-    s = State6(rho=rho, v=v, T=T, Pi=Pi)
+    vx, vy, vz, v2, p = velocity_pressure(rho, u.F_i.tolist(), float(u.G_ll), spec.D)
+    if not p > 0:
+        raise ReconstructionError(f"non-positive internal energy rho*eps = {0.5 * spec.D * p}")
+    Pi = dynamic_pressure(float(u.F_ll), rho, v2, p)
+    s = State6(rho=rho, v=(vx, vy, vz), T=p / (spec.gas_constant * rho), Pi=Pi)
     require_admissible(s, spec)
     return s

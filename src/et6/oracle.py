@@ -17,14 +17,15 @@ The Laguerre weight absorbs I**alpha exactly, which keeps the integrable
 singularity at I = 0 harmless for 3 < D < 5.  Monomial weights of the
 degrees used here are then integrated exactly up to roundoff.  With
 validation on, every quantity is recomputed from the adaptive twins of its
-table entries (each computed once per table); on disagreement the Laguerre
-order is doubled before the check is declared failed.
+table entries; a twin is keyed by its integrand, so all the checks of one
+state compute it once.  On disagreement the Laguerre order is doubled
+before the check is declared failed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -32,7 +33,7 @@ from scipy import integrate
 from scipy.special import roots_genlaguerre, roots_hermitenorm
 
 from .closure import entropy_parts, multipliers_from_state
-from .gas import GasSpec, State6, eos_evaluate
+from .gas import GasSpec, State6, conserved_from_primitive, eos_evaluate
 
 REL_ERR_FLOOR = 1e-300
 
@@ -71,14 +72,6 @@ class QuadratureSpec:
             raise ValueError("quadrature orders must be >= 8")
         if not self.adaptive_tol > 0:
             raise ValueError("adaptive tolerance must be positive")
-
-    def scaled(self, factor: int) -> "QuadratureSpec":
-        """Reduced-order copy for quick runs (orders floored at 8)."""
-        return replace(
-            self,
-            hermite_order=max(8, self.hermite_order // factor),
-            laguerre_order=max(8, self.laguerre_order // factor),
-        )
 
 
 @dataclass(frozen=True)
@@ -162,6 +155,31 @@ def _laguerre_rule(order: int, alpha: float):
     return roots_genlaguerre(order, alpha)
 
 
+# The adaptive twins are keyed by their integrands, so the tables of one
+# state (lab frame and peculiar velocity, constraint, flux and entropy
+# checks) share them.
+
+@lru_cache(maxsize=1024)
+def _hermite_twin(xi: float, shift: float, k: int, tol: float) -> float:
+    """int c^k exp(-xi (c - shift)^2) dc over R by adaptive quadrature."""
+    value, _ = integrate.quad(lambda c: (c + shift) ** k * math.exp(-xi * c * c),
+                              -np.inf, np.inf, epsabs=tol, epsrel=tol)
+    return value
+
+
+@lru_cache(maxsize=1024)
+def _laguerre_twin(zeta: float, alpha: float, j: int, tol: float) -> float:
+    """int I^(alpha+j) exp(-zeta I) dI over [0, inf) by adaptive quadrature."""
+    # split at I = 1/zeta: algebraic endpoint weight on the inner part
+    # (alpha may be negative), plain decaying tail outside
+    cut = 1.0 / zeta
+    inner, _ = integrate.quad(lambda i_val: i_val**j * math.exp(-zeta * i_val), 0.0, cut,
+                              weight="alg", wvar=(alpha, 0.0), epsabs=tol, epsrel=tol)
+    outer, _ = integrate.quad(lambda i_val: i_val ** (alpha + j) * math.exp(-zeta * i_val),
+                              cut, np.inf, epsabs=tol, epsrel=tol)
+    return inner + outer
+
+
 class _Table:
     """The 1-D integrals of one state's density, seen through one lens.
 
@@ -171,8 +189,7 @@ class _Table:
              Gauss-Laguerre nodes y_i / zeta
 
     Every moment is Omega times a sum of products S_x[kx] S_y[ky] S_z[kz]
-    L[j].  The table holds the powers that the given terms use; the
-    adaptive twin of each entry is computed on first use and kept.
+    L[j].  The table holds the powers that the given terms use.
     """
 
     def __init__(self, s: State6, spec: GasSpec, quad: QuadratureSpec, v,
@@ -186,7 +203,6 @@ class _Table:
         nodes = x * scale + self.v[:, None]
         self.S = (wx * scale) @ nodes[:, :, None] ** np.arange(degree + 1)
         self._set_laguerre_order(quad.laguerre_order)
-        self._twins: dict[tuple, float] = {}
 
     def _set_laguerre_order(self, order: int):
         self.laguerre_order = order
@@ -204,37 +220,17 @@ class _Table:
         return self.mul.omega * float(sum(
             c * S[0, kx] * S[1, ky] * S[2, kz] * L[j] for c, (kx, ky, kz), j in terms))
 
-    def _hermite_twin(self, shift: float, k: int) -> float:
-        key = ("S", shift, k)
-        if key not in self._twins:
-            xi, tol = self.mul.xi, self.quad.adaptive_tol
-            self._twins[key], _ = integrate.quad(
-                lambda c: (c + shift) ** k * math.exp(-xi * c * c), -np.inf, np.inf,
-                epsabs=tol, epsrel=tol)
-        return self._twins[key]
-
-    def _laguerre_twin(self, j: int) -> float:
-        key = ("L", j)
-        if key not in self._twins:
-            zeta, alpha, tol = self.mul.zeta, self.alpha, self.quad.adaptive_tol
-            # split at I = 1/zeta: algebraic endpoint weight on the inner part
-            # (alpha may be negative), plain decaying tail outside
-            cut = 1.0 / zeta
-            inner, _ = integrate.quad(
-                lambda i_val: i_val**j * math.exp(-zeta * i_val), 0.0, cut,
-                weight="alg", wvar=(alpha, 0.0), epsabs=tol, epsrel=tol)
-            outer, _ = integrate.quad(
-                lambda i_val: i_val ** (alpha + j) * math.exp(-zeta * i_val), cut, np.inf,
-                epsabs=tol, epsrel=tol)
-            self._twins[key] = inner + outer
-        return self._twins[key]
-
     def adaptive_integral(self, terms: list[Term]) -> float:
         """Omega times the sum of the terms, by the adaptive rule."""
-        v = self.v
+        xi, zeta, tol = self.mul.xi, self.mul.zeta, self.quad.adaptive_tol
+
+        def hermite(axis: int, k: int) -> float:
+            # S_a[0] does not depend on the shift
+            return _hermite_twin(xi, float(self.v[axis]) if k else 0.0, k, tol)
+
         return self.mul.omega * sum(
-            c * self._hermite_twin(v[0], kx) * self._hermite_twin(v[1], ky)
-            * self._hermite_twin(v[2], kz) * self._laguerre_twin(j)
+            c * hermite(0, kx) * hermite(1, ky) * hermite(2, kz)
+            * _laguerre_twin(zeta, self.alpha, j, tol)
             for c, (kx, ky, kz), j in terms)
 
     def validated(self, terms: list[Term]) -> float:
@@ -325,15 +321,10 @@ def oracle_constraint_check(s: State6, spec: GasSpec,
                             quad: QuadratureSpec | None = None) -> list[OracleReport]:
     """Verify the six constraint moments (F, F_i, F_ll, G_ll) by quadrature."""
     quad = quad or QuadratureSpec()
-    p, eps = eos_evaluate(s.rho, s.T, spec)
-    v = s.v
-    v2 = float(np.dot(v, v))
-    targets = [("F", s.rho, [(1.0, _powers(), 0)])]
-    targets += [(f"F_{x}", s.rho * v[a], [(1.0, _powers(a), 0)]) for a, x in enumerate("xyz")]
-    targets += [
-        ("F_ll", s.rho * v2 + 3.0 * (p + s.Pi), _speed2()),
-        ("G_ll", s.rho * v2 + 2.0 * s.rho * eps, _energy(spec)),
-    ]
+    u = conserved_from_primitive(s, spec)
+    targets = [("F", u.F, [(1.0, _powers(), 0)])]
+    targets += [(f"F_{x}", u.F_i[a], [(1.0, _powers(a), 0)]) for a, x in enumerate("xyz")]
+    targets += [("F_ll", u.F_ll, _speed2()), ("G_ll", u.G_ll, _energy(spec))]
     return _check(s, spec, quad, targets)
 
 

@@ -22,9 +22,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .closure import entropy_terms
+from .closure import entropy_terms, flux_rows
 from .eigen import et6_sound_speed, euler_sound_speed
-from .gas import GasSpec
+from .gas import GasSpec, dynamic_pressure, energy_moment, momentum_flux_trace, \
+    velocity_pressure, window_bounds
 
 WAVE_SPEED_SAFETY = 1.1
 BOUNDARIES = ("periodic", "outflow", "reflective")
@@ -55,61 +56,38 @@ def _decode(U: np.ndarray, spec: GasSpec) -> dict[str, np.ndarray]:
     trailing shape; density and internal energy must be positive."""
     rho = U[0]
     _require(rho > 0.0, rho, "non-positive density", "index")
-    vx, vy, vz = U[1] / rho, U[2] / rho, U[3] / rho
-    v2 = vx * vx + vy * vy + vz * vz
-    rho_eps = 0.5 * (U[-1] - rho * v2)
-    _require(rho_eps > 0.0, rho_eps, "non-positive internal energy", "index")
-    p = 2.0 * rho_eps / spec.D
+    vx, vy, vz, v2, p = velocity_pressure(rho, U[1:4], U[-1], spec.D)
+    _require(p > 0.0, p, "non-positive pressure", "index")
     return {"rho": rho, "vx": vx, "vy": vy, "vz": vz, "v2": v2, "p": p,
             "T": p / (spec.gas_constant * rho)}
-
-
-def _dynamic_pressure(F_ll: np.ndarray, w: dict[str, np.ndarray]) -> np.ndarray:
-    """Pi from the F_ll row and the decoded rho, v^2 and p."""
-    return (F_ll - w["rho"] * w["v2"]) / 3.0 - w["p"]
 
 
 def primitive_fields(U: np.ndarray, spec: GasSpec) -> dict[str, np.ndarray]:
     """Primitive arrays (rho, vx, vy, vz, v2, p, T, Pi) from six-field data."""
     w = _decode(U, spec)
-    w["Pi"] = _dynamic_pressure(U[4], w)
+    w["Pi"] = dynamic_pressure(U[4], w["rho"], w["v2"], w["p"])
     return w
 
 
-def _euler_flux(U: np.ndarray, w: dict[str, np.ndarray]) -> np.ndarray:
-    """Physical x-flux of the mass, momentum and G_ll (last) rows: the whole
-    five-field flux, to which flux_fields adds the F_ll row."""
-    ppi = w["p"] + w["Pi"]
-    vx = w["vx"]
-    out = np.empty_like(U)
-    out[0] = U[1]
-    out[1] = U[1] * vx + ppi
-    out[2] = U[2] * vx
-    out[3] = U[3] * vx
-    out[-1] = (U[-1] + 2.0 * ppi) * vx
-    return out
-
-
 def flux_fields(U: np.ndarray, w: dict[str, np.ndarray]) -> np.ndarray:
-    """Physical flux along x of six-field data U with primitives w."""
-    out = _euler_flux(U, w)
-    out[4] = (5.0 * (w["p"] + w["Pi"]) + w["rho"] * w["v2"]) * w["vx"]
-    return out
+    """Physical flux along x of six-field data U with primitives w (G_ll is
+    read from the last row, so five-field data give all but the F_ll row)."""
+    return np.array(flux_rows(U[1:4], U[-1], w["rho"] * w["v2"], w["p"] + w["Pi"],
+                              w["vx"], 0))
 
 
 def _project_admissible(U: np.ndarray, w: dict[str, np.ndarray], spec: GasSpec) -> int:
     """Pull Pi back inside the window at fixed rho, v, eps; return count.
     U and its primitives w are updated in place."""
     p, Pi = w["p"], w["Pi"]
-    lower = -p
-    upper = (spec.D - 3.0) / 3.0 * p
+    lower, upper = window_bounds(p, spec.D)
     bad_low = Pi <= lower
     bad_high = Pi >= upper
     count = int(np.count_nonzero(bad_low) + np.count_nonzero(bad_high))
     if count:
         Pi = np.where(bad_low, PROJECTION_PULLBACK * lower, Pi)
         Pi = np.where(bad_high, PROJECTION_PULLBACK * upper, Pi)
-        U[4] = w["rho"] * w["v2"] + 3.0 * (p + Pi)
+        U[4] = momentum_flux_trace(w["rho"], w["v2"], p, Pi)
         w["Pi"] = Pi
     return count
 
@@ -140,7 +118,7 @@ SIX_FIELD = System(
 FIVE_FIELD = System(
     decode=lambda U, spec: {**_decode(U, spec), "Pi": np.zeros(U.shape[1:])},
     sound_speed=lambda w, spec: euler_sound_speed(w["rho"], w["p"], spec.D),
-    flux=_euler_flux,
+    flux=lambda U, w: np.delete(flux_fields(U, w), 4, axis=0),
     relax=lambda g, w, dt, spec: (g, w),
     project=lambda U, w, spec: 0,
 )
@@ -290,8 +268,8 @@ def _pack(rho, vx, p, Pi, spec) -> np.ndarray:
     U = np.zeros((6, rho.size))
     U[0] = rho
     U[1] = rho * vx
-    U[4] = rho * v2 + 3.0 * (p + Pi)
-    U[5] = rho * v2 + spec.D * p
+    U[4] = momentum_flux_trace(rho, v2, p, Pi)
+    U[5] = energy_moment(rho, v2, p, spec.D)
     return U
 
 
@@ -444,8 +422,9 @@ def relaxation_step_exact(g: Grid1D, w: dict[str, np.ndarray], dt: float,
     """
     decay = math.exp(-dt / spec.tau)
     U_new = g.U.copy()
-    U_new[4] = w["rho"] * w["v2"] + 3.0 * (w["p"] + w["Pi"] * decay)
-    return g.with_data(U_new), {**w, "Pi": _dynamic_pressure(U_new[4], w)}
+    U_new[4] = momentum_flux_trace(w["rho"], w["v2"], w["p"], w["Pi"] * decay)
+    Pi = dynamic_pressure(U_new[4], w["rho"], w["v2"], w["p"])
+    return g.with_data(U_new), {**w, "Pi": Pi}
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +439,8 @@ def _record_diag(ts: TimeSeries, t: float, U: np.ndarray, w: dict[str, np.ndarra
     ts.total_F.append(float(np.sum(U[0])) * ts.dx)
     ts.total_Fx.append(float(np.sum(U[1])) * ts.dx)
     ts.total_Gll.append(float(np.sum(U[-1])) * ts.dx)
-    ts.total_Fll.append(float(np.sum(w["rho"] * w["v2"] + 3.0 * (w["p"] + w["Pi"]))) * ts.dx)
+    F_ll = momentum_flux_trace(w["rho"], w["v2"], w["p"], w["Pi"])
+    ts.total_Fll.append(float(np.sum(F_ll)) * ts.dx)
     ts.total_entropy.append(float(np.sum(h)) * ts.dx)
     ts.max_abs_z.append(float(np.max(np.abs(z))))
     ts.projections.append(projections)

@@ -206,15 +206,13 @@ def test_contact_modes_are_eigenvectors(d5):
     for entry in report.entries:
         if entry.tag == "contact":
             assert entry.speed == pytest.approx(vn, rel=1e-12)
-    # spot-check with an explicit contact jump: d_rho = 1, d_p = 0.3
-    from et6.eigen import _conserved_jump
+    # spot-check with an explicit contact jump: d_rho = 1, d_p = 0.3, d_Pi = -d_p
     from et6.gas import primitive_from_conserved
 
     s = primitive_from_conserved(u, d5)
     d_p = 0.3
-    d_rho = 1.0
-    d_eps = 0.5 * d5.D * (d_p - d_rho * 1.0) / 1.0  # p = rho = 1
-    jump = _conserved_jump(s, d5, d_rho, np.zeros(3), d_eps, -d_p)
+    _, du = _jacobians_primitive(s, n, d5)
+    jump = du @ np.array([1.0, 0.0, 0.0, 0.0, d_p, -d_p])
     np.testing.assert_allclose(a_matrix @ jump, vn * jump, atol=1e-10)
 
 

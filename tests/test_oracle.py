@@ -94,17 +94,37 @@ def test_gauss_agrees_with_adaptive_fallback(d5):
     assert all(r.rel_err <= 1e-8 for r in reports)
 
 
-def test_validation_computes_each_adaptive_twin_once(d5, monkeypatch):
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """Record every adaptive quad call, starting from empty twin caches."""
     from et6 import oracle
 
+    oracle._hermite_twin.cache_clear()
+    oracle._laguerre_twin.cache_clear()
     calls = []
     quad_fn = oracle.integrate.quad
     monkeypatch.setattr(oracle, "integrate", types.SimpleNamespace(
         quad=lambda *args, **kwargs: calls.append(1) or quad_fn(*args, **kwargs)))
+    return calls
+
+
+def test_validation_computes_each_adaptive_twin_once(d5, quad_calls):
     s = State6(rho=0.8, v=[0.2, -0.1, 0.3], T=1.4, Pi=0.3)
     oracle_flux_check(s, d5, QuadratureSpec(validate=True))
-    # S_a[k] for three axes and k <= 3, L[0] and L[1] in two pieces each
-    assert 0 < len(calls) <= 3 * 4 + 2 * 2
+    # S_a[0] once (it does not depend on the shift), S_a[1..3] for three
+    # axes, L[0] and L[1] in two pieces each
+    assert 0 < len(quad_calls) <= 1 + 3 * 3 + 2 * 2
+
+
+def test_checks_of_one_state_share_their_adaptive_twins(d5, quad_calls):
+    # lab-frame S_a[1..3] for three axes, S[0], peculiar S[2] (entropy),
+    # L[0] and L[1] in two pieces each: 15 integrands for all three checks
+    s = State6(rho=0.8, v=[0.2, -0.1, 0.3], T=1.4, Pi=0.3)
+    quad = QuadratureSpec(validate=True)
+    oracle_constraint_check(s, d5, quad)
+    oracle_flux_check(s, d5, quad)
+    oracle_entropy(s, d5, quad)
+    assert 0 < len(quad_calls) <= 15
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -173,6 +193,3 @@ def test_quadrature_spec_validation():
         QuadratureSpec(hermite_order=4)
     with pytest.raises(ValueError):
         QuadratureSpec(adaptive_tol=0.0)
-    quick = QuadratureSpec().scaled(8)
-    assert quick.hermite_order == 8
-    assert quick.laguerre_order == 16

@@ -10,10 +10,21 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from et6.closure import entropy_parts, multipliers_from_state, state_from_multipliers  # noqa: E402
+from et6.closure import (  # noqa: E402
+    closed_fluxes,
+    entropy_parts,
+    multipliers_from_state,
+    state_from_multipliers,
+)
 from et6.eigen import SYMMETRY_TOL, convexity_check  # noqa: E402
-from et6.gas import GasSpec, State6, conserved_from_primitive  # noqa: E402
+from et6.gas import (  # noqa: E402
+    GasSpec,
+    State6,
+    conserved_from_primitive,
+    primitive_from_conserved,
+)
 from et6.oracle import rel_err  # noqa: E402
+from et6.solver import flux_fields, primitive_fields  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -25,6 +36,49 @@ def states(draw):
     z = edge if edge < 0.0 else edge * spec.z_upper
     v = draw(st.tuples(*[st.floats(-2.0, 2.0)] * 3))
     return spec, State6(rho=1.0, v=v, T=1.0, Pi=z * spec.gas_constant)
+
+
+def primitives_close(a: dict, b: dict, p: float, tol: float):
+    """Each primitive within tol, relative to its own size floored at the
+    state's scale: rho for rho, sqrt(p / rho) for velocities, p for p and Pi."""
+    c = np.sqrt(p / b["rho"])
+    floors = {"rho": b["rho"], "vx": c, "vy": c, "vz": c, "T": b["T"], "p": p, "Pi": p}
+    for key, floor in floors.items():
+        assert rel_err(a[key], b[key], floor=floor) <= tol, (key, a[key], b[key])
+
+
+def point_primitives(s: State6, spec: GasSpec) -> dict:
+    vx, vy, vz = s.v
+    return {"rho": s.rho, "vx": vx, "vy": vy, "vz": vz, "T": s.T, "p": s.pressure(spec),
+            "Pi": s.Pi}
+
+
+@PROPERTY
+@given(states())
+def test_moment_map_round_trip(drawn):
+    spec, s = drawn
+    back = primitive_from_conserved(conserved_from_primitive(s, spec), spec)
+    primitives_close(point_primitives(back, spec), point_primitives(s, spec),
+                     s.pressure(spec), 1e-12)
+
+
+@PROPERTY
+@given(states())
+def test_solver_columns_match_point_values(drawn):
+    spec, s = drawn
+    u = conserved_from_primitive(s, spec)
+    U = u.as_array()[:, None]
+    w = primitive_fields(U, spec)
+    point = primitive_from_conserved(u, spec)
+    column = {key: value[0] for key, value in w.items()}
+    primitives_close(column, point_primitives(point, spec), point.pressure(spec), 1e-13)
+    fl = closed_fluxes(point, spec)
+    np.testing.assert_array_equal(fl.F_ik, fl.F_ik.T)
+    expected = np.array([u.F_i[0], *fl.F_ik[:, 0], fl.F_llk[0], fl.G_llk[0]])
+    flux = flux_fields(U, w)[:, 0]
+    scale = np.max(np.abs(expected))
+    for row, (a, b) in enumerate(zip(flux, expected)):
+        assert rel_err(a, b, floor=scale) <= 1e-13, (row, a, b)
 
 
 @PROPERTY
