@@ -40,7 +40,6 @@ from .eigen import (
 )
 from .gas import State6, conserved_from_primitive
 from .oracle import (
-    QuadratureSpec,
     mep_optimality_probe,
     oracle_constraint_check,
     oracle_entropy,
@@ -48,7 +47,8 @@ from .oracle import (
     rel_err,
 )
 from .closure import multipliers_from_state, state_from_multipliers
-from .solver import Scenario, SolverError, bulk_viscosity, ns_limit_diagnostic, run_scenario
+from .solver import BOUNDARIES, LIMITERS, SCENARIO_KINDS, SCHEMES, Scenario, SolverError, \
+    bulk_viscosity, ns_limit_diagnostic, run_scenario
 
 
 def _fmt(value) -> str:
@@ -76,16 +76,8 @@ def _status(ok: bool, name: str, detail: str = "") -> bool:
     return ok
 
 
-def _resolve_output_dir(args, cfg: RunConfig) -> Path:
-    if getattr(args, "output_dir", None):
-        chosen = args.output_dir
-    elif cfg.output.directory:
-        chosen = cfg.output.directory
-    elif os.environ.get("ET6_OUTPUT_DIR"):
-        chosen = os.environ["ET6_OUTPUT_DIR"]
-    else:
-        chosen = "et6_out"
-    path = Path(chosen)
+def _resolve_output_dir(cfg: RunConfig) -> Path:
+    path = Path(cfg.output.directory or os.environ.get("ET6_OUTPUT_DIR") or "et6_out")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -123,14 +115,7 @@ def _quick_config(cfg: RunConfig) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_check(cfg: RunConfig, out_dir: Path) -> bool:
-    chk = cfg.check
-    quad = QuadratureSpec(
-        hermite_order=chk.hermite_order,
-        laguerre_order=chk.laguerre_order,
-        adaptive_tol=chk.adaptive_tol,
-        flux_tol=chk.flux_tol,
-        validate=chk.validate,
-    )
+    chk = cfg.check  # a QuadratureSpec, handed to the oracle as it is
     velocity = np.array([0.4, -0.25, 0.15])
     rows: list[list] = []
     ok = True
@@ -145,16 +130,16 @@ def cmd_check(cfg: RunConfig, out_dir: Path) -> bool:
             p0 = spec.gas_constant * 1.0 * 1.0
             s = State6(rho=1.0, v=velocity, T=1.0, Pi=float(z) * p0)
             tag = f"[D={d_val:g},Z={z:.4g}]"
-            for rep in oracle_constraint_check(s, spec, quad):
+            for rep in oracle_constraint_check(s, spec, chk):
                 rows.append([rep.quantity + tag, rep.closed_form, rep.quadrature,
                              rep.rel_err, rep.rule])
                 worst_moment = max(worst_moment, rep.rel_err)
-            flux_reports = oracle_flux_check(s, spec, quad, raise_on_failure=False)
+            flux_reports = oracle_flux_check(s, spec, chk, raise_on_failure=False)
             for rep in flux_reports:
                 rows.append([rep.quantity + tag, rep.closed_form, rep.quadrature,
                              rep.rel_err, rep.rule])
                 worst_flux = max(worst_flux, rep.rel_err)
-            h_quad = oracle_entropy(s, spec, quad)
+            h_quad = oracle_entropy(s, spec, chk)
             parts = entropy_parts(s, spec)
             e_h = rel_err(h_quad, parts.h)
             e_split = rel_err(parts.h, parts.h_E + s.rho * parts.k)
@@ -458,6 +443,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> bool:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The et6 parser.  A flag that overrides a config key stores its value
+    under the destination "section.key"."""
     parser = argparse.ArgumentParser(
         prog="et6",
         description="Six-field moment model of a polyatomic gas: "
@@ -465,14 +452,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI-style configuration file")
-    common.add_argument("--output-dir", help="directory for CSV reports")
-    common.add_argument("--quick", action="store_true",
+    common.add_argument("--output-dir", dest="output.directory",
+                        help="directory for CSV reports")
+    common.add_argument("--quick", action="store_true", default=None, dest="output.quick",
                         help="scale sweeps and quadrature orders down ~8x")
-    common.add_argument("--seed", type=int, help="seed for randomized sweeps")
-    common.add_argument("--D", type=float, help="degrees of freedom (> 3)")
-    common.add_argument("--m", type=float, help="molecular mass")
-    common.add_argument("--kB", type=float, help="Boltzmann constant")
-    common.add_argument("--tau", type=float, help="relaxation time")
+    common.add_argument("--seed", type=int, dest="output.seed",
+                        help="seed for randomized sweeps")
+    common.add_argument("--D", type=float, dest="gas.D", help="degrees of freedom (> 3)")
+    common.add_argument("--m", type=float, dest="gas.m", help="molecular mass")
+    common.add_argument("--kB", type=float, dest="gas.kB", help="Boltzmann constant")
+    common.add_argument("--tau", type=float, dest="gas.tau", help="relaxation time")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -494,72 +483,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="march a scenario and emit CSVs",
                            parents=[common])
-    p_run.add_argument("--kind", choices=("riemann", "smooth_wave", "uniform_relaxation"))
-    p_run.add_argument("--N", type=int)
-    p_run.add_argument("--cfl", type=float)
-    p_run.add_argument("--t-end", type=float, dest="t_end")
-    p_run.add_argument("--cadence", type=float)
-    p_run.add_argument("--scheme", choices=("rusanov", "muscl"))
-    p_run.add_argument("--limiter", choices=("minmod", "none"))
-    p_run.add_argument("--boundary", choices=("periodic", "outflow", "reflective"))
-    p_run.add_argument("--amplitude", type=float)
+    p_run.add_argument("--kind", choices=SCENARIO_KINDS, dest="scenario.kind")
+    p_run.add_argument("--N", type=int, dest="scenario.N")
+    p_run.add_argument("--cfl", type=float, dest="scenario.cfl")
+    p_run.add_argument("--t-end", type=float, dest="scenario.t_end")
+    p_run.add_argument("--cadence", type=float, dest="scenario.output_cadence")
+    p_run.add_argument("--scheme", choices=SCHEMES, dest="scenario.scheme")
+    p_run.add_argument("--limiter", choices=LIMITERS, dest="scenario.limiter")
+    p_run.add_argument("--boundary", choices=BOUNDARIES, dest="scenario.boundary")
+    p_run.add_argument("--amplitude", type=float, dest="scenario.amplitude")
 
     p_relax = sub.add_parser("relax", help="homogeneous relaxation check",
                              parents=[common])
-    p_relax.add_argument("--Pi0-over-p", type=float, dest="z0")
-    p_relax.add_argument("--t-end", type=float, dest="t_end")
-    p_relax.add_argument("--cadence", type=float)
+    p_relax.add_argument("--Pi0-over-p", type=float, dest="relax.z0")
+    p_relax.add_argument("--t-end", type=float, dest="relax.t_end")
+    p_relax.add_argument("--cadence", type=float, dest="relax.cadence")
 
     p_ns = sub.add_parser("nslimit", help="stiff-limit bulk-viscosity check",
                           parents=[common])
-    p_ns.add_argument("--N", type=int)
-    p_ns.add_argument("--cfl", type=float)
-    p_ns.add_argument("--t-end", type=float, dest="t_end")
+    p_ns.add_argument("--N", type=int, dest="nslimit.N")
+    p_ns.add_argument("--cfl", type=float, dest="nslimit.cfl")
+    p_ns.add_argument("--t-end", type=float, dest="nslimit.t_end")
 
     sub.add_parser("sweep", help="(Z, D) grid property sweeps", parents=[common])
     return parser
 
 
-def _collect_updates(args) -> dict[str, dict[str, object]]:
-    updates: dict[str, dict[str, object]] = {"gas": {}, "scenario": {}, "relax": {},
-                                             "nslimit": {}, "output": {}}
-    for key in ("D", "m", "kB", "tau"):
-        value = getattr(args, key, None)
-        if value is not None:
-            updates["gas"][key] = value
-    if getattr(args, "seed", None) is not None:
-        updates["output"]["seed"] = args.seed
-    if args.command == "run":
-        for key in ("kind", "N", "cfl", "t_end", "scheme", "limiter", "boundary",
-                    "amplitude"):
-            value = getattr(args, key, None)
-            if value is not None:
-                updates["scenario"][key] = value
-        if getattr(args, "cadence", None) is not None:
-            updates["scenario"]["output_cadence"] = args.cadence
-    elif args.command == "relax":
-        for key in ("z0", "t_end", "cadence"):
-            value = getattr(args, key, None)
-            if value is not None:
-                updates["relax"][key] = value
-    elif args.command == "nslimit":
-        for key in ("N", "cfl", "t_end"):
-            value = getattr(args, key, None)
-            if value is not None:
-                updates["nslimit"][key] = value
-    return updates
-
-
 def dispatch(args) -> int:
+    updates: dict[str, dict[str, object]] = {}
+    for dest, value in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if section and value is not None:
+            updates.setdefault(section, {})[key] = value
     try:
-        cfg = load_config(args.config)
-        cfg = apply_updates(cfg, _collect_updates(args))
-        if args.quick or cfg.output.quick:
+        cfg = apply_updates(load_config(args.config), updates)
+        if cfg.output.quick:
             cfg = _quick_config(cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    out_dir = _resolve_output_dir(args, cfg)
+    out_dir = _resolve_output_dir(cfg)
     commands = {
         "check": lambda: cmd_check(cfg, out_dir),
         "eigen": lambda: cmd_eigen(cfg, out_dir, args),

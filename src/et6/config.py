@@ -1,9 +1,14 @@
 """Run configuration: INI-style files plus command-line overrides.
 
 The file format is line-oriented ``key = value`` under ``[section]``
-headers.  Unknown sections or keys are rejected, every value is range
-checked, and the error names the offending key path.  All numeric
-tolerances used by any check are surfaced here with their defaults.
+headers.  Three sections are the library's own dataclasses, so each of
+their defaults and range checks has one home: ``[gas]`` is ``GasSpec``,
+``[scenario]`` is ``Scenario`` plus the ``et6 run`` monitor tolerances, and
+``[check]`` is ``QuadratureSpec`` plus the check tolerances and grid.  The
+other sections hold the settings of one command each.  ``load_config``
+only parses; ``apply_updates`` sets one key at a time, so an unknown
+section or key, or a value that a dataclass or ``_RANGES`` rejects, is an
+error that names ``[section] key``.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ import configparser
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .gas import GasModelError, GasSpec
-from .solver import BOUNDARIES, LIMITERS, SCENARIO_KINDS, SCHEMES, Scenario, SolverError
+from .gas import GasSpec
+from .oracle import QuadratureSpec
+from .solver import Scenario, SolverError
 
 
 class ConfigError(ValueError):
@@ -21,46 +27,20 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
-    kind: str = "smooth_wave"
-    N: int = 200
-    x_left: float = 0.0
-    x_right: float = 1.0
-    cfl: float = 0.45
-    t_end: float = 0.5
-    output_cadence: float = 0.0
-    boundary: str = "periodic"
-    scheme: str = "rusanov"
-    limiter: str = "minmod"
-    rho_left: float = 1.0
-    p_left: float = 1.0
-    v_left: float = 0.0
-    pi_left: float = 0.0
-    rho_right: float = 0.125
-    p_right: float = 0.1
-    v_right: float = 0.0
-    pi_right: float = 0.0
-    x_split: float = 0.5
-    rho0: float = 1.0
-    T0: float = 1.0
-    amplitude: float = 1e-2
-    wavelength: float = 0.0
-    pi_init: str = "zero"
-    z0: float = 0.3
-    # run-command monitor thresholds
+class ScenarioConfig(Scenario):
+    """A Scenario, whose gas comes from [gas] (see RunConfig.build_scenario),
+    plus the `et6 run` monitor thresholds."""
+
     conservation_tol: float = 1e-13
     entropy_step_tol: float = 1e-10
 
 
 @dataclass(frozen=True)
-class CheckConfig:
-    """Kinetic-oracle verification settings."""
+class CheckConfig(QuadratureSpec):
+    """Kinetic-oracle verification settings: the quadrature, cross-checked
+    against the adaptive rule by default, plus tolerances and the grid."""
 
-    hermite_order: int = 64
-    laguerre_order: int = 128
-    adaptive_tol: float = 1e-10
     validate: bool = True
-    flux_tol: float = 1e-8
     moment_tol: float = 1e-10
     entropy_tol: float = 1e-8
     decomposition_tol: float = 1e-10
@@ -110,7 +90,7 @@ class NsLimitConfig:
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str = ""            # empty: flag, then ET6_OUTPUT_DIR, then ./et6_out
+    directory: str = ""            # empty: ET6_OUTPUT_DIR, then ./et6_out
     seed: int = 2024
     quick: bool = False
 
@@ -126,16 +106,9 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def build_scenario(self) -> Scenario:
-        monitor_keys = {"conservation_tol", "entropy_step_tol"}
-        kwargs = {
-            f.name: getattr(self.scenario, f.name)
-            for f in fields(ScenarioConfig)
-            if f.name not in monitor_keys
-        }
-        try:
-            return Scenario(spec=self.gas, **kwargs)
-        except SolverError as err:
-            raise ConfigError(f"[scenario] {err}") from err
+        """The [scenario] run in the [gas] gas."""
+        return Scenario(**{f.name: getattr(self.scenario, f.name) for f in fields(Scenario)
+                           if f.name != "spec"}, spec=self.gas)
 
 
 def _float_tuple(raw: str) -> tuple[float, ...]:
@@ -162,29 +135,18 @@ _SECTION_TYPES = {
     "output": OutputConfig,
 }
 
-# ranges checked here so the error can name the key; everything else is
-# validated by the dataclasses receiving the values
+# library fields that no key sets: the scenario's gas is [gas], and the cap
+# on the oracle's Laguerre escalation keeps its library default
+_NOT_KEYS = {("scenario", "spec"), ("check", "max_laguerre_order")}
+
+# parsers by declared type; the tuple fields take floats split by commas or
+# blanks
+_PARSERS = {"float": float, "int": int, "bool": _bool, "str": str.strip}
+
+# ranges of the keys that no library dataclass checks
 _RANGES = {
-    ("gas", "D"): lambda v: v > 3.0,
-    ("gas", "m"): lambda v: v > 0,
-    ("gas", "kB"): lambda v: v > 0,
-    ("gas", "tau"): lambda v: v > 0,
-    ("scenario", "cfl"): lambda v: 0.0 < v < 1.0,
-    ("scenario", "N"): lambda v: v >= 4,
-    ("scenario", "t_end"): lambda v: v > 0,
-    ("scenario", "output_cadence"): lambda v: v >= 0,
-    ("scenario", "kind"): lambda v: v in SCENARIO_KINDS,
-    ("scenario", "scheme"): lambda v: v in SCHEMES,
-    ("scenario", "limiter"): lambda v: v in LIMITERS,
-    ("scenario", "boundary"): lambda v: v in BOUNDARIES,
-    ("scenario", "pi_init"): lambda v: v in ("zero", "ns"),
     ("scenario", "conservation_tol"): lambda v: v > 0,
     ("scenario", "entropy_step_tol"): lambda v: v > 0,
-    ("relax", "t_end"): lambda v: v >= 0,
-    ("relax", "cadence"): lambda v: v >= 0,
-    ("check", "hermite_order"): lambda v: v >= 8,
-    ("check", "laguerre_order"): lambda v: v >= 8,
-    ("check", "adaptive_tol"): lambda v: v > 0,
     ("check", "flux_tol"): lambda v: v > 0,
     ("check", "moment_tol"): lambda v: v > 0,
     ("check", "entropy_tol"): lambda v: v > 0,
@@ -196,6 +158,8 @@ _RANGES = {
     ("sweep", "d_max"): lambda v: v > 3.0,
     ("sweep", "coverage"): lambda v: 0 < v <= 1,
     ("sweep", "convexity_states"): lambda v: v >= 1,
+    ("relax", "t_end"): lambda v: v >= 0,
+    ("relax", "cadence"): lambda v: v >= 0,
     ("relax", "tol"): lambda v: v > 0,
     ("nslimit", "tau"): lambda v: v > 0,
     ("nslimit", "N"): lambda v: v >= 4,
@@ -206,44 +170,17 @@ _RANGES = {
 }
 
 
-def _coerce(section: str, key: str, raw: str, target_type) -> object:
-    try:
-        if target_type is float:
-            value = float(raw)
-        elif target_type is int:
-            value = int(raw)
-        elif target_type is bool:
-            value = _bool(raw)
-        elif target_type is str:
-            value = raw.strip()
-        else:  # tuple of floats
-            value = _float_tuple(raw)
-    except ValueError as err:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from err
-    check = _RANGES.get((section, key))
-    if check is not None and not check(value):
-        raise ConfigError(f"[{section}] {key} = {raw.strip()} is out of range")
-    return value
-
-
-def _field_types(section_cls) -> dict[str, object]:
-    out = {}
-    for f in fields(section_cls):
-        if f.type in ("float", float):
-            out[f.name] = float
-        elif f.type in ("int", int):
-            out[f.name] = int
-        elif f.type in ("bool", bool):
-            out[f.name] = bool
-        elif f.type in ("str", str):
-            out[f.name] = str
-        else:
-            out[f.name] = tuple
-    return out
+def _keys(section: str) -> dict[str, object]:
+    """The keys of a config section, each with the parser of its values."""
+    if section not in _SECTION_TYPES:
+        raise ConfigError(f"unknown section [{section}]")
+    return {f.name: _PARSERS.get(getattr(f.type, "__name__", f.type), _float_tuple)
+            for f in fields(_SECTION_TYPES[section]) if (section, f.name) not in _NOT_KEYS}
 
 
 def load_config(path: str | Path | None) -> RunConfig:
-    """Parse and validate a config file; None yields all defaults."""
+    """Parse a config file and apply it to the defaults; None yields all
+    defaults."""
     cfg = RunConfig()
     if path is None:
         return cfg
@@ -254,35 +191,32 @@ def load_config(path: str | Path | None) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}")
     updates: dict[str, dict[str, object]] = {}
     for section in parser.sections():
-        if section not in _SECTION_TYPES:
-            raise ConfigError(f"unknown section [{section}]")
-        types = _field_types(_SECTION_TYPES[section])
+        keys = _keys(section)
+        updates[section] = {}
         for key, raw in parser.items(section):
-            if key not in types:
-                raise ConfigError(f"unknown key [{section}] {key}")
-            updates.setdefault(section, {})[key] = _coerce(section, key, raw, types[key])
+            # an unknown key stays text, for apply_updates to reject
+            try:
+                updates[section][key] = keys.get(key, str.strip)(raw)
+            except ValueError as err:
+                raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from err
     return apply_updates(cfg, updates)
 
 
 def apply_updates(cfg: RunConfig, updates: dict[str, dict[str, object]]) -> RunConfig:
-    """Apply {section: {key: value}} overrides with validation."""
-    out = cfg
+    """Apply {section: {key: value}} overrides one key at a time, so that a
+    value the section's dataclass rejects is reported with its key."""
     for section, pairs in updates.items():
-        if not pairs:
-            continue
-        if section not in _SECTION_TYPES:
-            raise ConfigError(f"unknown section [{section}]")
-        types = _field_types(_SECTION_TYPES[section])
+        keys = _keys(section)
+        current = getattr(cfg, section)
         for key, value in pairs.items():
-            if key not in types:
+            if key not in keys:
                 raise ConfigError(f"unknown key [{section}] {key}")
             check = _RANGES.get((section, key))
             if check is not None and not check(value):
-                raise ConfigError(f"[{section}] {key} = {value} is out of range")
-        current = getattr(out, section)
-        try:
-            new_section = replace(current, **pairs)
-        except (GasModelError, SolverError, ValueError) as err:
-            raise ConfigError(f"[{section}] {err}") from err
-        out = replace(out, **{section: new_section})
-    return out
+                raise ConfigError(f"[{section}] {key} = {value}: out of range")
+            try:
+                current = replace(current, **{key: value})
+            except (SolverError, ValueError) as err:
+                raise ConfigError(f"[{section}] {key} = {value}: {err}") from err
+        cfg = replace(cfg, **{section: current})
+    return cfg

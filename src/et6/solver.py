@@ -222,6 +222,8 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise SolverError(f"unknown scenario kind {self.kind!r}")
+        if self.N < 4:
+            raise SolverError(f"need at least 4 cells, got {self.N}")
         if not 0.0 < self.cfl < 1.0:
             raise SolverError(f"CFL must lie in (0, 1), got {self.cfl}")
         if not self.t_end > 0.0:
@@ -232,8 +234,10 @@ class Scenario:
             raise SolverError(f"unknown limiter {self.limiter!r}")
         if self.boundary not in BOUNDARIES:
             raise SolverError(f"unknown boundary policy {self.boundary!r}")
-        if self.output_cadence < 0.0:
+        if not self.output_cadence >= 0.0:
             raise SolverError("output cadence must be nonnegative")
+        if self.pi_init not in ("zero", "ns"):
+            raise SolverError(f"unknown initial Pi profile {self.pi_init!r}")
 
 
 @dataclass
@@ -330,8 +334,7 @@ def _pad(U: np.ndarray, boundary: str, ng: int) -> np.ndarray:
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.where(np.abs(a) < np.abs(b), a, b)
-    return np.where(a * b <= 0.0, 0.0, out)
+    return np.clip(b, np.minimum(a, 0.0), np.maximum(a, 0.0))
 
 
 def _reconstruct(U: np.ndarray, boundary: str, scheme: str,
@@ -460,14 +463,18 @@ def _march(sc: Scenario, g: Grid1D, system: System) -> TimeSeries:
 
     Strang splitting: half source substep, full hyperbolic step, half
     source substep.  The time step honors the CFL bound and is clipped to
-    land exactly on output-cadence times and on t_end.  A step that
-    projects more than 1% of the cells aborts.
+    land exactly on output-cadence times and on t_end.  An initial cell
+    outside the window raises SolverError naming it; a step that projects
+    more than 1% of the cells aborts.
     """
     spec = sc.spec
     ts = TimeSeries(x=g.centers, dx=g.dx, periodic=(sc.boundary == "periodic"))
     t = 0.0
     total_proj = 0
     w = system.decode(g.U, spec)
+    lower, upper = window_bounds(w["p"], spec.D)
+    _require((lower < w["Pi"]) & (w["Pi"] < upper), w["Pi"] / w["p"],
+             "initial Pi/p outside the window:", "index")
     _record_diag(ts, t, g.U, w, spec, total_proj, 0.0)
     _record_snapshot(ts, t, w, spec)
     next_out = sc.output_cadence if sc.output_cadence > 0 else sc.t_end

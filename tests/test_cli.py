@@ -1,9 +1,12 @@
 import math
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
+from et6 import config
 from et6.cli import main
-from et6.config import ConfigError, load_config
+from et6.config import ConfigError, RunConfig, load_config
 
 
 def write(path, text):
@@ -203,3 +206,98 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+SECTION_KEYS = {
+    "gas": {"D", "m", "kB", "tau"},
+    "scenario": {"kind", "N", "x_left", "x_right", "cfl", "t_end", "output_cadence",
+                 "boundary", "scheme", "limiter", "rho_left", "p_left", "v_left", "pi_left",
+                 "rho_right", "p_right", "v_right", "pi_right", "x_split", "rho0", "T0",
+                 "amplitude", "wavelength", "pi_init", "z0", "conservation_tol",
+                 "entropy_step_tol"},
+    "check": {"hermite_order", "laguerre_order", "adaptive_tol", "validate", "flux_tol",
+              "moment_tol", "entropy_tol", "decomposition_tol", "equilibrium_tol",
+              "grid_z_count", "grid_d_values", "z_span", "probe_betas"},
+    "sweep": {"z_count", "d_count", "d_min", "d_max", "coverage", "round_trip_points",
+              "round_trip_tol", "convexity_states", "gradient_tol", "k_d_values", "speed_tol"},
+    "relax": {"z0", "t_end", "cadence", "tol"},
+    "nslimit": {"tau", "N", "domain_length", "cfl", "t_end", "amplitude", "mask_fraction",
+                "deviation_factor"},
+    "output": {"directory", "seed", "quick"},
+}
+
+
+def test_config_sections_accept_exactly_their_keys():
+    assert {f.name for f in fields(RunConfig)} == set(SECTION_KEYS)
+    for section, keys in SECTION_KEYS.items():
+        assert set(config._keys(section)) == keys, section
+
+
+def ini_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) for v in value)
+    return str(value)
+
+
+def test_file_of_every_default_parses_to_defaults(tmp_path):
+    defaults = RunConfig()
+    text = "".join(
+        f"[{section}]\n" + "".join(f"{key} = {ini_value(getattr(getattr(defaults, section), key))}\n"
+                                    for key in sorted(keys))
+        for section, keys in SECTION_KEYS.items())
+    cfg = load_config(write(tmp_path / "defaults.cfg", text))
+    assert cfg == defaults
+    for section, keys in SECTION_KEYS.items():
+        for key in keys:
+            parsed, default = getattr(getattr(cfg, section), key), getattr(getattr(defaults, section), key)
+            assert type(parsed) is type(default), (section, key)
+
+
+BENCH_CASES = {
+    "sod.ini": {"gas": {"D": 5.0, "tau": 1e-5},
+                "scenario": {"kind": "riemann", "scheme": "muscl", "limiter": "minmod",
+                             "N": 1200, "boundary": "outflow", "t_end": 0.15, "rho_left": 1.0,
+                             "p_left": 1.0, "rho_right": 0.125, "p_right": 0.1}},
+    "stiff.ini": {"gas": {"D": 5.0},
+                  "nslimit": {"tau": 1e-3, "N": 200, "domain_length": 8.0, "t_end": 0.3}},
+    "strong_shock.ini": {"gas": {"D": 5.0, "tau": 1.0},
+                         "scenario": {"kind": "riemann", "scheme": "muscl", "limiter": "minmod",
+                                      "N": 400, "boundary": "outflow", "t_end": 0.012,
+                                      "x_split": 0.6, "rho_left": 1.0, "p_left": 1000.0,
+                                      "rho_right": 1.0, "p_right": 0.01}},
+    "window_edges.ini": {"gas": {"D": 5.0, "tau": 1.0},
+                         "scenario": {"kind": "riemann", "scheme": "muscl", "limiter": "minmod",
+                                      "N": 400, "boundary": "outflow", "t_end": 0.15,
+                                      "rho_left": 1.0, "p_left": 1.0, "pi_left": -0.9,
+                                      "rho_right": 1.0, "p_right": 1.0, "pi_right": 0.6}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BENCH_CASES))
+def test_bench_cases_parse_to_their_values(case):
+    cases = Path(__file__).resolve().parents[1] / "bench" / "cases"
+    assert sorted(p.name for p in cases.glob("*.ini")) == sorted(BENCH_CASES)
+    expected = RunConfig()
+    for section, values in BENCH_CASES[case].items():
+        expected = replace(expected, **{section: replace(getattr(expected, section), **values)})
+    assert load_config(cases / case) == expected
+
+
+def test_dataclass_check_names_the_key(tmp_path):
+    cfg_file = write(tmp_path / "bad.cfg", "[scenario]\npi_init = NS\n")
+    with pytest.raises(ConfigError, match=r"^\[scenario\] pi_init = NS: unknown initial Pi"):
+        load_config(cfg_file)
+
+
+def test_flag_error_names_the_key(tmp_path, capsys):
+    assert main(["run", "--N", "2", "--output-dir", str(tmp_path / "out")]) == 2
+    assert "config error: [scenario] N = 2: need at least 4 cells" in capsys.readouterr().err
+
+
+def test_output_dir_flag_overrides_config(tmp_path):
+    cfg_file = write(tmp_path / "out.cfg", f"[output]\ndirectory = {tmp_path / 'from_cfg'}\n")
+    assert main(["relax", "--config", cfg_file, "--output-dir", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / "relax.csv").exists()
+    assert not (tmp_path / "from_cfg").exists()

@@ -1,8 +1,11 @@
 """Closure identities over the whole (D, Z) window, by property-based tests.
 
 States are drawn with D in [3.001, 12], Z = Pi/p up to 0.999 of both window
-edges and any velocity in [-2, 2]^3.
+edges and any velocity in [-2, 2]^3.  The solver's slope limiter is checked
+against its textbook definition on any finite pair.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from et6.gas import (  # noqa: E402
     primitive_from_conserved,
 )
 from et6.oracle import rel_err  # noqa: E402
-from et6.solver import flux_fields, primitive_fields  # noqa: E402
+from et6.solver import _minmod, flux_fields, primitive_fields  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -112,3 +115,22 @@ def test_main_field_is_entropy_gradient_and_hessian_symmetrizes(drawn):
     assert report.hessian_negative_definite, report
     assert report.symmetrizer_mismatch <= SYMMETRY_TOL, report
     assert report.passed
+
+
+def textbook_minmod(a: float, b: float) -> float:
+    if a == 0.0 or b == 0.0 or (a > 0.0) != (b > 0.0):
+        return 0.0
+    return math.copysign(min(abs(a), abs(b)), a)
+
+
+slopes = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+slope_pairs = st.one_of(st.tuples(slopes, slopes), slopes.map(lambda a: (a, a)),
+                        slopes.map(lambda a: (a, -a)))
+
+
+@PROPERTY
+@given(st.lists(slope_pairs, min_size=1, max_size=16))
+def test_minmod_is_textbook_minmod(pairs):
+    a, b = np.array(pairs).T
+    assert _minmod(a, b).tolist() == [textbook_minmod(x, y) for x, y in pairs]

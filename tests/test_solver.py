@@ -273,14 +273,37 @@ def test_admissibility_projection_counts_and_clamps():
 
 
 def test_run_aborts_on_mass_projection():
-    # an initial state far outside the window on every cell must abort on
-    # the first step (the relaxation half-step barely moves Pi at huge tau)
+    # an initial state far outside the window on every cell is rejected
+    # before the t = 0 diagnostics, at its first cell
     spec = GasSpec(D=5.0, tau=1e9)
     sc = Scenario(kind="uniform_relaxation", spec=spec, N=50, t_end=0.1, z0=0.3)
     g = initial_grid(sc)
     g.U[4, :] = 3.0 * (1.0 + 2.0)  # Pi = 2 p, far above (D-3)/3 = 2/3
-    with pytest.raises(SolverError, match="projection"):
+    with pytest.raises(SolverError, match="initial Pi/p outside the window: 2 at index 0$"):
         run_scenario(sc, initial=g)
+
+
+def test_run_rejects_one_inadmissible_initial_cell():
+    # one cell at Pi = 2 p: once a NaN entropy at t = 0 and a completed run
+    spec = GasSpec(D=5.0, tau=1e9)
+    sc = Scenario(kind="uniform_relaxation", spec=spec, N=200, t_end=0.1, z0=0.3)
+    g = initial_grid(sc)
+    g.U[4, 7] = 9.0
+    with pytest.raises(SolverError, match="outside the window: 2 at index 7$"):
+        run_scenario(sc, initial=g)
+
+
+def test_march_aborts_when_a_step_projects_many_cells():
+    sc = Scenario(kind="uniform_relaxation", N=50, t_end=0.1, z0=0.3)
+    projects_all = SIX_FIELD._replace(project=lambda U, w, spec: U.shape[1])
+    with pytest.raises(SolverError, match="projection hit 50/50 cells"):
+        solver_module._march(sc, initial_grid(sc), projects_all)
+
+
+@pytest.mark.parametrize("bad", [{"pi_init": "NS"}, {"N": 2}])
+def test_scenario_rejects_bad_pi_init_and_too_few_cells(bad):
+    with pytest.raises(SolverError):
+        Scenario(**bad)
 
 
 def test_cfl_bound_dominates_wave_fan():
