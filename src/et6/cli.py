@@ -289,8 +289,6 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> bool:
     bound = -cfg.scenario.entropy_step_tol * abs(h[0])
     ok &= _status(min_step >= bound, "entropy monotonicity",
                   f"min step change plus outflow {min_step:.3e} >= {bound:.3e}")
-    ok &= _status(ts.projections[-1] == 0, "admissibility",
-                  f"{ts.projections[-1]} projections")
     print(f"wrote {len(files)} files to {out_dir}")
     return bool(ok)
 

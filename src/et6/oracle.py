@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.special import roots_genlaguerre, roots_hermitenorm
 
 from .closure import entropy_parts, multipliers_from_state
@@ -380,92 +380,44 @@ class ProbeReport:
         return any(not p.converged for p in self.points)
 
 
-def _radial_moments(xi: float, beta: float, tol: float) -> tuple[float, float, float]:
-    """M_k = int_R3 (C^2)^k exp(-xi C^2 - beta C^4) dC for k = 0, 1, 2.
+def _radial_moment(k: int, xi: float, beta: float, tol: float) -> float:
+    """M_k = int_R3 (C^2)^k exp(-xi C^2 - beta C^4) dC.
 
-    Reduced to radial integrals 4 pi int r^(2k+2) exp(-xi r^2 - beta r^4) dr.
+    Reduced to the radial integral 4 pi int r^(2k+2) exp(-xi r^2 - beta r^4) dr.
     For beta > 0 the integral exists for any real xi; negative xi arises when
     the quartic suppression must be compensated to meet the trace constraint.
     """
-    out = []
-    for k in range(3):
-        val, _ = integrate.quad(
-            lambda r: r ** (2 * k + 2) * math.exp(-xi * r * r - beta * r**4),
-            0.0,
-            np.inf,
-            epsabs=tol,
-            epsrel=tol,
-        )
-        out.append(4.0 * math.pi * val)
-    return out[0], out[1], out[2]
+    val, _ = integrate.quad(lambda r: r ** (2 * k + 2) * math.exp(-xi * r * r - beta * r**4),
+                            0.0, np.inf, epsabs=tol, epsrel=tol)
+    return 4.0 * math.pi * val
 
 
 def _solve_trial_xi(target_ratio: float, beta: float, xi0: float, tol: float) -> tuple[float, bool]:
-    """Solve M1(xi)/M0(xi) = target_ratio for xi.
+    """Solve M1(xi)/M0(xi) = target_ratio for xi, given that xi0 solves it
+    at beta = 0.
 
-    The ratio is strictly decreasing in xi, so a sign-change bracket is
-    expanded first (downward past zero when beta > 0) and a damped Newton
-    iteration with bisection fallback runs inside it.
+    The ratio is strictly decreasing in xi and beta, so for beta > 0 the
+    root lies below xi0: a bracket is widened downward by doubling steps,
+    then Brent's method runs inside it.
     """
+    if beta == 0.0:
+        return xi0, True
 
     def resid(xi: float) -> float:
-        m0, m1, _ = _radial_moments(xi, beta, tol)
-        return m1 / m0 - target_ratio
+        return _radial_moment(1, xi, beta, tol) / _radial_moment(0, xi, beta, tol) - target_ratio
 
     scale = max(abs(xi0), 1e-3)
-    lo = hi = xi0
-    r0 = resid(xi0)
-    if r0 == 0.0:
-        return xi0, True
-    if r0 > 0.0:
-        # ratio too large: xi must increase
-        step = scale
-        for _ in range(200):
-            hi = lo + step
-            if resid(hi) < 0.0:
-                break
-            lo, step = hi, 2.0 * step
-        else:
-            return xi0, False
+    hi, step = xi0, scale
+    for _ in range(200):
+        lo = hi - step
+        if resid(lo) > 0.0:
+            break
+        hi, step = lo, 2.0 * step
     else:
-        # ratio too small: xi must decrease (below zero only if beta > 0)
-        step = scale
-        for _ in range(200):
-            hi = lo
-            lo = lo - step
-            if beta == 0.0 and lo <= 0.0:
-                lo = 0.5 * (lo + step)  # halve toward zero instead
-                step *= 0.5
-                if step < 1e-12 * scale:
-                    return xi0, False
-                continue
-            if resid(lo) > 0.0:
-                break
-            step *= 2.0
-        else:
-            return xi0, False
-
-    xi = 0.5 * (lo + hi)
-    for _ in range(100):
-        r = resid(xi)
-        if abs(r) <= 1e-10 * target_ratio:
-            return xi, True
-        if r > 0.0:
-            lo = xi
-        else:
-            hi = xi
-        h = 1e-6 * max(abs(xi), 1e-6)
-        deriv = (resid(xi + h) - r) / h
-        if deriv != 0.0:
-            candidate = xi - r / deriv
-        else:
-            candidate = 0.5 * (lo + hi)
-        if not (lo < candidate < hi):
-            candidate = 0.5 * (lo + hi)  # damped: fall back to bisection
-        if candidate == xi:
-            return xi, True
-        xi = candidate
-    return xi, False
+        return xi0, False
+    xi, result = optimize.brentq(resid, lo, hi, xtol=1e-14 * scale, full_output=True,
+                                 disp=False)
+    return xi, result.converged
 
 
 def mep_optimality_probe(s: State6, spec: GasSpec, trial_amplitudes=(0.001, 0.01, 0.05),
@@ -473,9 +425,9 @@ def mep_optimality_probe(s: State6, spec: GasSpec, trial_amplitudes=(0.001, 0.01
     """Probe entropy optimality against a quartic-perturbed trial family.
 
     For each beta >= 0 the three constraint equations (rho, trace pressure,
-    energy) are re-solved for (Omega', xi', zeta') by a damped Newton
-    iteration on xi' using quadrature moments, and the trial entropy is
-    compared with the closure entropy.  beta = 0 must recover the closure.
+    energy) are re-solved for (Omega', xi', zeta') by Brent's method on xi'
+    using quadrature moments, and the trial entropy is compared with the
+    closure entropy.  beta = 0 must recover the closure.
     """
     quad = quad or QuadratureSpec()
     tol = min(quad.adaptive_tol, 1e-12)
@@ -498,7 +450,7 @@ def mep_optimality_probe(s: State6, spec: GasSpec, trial_amplitudes=(0.001, 0.01
         if beta < 0:
             raise ValueError("trial amplitude beta must be nonnegative")
         xi_trial, converged = _solve_trial_xi(target_ratio, beta, mul.xi, tol)
-        m0, m1, m2 = _radial_moments(xi_trial, beta, tol)
+        m0, m1, m2 = (_radial_moment(k, xi_trial, beta, tol) for k in range(3))
         omega_trial = s.rho / (spec.m * m0 * l0)
         log_omega_trial = math.log(omega_trial)
         number = s.rho / spec.m

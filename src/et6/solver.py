@@ -7,6 +7,13 @@ The hyperbolic substep is a first-order Rusanov (local Lax-Friedrichs)
 update, optionally second-order MUSCL with a minmod limiter and a two-stage
 SSP time integration.
 
+The admissible window -p < Pi < (D-3) p / 3 is convex in conserved
+variables.  A MUSCL cell whose faces leave it, or outrun the speed dt was
+chosen from, takes its average on both faces, so each update is a convex
+combination of first-order updates inside it (Zhang & Shu 2010) while
+dt a / dx <= 1/2 at every face for Rusanov and <= 1/4 per SSP stage for
+MUSCL, with a = |v_x| + c (cfl/1.1 at rest, cfl in general).
+
 One marching kernel also runs the five-field equilibrium subsystem (the
 classical polyatomic gas dynamics) as a reference; a `System` supplies what
 differs.  Each state is decoded once per stage.  Cell data lives in arrays
@@ -32,12 +39,10 @@ BOUNDARIES = ("periodic", "outflow", "reflective")
 SCHEMES = ("rusanov", "muscl")
 LIMITERS = ("minmod", "none")
 SCENARIO_KINDS = ("riemann", "smooth_wave", "uniform_relaxation")
-PROJECTION_PULLBACK = 0.999
-ABORT_PROJECTION_FRACTION = 0.01
 
 
 class SolverError(RuntimeError):
-    """Fatal solver failure (inadmissible data beyond repair, bad setup)."""
+    """Fatal solver failure (inadmissible data, bad setup)."""
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +51,7 @@ class SolverError(RuntimeError):
 
 def _require(ok: np.ndarray, values: np.ndarray, what: str, place: str):
     """Raise SolverError at the first entry where ok fails (NaN fails too)."""
-    if not np.all(ok):
+    if not ok.all():
         first = np.unravel_index(np.argmin(ok), ok.shape)
         raise SolverError(f"{what} {values[first]:.6g} at {place} {', '.join(map(str, first))}")
 
@@ -76,20 +81,20 @@ def flux_fields(U: np.ndarray, w: dict[str, np.ndarray]) -> np.ndarray:
                               w["vx"], 0))
 
 
-def _project_admissible(U: np.ndarray, w: dict[str, np.ndarray], spec: GasSpec) -> int:
-    """Pull Pi back inside the window at fixed rho, v, eps; return count.
-    U and its primitives w are updated in place."""
-    p, Pi = w["p"], w["Pi"]
-    lower, upper = window_bounds(p, spec.D)
-    bad_low = Pi <= lower
-    bad_high = Pi >= upper
-    count = int(np.count_nonzero(bad_low) + np.count_nonzero(bad_high))
-    if count:
-        Pi = np.where(bad_low, PROJECTION_PULLBACK * lower, Pi)
-        Pi = np.where(bad_high, PROJECTION_PULLBACK * upper, Pi)
-        U[4] = momentum_flux_trace(w["rho"], w["v2"], p, Pi)
-        w["Pi"] = Pi
-    return count
+def _require_window(w: dict, spec: GasSpec, what: str = "Pi/p outside the window:"):
+    """Raise SolverError at the first cell whose Pi leaves the open window."""
+    lower, upper = window_bounds(w["p"], spec.D)
+    _require((lower < w["Pi"]) & (w["Pi"] < upper), w["Pi"] / w["p"], what, "index")
+
+
+def _inside_window(U: np.ndarray) -> np.ndarray:
+    """Where rows (F, F_x, F_y, F_z, X, ...) lie in the open window: F > 0,
+    F X > |F_i|^2 (p + Pi > 0, or p > 0 when X is the five-field G_ll) and,
+    on six-field rows, G_ll > F_ll (Pi < (D-3) p / 3)."""
+    ok = (U[0] > 0.0) & (U[0] * U[4] > np.einsum("i...,i...->...", U[1:4], U[1:4]))
+    if U.shape[0] == 6:
+        ok &= U[5] > U[4]
+    return ok
 
 
 class System(NamedTuple):
@@ -99,7 +104,6 @@ class System(NamedTuple):
     sound_speed: Callable   # (w, spec) -> c; |v_x| + c bounds the spectrum
     flux: Callable          # (U, w) -> physical x-flux
     relax: Callable         # (g, w, dt, spec) -> (grid, primitives) after the source substep
-    project: Callable       # (U, w, spec) -> cells pulled into the window
 
 
 # The six-field decode and relaxation are looked up when called, not bound
@@ -110,17 +114,15 @@ SIX_FIELD = System(
     sound_speed=lambda w, spec: et6_sound_speed(w["rho"], w["p"], w["Pi"]),
     flux=flux_fields,
     relax=lambda g, w, dt, spec: relaxation_step_exact(g, w, dt, spec),
-    project=_project_admissible,
 )
 # The equilibrium subsystem, rows (F, F_x, F_y, F_z, G_ll): no dynamic
-# pressure, hence nothing to project, and no production, so its source
+# pressure, so its window is p > 0 alone, and no production, so its source
 # substep is the identity.
 FIVE_FIELD = System(
     decode=lambda U, spec: {**_decode(U, spec), "Pi": np.zeros(U.shape[1:])},
     sound_speed=lambda w, spec: euler_sound_speed(w["rho"], w["p"], spec.D),
     flux=lambda U, w: np.delete(flux_fields(U, w), 4, axis=0),
     relax=lambda g, w, dt, spec: (g, w),
-    project=lambda U, w, spec: 0,
 )
 
 
@@ -130,9 +132,12 @@ def max_wave_speed(w: dict[str, np.ndarray], spec: GasSpec, system: System,
 
     The six-field c = sqrt(5 (p+Pi) / 3 rho) carries (p + Pi), not p: for
     Pi > 0.21 p the equilibrium value under-estimates the spectrum even
-    with the 10% safety margin.  A non-finite speed raises SolverError.
+    with the 10% safety margin.  The relaxation half step that precedes the
+    transport moves Pi toward 0, so c is bounded with max(Pi, 0).  A
+    non-finite speed raises SolverError.
     """
-    speed = np.abs(w["vx"]) + safety * system.sound_speed(w, spec)
+    c = system.sound_speed({**w, "Pi": np.maximum(w["Pi"], 0.0)}, spec)
+    speed = np.abs(w["vx"]) + safety * c
     _require(np.isfinite(speed), speed, "non-finite wave speed", "cell")
     return float(np.max(speed))
 
@@ -254,9 +259,11 @@ class TimeSeries:
     total_Fll: list[float] = field(default_factory=list)
     total_entropy: list[float] = field(default_factory=list)
     max_abs_z: list[float] = field(default_factory=list)
-    projections: list[int] = field(default_factory=list)   # cumulative
+    # always 0: the scheme keeps the window by construction; the column
+    # stays for readers of the diagnostics CSV
+    projections: list[int] = field(default_factory=list)
     entropy_outflow: list[float] = field(default_factory=list)  # per step, dt * [h v_x]
-    limiter_fraction: float = 0.0    # max per-step fraction of clipped slopes
+    limiter_fraction: float = 0.0    # max per-step fraction of zeroed slopes
     dx: float = 0.0
     periodic: bool = True
 
@@ -337,33 +344,55 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(b, np.minimum(a, 0.0), np.maximum(a, 0.0))
 
 
-def _reconstruct(U: np.ndarray, boundary: str, scheme: str,
-                 limiter: str) -> tuple[np.ndarray, int]:
+def _reconstruct(U: np.ndarray, boundary: str, spec: GasSpec, system: System, scheme: str,
+                 limiter: str, max_speed: float) -> tuple[np.ndarray, dict, np.ndarray, int]:
     """Edge states of the cells and one ghost each side, shape (rows, K, N+2),
-    and the count of limited slopes.  Along K, 0 is the right edge and -1
-    the left edge (one and the same at first order, K = 1)."""
+    their primitives and signal speeds |v_x| + c, and the count of zeroed
+    slopes.  Along K, 0 is the right edge and -1 the left edge (one and the
+    same at first order, K = 1).  A cell with a face outside the window, or
+    faster than max_speed, takes its average on both faces, so all its
+    slopes count as zeroed."""
+
+    def decoded(edges):
+        w = system.decode(edges, spec)
+        return w, np.abs(w["vx"]) + system.sound_speed(w, spec)
+
     if scheme == "rusanov":
-        return _pad(U, boundary, 1)[:, None, :], 0
+        edges = _pad(U, boundary, 1)[:, None, :]
+        return (edges, *decoded(edges), 0)
     Up = _pad(U, boundary, 2)
     fwd = Up[:, 2:] - Up[:, 1:-1]
     bwd = Up[:, 1:-1] - Up[:, :-2]
-    clipped = 0
     if limiter == "minmod":
-        slope = _minmod(bwd, fwd)
-        clipped = int(np.count_nonzero((bwd * fwd <= 0.0) & ((bwd != 0.0) | (fwd != 0.0))))
+        half = 0.5 * _minmod(bwd, fwd)
+        zeroed = (bwd * fwd <= 0.0) & ((bwd != 0.0) | (fwd != 0.0))
     else:
-        slope = 0.5 * (bwd + fwd)
+        half = 0.25 * (bwd + fwd)
+        zeroed = np.zeros(half.shape, dtype=bool)
     cells = Up[:, 1:-1]
-    return np.stack([cells + 0.5 * slope, cells - 0.5 * slope], axis=1), clipped
+    edges = np.empty((U.shape[0], 2, cells.shape[1]))
+    np.add(cells, half, out=edges[:, 0])
+    np.subtract(cells, half, out=edges[:, 1])
+
+    def first_order(bad):
+        edges[:, :, bad] = cells[:, None, bad]
+        zeroed[:, bad] = True
+
+    inside = _inside_window(edges)
+    if not inside.all():
+        first_order(~inside.all(axis=0))
+    w, speed = decoded(edges)
+    if speed.max() > max_speed:
+        first_order((speed > max_speed).any(axis=0))
+        w, speed = decoded(edges)
+    return edges, w, speed, int(np.count_nonzero(zeroed))
 
 
 def _stage(U: np.ndarray, g: Grid1D, spec: GasSpec, system: System, scheme: str,
-           limiter: str) -> tuple[np.ndarray, int, float]:
-    """-d/dx of the numerical flux, the count of limited slopes and the net
+           limiter: str, max_speed: float) -> tuple[np.ndarray, int, float]:
+    """-d/dx of the numerical flux, the count of zeroed slopes and the net
     entropy flux out through outflow boundaries (0 for the other policies)."""
-    edges, clipped = _reconstruct(U, g.boundary, scheme, limiter)
-    w = system.decode(edges, spec)
-    speed = np.abs(w["vx"]) + system.sound_speed(w, spec)
+    edges, w, speed, clipped = _reconstruct(U, g.boundary, spec, system, scheme, limiter, max_speed)
     a = np.maximum(speed[0, :-1], speed[-1, 1:])
     _require(np.isfinite(a), a, "non-finite wave speed", "the face left of cell")
     f = system.flux(edges, w)
@@ -382,34 +411,36 @@ class TransportStep(NamedTuple):
     """Result of hyperbolic_step."""
 
     grid: Grid1D
-    w: dict[str, np.ndarray]       # primitives of grid.U, after projection
-    projections: int               # cells pulled back into the window
-    clipped: int                   # limited slopes, the larger of the stages
+    w: dict[str, np.ndarray]       # primitives of grid.U
+    clipped: int                   # zeroed slopes, the larger of the stages
     entropy_outflow: float         # dt * net h v_x out through outflow ends
 
 
 def hyperbolic_step(g: Grid1D, dt: float, spec: GasSpec, system: System,
-                    scheme: str = "rusanov", limiter: str = "minmod") -> TransportStep:
+                    scheme: str = "rusanov", limiter: str = "minmod",
+                    max_speed: float = math.inf) -> TransportStep:
     """One conservative transport step.
 
     Rusanov is a forward-Euler monotone update; MUSCL reconstructs limited
     slopes and uses two-stage SSP time integration, whose flux is the mean
-    of the two stages' fluxes.  The new state is decoded once and projected
-    back into the admissible window.
+    of the two stages' fluxes.  A MUSCL cell falls back to first order
+    where a face would leave the window or outrun max_speed, the signal
+    speed dt was chosen from.  The new state is decoded once; a cell
+    outside the window raises SolverError.
     """
     if scheme == "rusanov":
-        rhs, clipped, outflow = _stage(g.U, g, spec, system, scheme, limiter)
+        rhs, clipped, outflow = _stage(g.U, g, spec, system, scheme, limiter, max_speed)
         U_new = g.U + dt * rhs
     else:
-        rhs1, c1, out1 = _stage(g.U, g, spec, system, scheme, limiter)
+        rhs1, c1, out1 = _stage(g.U, g, spec, system, scheme, limiter, max_speed)
         U_stage = g.U + dt * rhs1
-        rhs2, c2, out2 = _stage(U_stage, g, spec, system, scheme, limiter)
+        rhs2, c2, out2 = _stage(U_stage, g, spec, system, scheme, limiter, max_speed)
         U_new = 0.5 * (g.U + U_stage + dt * rhs2)
         clipped = max(c1, c2)
         outflow = 0.5 * (out1 + out2)
     w = system.decode(U_new, spec)
-    projections = system.project(U_new, w, spec)
-    return TransportStep(g.with_data(U_new), w, projections, clipped, dt * outflow)
+    _require_window(w, spec)
+    return TransportStep(g.with_data(U_new), w, clipped, dt * outflow)
 
 
 def relaxation_step_exact(g: Grid1D, w: dict[str, np.ndarray], dt: float,
@@ -435,7 +466,7 @@ def relaxation_step_exact(g: Grid1D, w: dict[str, np.ndarray], dt: float,
 # ---------------------------------------------------------------------------
 
 def _record_diag(ts: TimeSeries, t: float, U: np.ndarray, w: dict[str, np.ndarray],
-                 spec: GasSpec, projections: int, entropy_outflow: float):
+                 spec: GasSpec, entropy_outflow: float):
     z = w["Pi"] / w["p"]
     h = entropy_terms(w["rho"], w["p"], z, spec)[0]
     ts.diag_t.append(t)
@@ -446,7 +477,7 @@ def _record_diag(ts: TimeSeries, t: float, U: np.ndarray, w: dict[str, np.ndarra
     ts.total_Fll.append(float(np.sum(F_ll)) * ts.dx)
     ts.total_entropy.append(float(np.sum(h)) * ts.dx)
     ts.max_abs_z.append(float(np.max(np.abs(z))))
-    ts.projections.append(projections)
+    ts.projections.append(0)
     ts.entropy_outflow.append(entropy_outflow)
 
 
@@ -463,42 +494,32 @@ def _march(sc: Scenario, g: Grid1D, system: System) -> TimeSeries:
 
     Strang splitting: half source substep, full hyperbolic step, half
     source substep.  The time step honors the CFL bound and is clipped to
-    land exactly on output-cadence times and on t_end.  An initial cell
-    outside the window raises SolverError naming it; a step that projects
-    more than 1% of the cells aborts.
+    land exactly on output-cadence times and on t_end.  A cell outside
+    the window, initially or after a step, raises SolverError naming it.
     """
     spec = sc.spec
     ts = TimeSeries(x=g.centers, dx=g.dx, periodic=(sc.boundary == "periodic"))
     t = 0.0
-    total_proj = 0
     w = system.decode(g.U, spec)
-    lower, upper = window_bounds(w["p"], spec.D)
-    _require((lower < w["Pi"]) & (w["Pi"] < upper), w["Pi"] / w["p"],
-             "initial Pi/p outside the window:", "index")
-    _record_diag(ts, t, g.U, w, spec, total_proj, 0.0)
+    _require_window(w, spec, "initial Pi/p outside the window:")
+    _record_diag(ts, t, g.U, w, spec, 0.0)
     _record_snapshot(ts, t, w, spec)
     next_out = sc.output_cadence if sc.output_cadence > 0 else sc.t_end
     for _ in range(10_000_000):
         if t >= sc.t_end - 1e-14 * sc.t_end:
             break
         try:
-            dt = sc.cfl * g.dx / max_wave_speed(w, spec, system)
+            speed = max_wave_speed(w, spec, system)
+            dt = sc.cfl * g.dx / speed
             dt = min(dt, sc.t_end - t, next_out - t if next_out > t else dt)
             g, _ = system.relax(g, w, 0.5 * dt, spec)
-            step = hyperbolic_step(g, dt, spec, system, sc.scheme, sc.limiter)
+            step = hyperbolic_step(g, dt, spec, system, sc.scheme, sc.limiter, speed)
             g, w = system.relax(step.grid, step.w, 0.5 * dt, spec)
         except SolverError as err:
             raise SolverError(f"step from t = {t:.6g}: {err}") from err
         t += dt
-        total_proj += step.projections
-        if step.projections > ABORT_PROJECTION_FRACTION * g.N:
-            raise SolverError(
-                f"admissibility projection hit {step.projections}/{g.N} cells at "
-                f"t = {t:.6g}; max |Pi/p| = {np.max(np.abs(w['Pi'] / w['p'])):.3g}; "
-                "the run is not trustworthy at this resolution/CFL"
-            )
         ts.limiter_fraction = max(ts.limiter_fraction, step.clipped / g.U.size)
-        _record_diag(ts, t, g.U, w, spec, total_proj, step.entropy_outflow)
+        _record_diag(ts, t, g.U, w, spec, step.entropy_outflow)
         if t >= next_out - 1e-14 * max(next_out, 1.0):
             _record_snapshot(ts, t, w, spec)
             next_out = min(next_out + sc.output_cadence, sc.t_end) if sc.output_cadence > 0 else sc.t_end

@@ -166,12 +166,11 @@ def test_run_cli_periodic_conservation_with_zero_net_momentum(tmp_path):
 
 
 def test_run_cli_solver_error_exits_one(tmp_path, capsys):
-    # MUSCL drives a face state between the rarefactions to p + Pi < 0
-    cfg_file = write(tmp_path / "vacuum.cfg", two_rarefactions("muscl"))
+    # Pi = 2 p lies above the window's upper edge (D - 3) p / 3 = 2 p / 3
+    cfg_file = write(tmp_path / "above.cfg", "[scenario]\nkind = riemann\npi_left = 2\n")
     assert main(["run", "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("solver error: step from t = 0: non-finite wave speed")
+    assert err == ["solver error: initial Pi/p outside the window: 2 at index 0"]
 
 
 def test_cli_outputs_are_deterministic(tmp_path):
@@ -283,6 +282,17 @@ def test_bench_cases_parse_to_their_values(case):
     for section, values in BENCH_CASES[case].items():
         expected = replace(expected, **{section: replace(getattr(expected, section), **values)})
     assert load_config(cases / case) == expected
+
+
+def test_run_cli_strong_shock_stays_admissible(tmp_path):
+    # Toro's test 3 with MUSCL: faces that would leave the window fall back
+    # to first order, so every check of `et6 run` passes
+    case = Path(__file__).resolve().parents[1] / "bench" / "cases" / "strong_shock.ini"
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(case), "--output-dir", str(out)]) == 0
+    diag = read_diagnostics(out)
+    assert diag["t"][-1] == pytest.approx(0.012, rel=1e-12)
+    assert max(diag["max_abs_Z"]) < 2.0 / 3.0
 
 
 def test_dataclass_check_names_the_key(tmp_path):

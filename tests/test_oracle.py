@@ -188,6 +188,15 @@ def test_probe_sweep_monotone(d5):
     assert all(entropies[i + 1] <= entropies[i] + 1e-13 for i in range(len(entropies) - 1))
 
 
+def test_probe_solves_each_trial_in_few_quad_calls(d5, quad_calls):
+    # `et6 check`'s probe: a downward bracket and Brent's method on M1/M0,
+    # two integrals per residual, and M2 only at each solution
+    s = State6(rho=1.0, v=0.0, T=1.0, Pi=0.3)
+    report = mep_optimality_probe(s, d5, trial_amplitudes=[0.001, 0.01, 0.05])
+    assert all(p.converged for p in report.points)
+    assert len(quad_calls) <= 90
+
+
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(hermite_order=4)

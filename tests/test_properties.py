@@ -2,7 +2,8 @@
 
 States are drawn with D in [3.001, 12], Z = Pi/p up to 0.999 of both window
 edges and any velocity in [-2, 2]^3.  The solver's slope limiter is checked
-against its textbook definition on any finite pair.
+against its textbook definition on any finite pair, and its steps keep
+two-state Riemann data inside the window at the CFL the guarantee rests on.
 """
 
 import math
@@ -25,9 +26,20 @@ from et6.gas import (  # noqa: E402
     State6,
     conserved_from_primitive,
     primitive_from_conserved,
+    window_bounds,
 )
 from et6.oracle import rel_err  # noqa: E402
-from et6.solver import _minmod, flux_fields, primitive_fields  # noqa: E402
+from et6.solver import (  # noqa: E402
+    SIX_FIELD,
+    Scenario,
+    _minmod,
+    flux_fields,
+    hyperbolic_step,
+    initial_grid,
+    max_wave_speed,
+    primitive_fields,
+    relaxation_step_exact,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -134,3 +146,39 @@ slope_pairs = st.one_of(st.tuples(slopes, slopes), slopes.map(lambda a: (a, a)),
 def test_minmod_is_textbook_minmod(pairs):
     a, b = np.array(pairs).T
     assert _minmod(a, b).tolist() == [textbook_minmod(x, y) for x, y in pairs]
+
+
+@st.composite
+def riemann_sides(draw, spec: GasSpec, side: str) -> dict:
+    """One constant state with Z at 0.9 to 0.999 of either window edge."""
+    edge = draw(st.sampled_from([-1.0, spec.z_upper]))
+    p = draw(st.floats(1e-3, 1e4))
+    return {f"rho_{side}": draw(st.floats(0.1, 10.0)), f"p_{side}": p,
+            f"v_{side}": draw(st.floats(-2.0, 2.0)),
+            f"pi_{side}": draw(st.floats(0.9, 0.999)) * edge * p}
+
+
+@st.composite
+def riemann_problems(draw):
+    spec = GasSpec(D=draw(st.floats(3.001, 12.0)))
+    return spec, {**draw(riemann_sides(spec, "left")), **draw(riemann_sides(spec, "right"))}
+
+
+@PROPERTY
+@pytest.mark.parametrize("scheme, limiter, cfl", [("rusanov", "minmod", 0.45),
+                                                  ("muscl", "minmod", 0.25),
+                                                  ("muscl", "none", 0.25)])
+@given(riemann_problems())
+def test_ten_steps_stay_admissible(scheme, limiter, cfl, drawn):
+    spec, sides = drawn
+    g = initial_grid(Scenario(kind="riemann", spec=spec, N=32, boundary="outflow", **sides))
+    w = primitive_fields(g.U, spec)
+    for _ in range(10):
+        speed = max_wave_speed(w, spec, SIX_FIELD)
+        dt = cfl * g.dx / speed
+        g, w = relaxation_step_exact(g, w, 0.5 * dt, spec)
+        step = hyperbolic_step(g, dt, spec, SIX_FIELD, scheme, limiter, speed)
+        lower, upper = window_bounds(step.w["p"], spec.D)
+        assert np.all(step.w["rho"] > 0.0)
+        assert np.all((lower < step.w["Pi"]) & (step.w["Pi"] < upper))
+        g, w = relaxation_step_exact(step.grid, step.w, 0.5 * dt, spec)
