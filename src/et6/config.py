@@ -17,7 +17,7 @@ import configparser
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .gas import GasSpec
+from .gas import D_MIN, GasSpec
 from .oracle import QuadratureSpec
 from .solver import Scenario, SolverError
 
@@ -135,9 +135,8 @@ _SECTION_TYPES = {
     "output": OutputConfig,
 }
 
-# library fields that no key sets: the scenario's gas is [gas], and the cap
-# on the oracle's Laguerre escalation keeps its library default
-_NOT_KEYS = {("scenario", "spec"), ("check", "max_laguerre_order")}
+# library fields that no key sets: the scenario's gas is [gas]
+_NOT_KEYS = {("scenario", "spec")}
 
 # parsers by declared type; the tuple fields take floats split by commas or
 # blanks
@@ -152,12 +151,15 @@ _RANGES = {
     ("check", "entropy_tol"): lambda v: v > 0,
     ("check", "grid_z_count"): lambda v: v >= 2,
     ("check", "z_span"): lambda v: 0 < v < 1,
+    ("check", "grid_d_values"): lambda v: bool(v) and all(d >= D_MIN for d in v),
+    ("check", "probe_betas"): lambda v: bool(v) and all(b >= 0 for b in v),
     ("sweep", "z_count"): lambda v: v >= 2,
     ("sweep", "d_count"): lambda v: v >= 2,
-    ("sweep", "d_min"): lambda v: v > 3.0,
-    ("sweep", "d_max"): lambda v: v > 3.0,
+    ("sweep", "d_min"): lambda v: v >= D_MIN,
+    ("sweep", "d_max"): lambda v: v >= D_MIN,
     ("sweep", "coverage"): lambda v: 0 < v <= 1,
     ("sweep", "convexity_states"): lambda v: v >= 1,
+    ("sweep", "k_d_values"): lambda v: bool(v) and all(d >= D_MIN for d in v),
     ("relax", "t_end"): lambda v: v >= 0,
     ("relax", "cadence"): lambda v: v >= 0,
     ("relax", "tol"): lambda v: v > 0,

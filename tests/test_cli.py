@@ -173,6 +173,29 @@ def test_run_cli_solver_error_exits_one(tmp_path, capsys):
     assert err == ["solver error: initial Pi/p outside the window: 2 at index 0"]
 
 
+def test_check_cli_oracle_error_exits_one(tmp_path, capsys):
+    # scipy's 512-node Laguerre rule is NaN: one line, no traceback, no PASS
+    cfg_file = write(tmp_path / "nan.cfg", "[check]\nlaguerre_order = 512\ngrid_z_count = 2\n"
+                     "grid_d_values = 5\n")
+    assert main(["check", "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("oracle error: scipy returned non-finite"), err
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("check", "check", "grid_d_values", ""),
+    ("check", "check", "probe_betas", "0.01, -0.001"),
+    ("sweep", "sweep", "k_d_values", "4, 3"),
+    ("sweep", "sweep", "d_min", "3.0000001"),
+    ("sweep", "sweep", "d_max", "3.0000001"),
+])
+def test_values_outside_the_gas_model_are_config_errors(tmp_path, capsys, command, section,
+                                                       key, value):
+    cfg_file = write(tmp_path / "bad.cfg", f"[{section}]\n{key} = {value}\n")
+    assert main([command, "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 2
+    assert f"config error: [{section}] {key} = " in capsys.readouterr().err
+
+
 def test_cli_outputs_are_deterministic(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

@@ -54,6 +54,10 @@ def test_energy_moment_independent_of_pi(d5, quad):
 def test_moment_rejects_high_degree(d5, quad):
     with pytest.raises(ValueError):
         oracle_moment(State6(rho=1, v=0, T=1), MomentWeight(a2=4), d5, quad)
+    # an 8-node Laguerre rule is exact up to I^15
+    with pytest.raises(ValueError, match="internal-energy power 16 exceeds 15$"):
+        oracle_moment(State6(rho=1, v=0, T=1), MomentWeight(ai=16), d5,
+                      QuadratureSpec(laguerre_order=8))
 
 
 def test_flux_check_equilibrium(d5, quad):
@@ -128,14 +132,26 @@ def test_checks_of_one_state_share_their_adaptive_twins(d5, quad_calls):
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_validation_escalates_laguerre_order_before_failing():
-    # a tolerance below round-off can never be met: the order doubles from
-    # 8 up to the cap, then the check fails naming it
-    quad = QuadratureSpec(validate=True, adaptive_tol=1e-16, laguerre_order=8,
-                          max_laguerre_order=32)
+def test_validation_disagreement_raises_at_once(quad_calls):
+    # a tolerance below round-off cannot be met: the first quantity fails,
+    # naming the rule, without trying another order
+    quad = QuadratureSpec(validate=True, adaptive_tol=1e-16, laguerre_order=8)
     s = State6(rho=1.0, v=[0.4, -0.25, 0.15], T=1.0, Pi=0.1)
-    with pytest.raises(OracleError, match="laguerre order 32"):
+    with pytest.raises(OracleError, match=r"^gh64xgl8 gives .* the adaptive rule"):
         oracle_flux_check(s, GasSpec(D=3.5), quad)
+    # F_xx alone: S_x[2], S[0] and L[0] in two pieces
+    assert len(quad_calls) <= 4
+
+
+def test_states_of_equal_d_share_their_laguerre_twins(d5, quad_calls):
+    from et6 import oracle
+
+    quad = QuadratureSpec(validate=True)
+    for s in (State6(rho=0.8, v=[0.2, -0.1, 0.3], T=1.4, Pi=0.3),
+              State6(rho=3.0, v=0.0, T=0.2, Pi=-0.1)):
+        oracle_constraint_check(s, d5, quad)
+    # L[0] and L[1], made once for both states
+    assert oracle._laguerre_twin.cache_info().misses == 2
 
 
 def test_entropy_quadrature_equilibrium(d5, quad):

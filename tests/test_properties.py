@@ -1,9 +1,11 @@
 """Closure identities over the whole (D, Z) window, by property-based tests.
 
 States are drawn with D in [3.001, 12], Z = Pi/p up to 0.999 of both window
-edges and any velocity in [-2, 2]^3.  The solver's slope limiter is checked
-against its textbook definition on any finite pair, and its steps keep
-two-state Riemann data inside the window at the CFL the guarantee rests on.
+edges and any velocity in [-2, 2]^3; the validated kinetic oracle draws its
+states closer to the edges and with rho and T in [0.1, 10].  The solver's
+slope limiter is checked against its textbook definition on any finite pair,
+and its steps keep two-state Riemann data inside the window at the CFL the
+guarantee rests on.
 """
 
 import math
@@ -28,7 +30,13 @@ from et6.gas import (  # noqa: E402
     primitive_from_conserved,
     window_bounds,
 )
-from et6.oracle import rel_err  # noqa: E402
+from et6.oracle import (  # noqa: E402
+    QuadratureSpec,
+    oracle_constraint_check,
+    oracle_entropy,
+    oracle_flux_check,
+    rel_err,
+)
 from et6.solver import (  # noqa: E402
     SIX_FIELD,
     Scenario,
@@ -127,6 +135,34 @@ def test_main_field_is_entropy_gradient_and_hessian_symmetrizes(drawn):
     assert report.hessian_negative_definite, report
     assert report.symmetrizer_mismatch <= SYMMETRY_TOL, report
     assert report.passed
+
+
+@st.composite
+def oracle_states(draw):
+    """Z at 0 to 0.999 of either edge, its distance to the edge drawn
+    log-uniformly; rho and T log-uniformly in [0.1, 10]."""
+    spec = GasSpec(D=draw(st.floats(3.001, 12.0)))
+    fraction = 1.0 - 10.0 ** draw(st.floats(-3.0, 0.0))
+    z = fraction * (spec.z_upper if draw(st.booleans()) else -1.0)
+    rho, T = (10.0 ** draw(st.floats(-1.0, 1.0)) for _ in range(2))
+    v = draw(st.tuples(*[st.floats(-2.0, 2.0)] * 3))
+    return spec, State6(rho=rho, v=v, T=T, Pi=z * spec.gas_constant * rho * T)
+
+
+@PROPERTY
+@given(oracle_states())
+def test_validated_oracle_checks_are_finite_and_pass(drawn):
+    # validation raises OracleError unless every Gauss value agrees with its
+    # adaptive twin; each must also match its closed form at the `et6 check`
+    # tolerances
+    spec, s = drawn
+    quad = QuadratureSpec(validate=True)
+    for reports, tol in ((oracle_constraint_check(s, spec, quad), 1e-10),
+                         (oracle_flux_check(s, spec, quad, raise_on_failure=False), quad.flux_tol)):
+        for r in reports:
+            assert math.isfinite(r.quadrature) and r.rel_err <= tol, r
+    h = oracle_entropy(s, spec, quad)
+    assert math.isfinite(h) and rel_err(h, entropy_parts(s, spec).h) <= 1e-8
 
 
 def textbook_minmod(a: float, b: float) -> float:
