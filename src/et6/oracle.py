@@ -17,7 +17,9 @@ The Laguerre weight absorbs I**alpha exactly, which keeps the integrable
 singularity at I = 0 harmless for 3 < D < 5.  An n-point rule is exact up
 to degree 2n - 1, which covers every monomial weight used here.  With
 validation on, each quantity is compared once with the same sum of adaptive
-twins, and any disagreement raises OracleError.  The twins integrate on the
+twins, and any disagreement raises OracleError, as does a twin that quad
+reports short of its tolerance (with quad's error estimate; no
+IntegrationWarning reaches stderr).  The twins integrate on the
 rules' unit scale, (s x + v_a)^k exp(-x^2/2) with s = 1/sqrt(2 xi) and
 x^(alpha+j) e^-x, so they check the rules, while the closed forms check the
 affine maps.  A twin is keyed by its integrand, so the checks of one state
@@ -173,14 +175,25 @@ def _laguerre_integrals(order: int, alpha: float, zeta: float, power: int) -> np
     return (wy * zeta ** (-(alpha + 1.0))) @ (y / zeta)[:, None] ** np.arange(power + 1)
 
 
+def _adaptive(rule: str, f, a: float, b: float, **options) -> float:
+    """integrate.quad of f over [a, b]; OracleError naming the rule, the
+    value and quad's error estimate where quad reports a failure."""
+    value, error, _, *failure = integrate.quad(f, a, b, full_output=1, **options)
+    if failure:
+        raise OracleError(f"adaptive rule {rule} gives {value!r} with error estimate "
+                          f"{error:.3g}: {' '.join(failure[0].split())}")
+    return value
+
+
 @lru_cache(maxsize=1024)
 def _hermite_twin(xi: float, shift: float, k: int, tol: float) -> float:
     """int c^k exp(-xi (c - shift)^2) dc over R by adaptive quadrature, as
     s int (s x + shift)^k exp(-x^2/2) dx with s = 1/sqrt(2 xi)."""
     s = 1.0 / math.sqrt(2.0 * xi)
     size = math.sqrt(2.0 * math.pi) * (s + abs(shift)) ** k   # of the integrand
-    value, _ = integrate.quad(lambda x: (s * x + shift) ** k * math.exp(-0.5 * x * x),
-                              -np.inf, np.inf, epsabs=tol * size, epsrel=tol)
+    value = _adaptive(f"int ({s:.6g} x + {shift:.6g})^{k} exp(-x^2/2) dx",
+                      lambda x: (s * x + shift) ** k * math.exp(-0.5 * x * x),
+                      -np.inf, np.inf, epsabs=tol * size, epsrel=tol)
     return s * value
 
 
@@ -189,10 +202,11 @@ def _laguerre_twin(alpha: float, j: int, tol: float) -> float:
     """int x^(alpha+j) e^-x dx over [0, inf) by adaptive quadrature."""
     # split at 1: algebraic endpoint weight on the inner part (alpha may be
     # negative), plain decaying tail outside
-    inner, _ = integrate.quad(lambda x: x**j * math.exp(-x), 0.0, 1.0,
-                              weight="alg", wvar=(alpha, 0.0), epsabs=tol, epsrel=tol)
-    outer, _ = integrate.quad(lambda x: x ** (alpha + j) * math.exp(-x), 1.0, np.inf,
-                              epsabs=tol, epsrel=tol)
+    rule = f"int x^({alpha:.6g}+{j}) e^-x dx"
+    inner = _adaptive(rule + " over [0, 1]", lambda x: x**j * math.exp(-x), 0.0, 1.0,
+                      weight="alg", wvar=(alpha, 0.0), epsabs=tol, epsrel=tol)
+    outer = _adaptive(rule + " over [1, inf)", lambda x: x ** (alpha + j) * math.exp(-x),
+                      1.0, np.inf, epsabs=tol, epsrel=tol)
     return inner + outer
 
 

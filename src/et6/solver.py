@@ -1,11 +1,19 @@
 """One-dimensional finite-volume solver for the six-field balance laws.
 
-Strang splitting with the relaxation half-steps outermost.  The homogeneous
-relaxation subproblem dPi/dt = -Pi/tau (at frozen rho, v, eps) is solved in
-closed form, so stiffness costs nothing and no implicit solve is needed.
-The hyperbolic substep is a first-order Rusanov (local Lax-Friedrichs)
-update, optionally second-order MUSCL with a minmod limiter and a two-stage
-SSP time integration.
+Each step relaxes Pi exactly over half the step, transports, and then
+closes with an exponential update of Pi over the whole step.  The half step
+solves the homogeneous subproblem dPi/dt = -Pi/tau (at frozen rho, v, eps)
+in closed form.  The closing update solves dPi/dt = S - Pi/tau from the
+step's initial Pi, with the transport rate S of Pi held fixed, also in
+closed form: Pi <- Pi E + tau (1 - E) S with E = exp(-dt/tau) (exponential
+time differencing, Cox & Matthews 2002).  In uniform cells S = 0 and the
+step is Strang's; for dt << tau it differs from Strang's by
+dt^3 S / (24 tau^2); for dt >> tau it gives Pi = tau S, which is the
+bulk-viscosity law Pi = -nu dv/dx.  So the stiff limit holds at transport
+time steps (asymptotic preservation, Jin 1999), and no implicit solve is
+needed.  The hyperbolic substep is a first-order Rusanov (local
+Lax-Friedrichs) update, optionally second-order MUSCL with a minmod limiter
+and a two-stage SSP time integration.
 
 The admissible window -p < Pi < (D-3) p / 3 is convex in conserved
 variables.  A MUSCL cell whose faces leave it, or outrun the speed dt was
@@ -103,7 +111,7 @@ class System(NamedTuple):
     decode: Callable        # (U, spec) -> primitives w
     sound_speed: Callable   # (w, spec) -> c; |v_x| + c bounds the spectrum
     flux: Callable          # (U, w) -> physical x-flux
-    relax: Callable         # (g, w, dt, spec) -> (grid, primitives) after the source substep
+    relax: Callable         # (g, w, dt, spec, rate) -> (grid, primitives) after the source substep
 
 
 # The six-field decode and relaxation are looked up when called, not bound
@@ -113,7 +121,7 @@ SIX_FIELD = System(
     decode=lambda U, spec: primitive_fields(U, spec),
     sound_speed=lambda w, spec: et6_sound_speed(w["rho"], w["p"], w["Pi"]),
     flux=flux_fields,
-    relax=lambda g, w, dt, spec: relaxation_step_exact(g, w, dt, spec),
+    relax=lambda g, w, dt, spec, rate: relaxation_step_exact(g, w, dt, spec, rate),
 )
 # The equilibrium subsystem, rows (F, F_x, F_y, F_z, G_ll): no dynamic
 # pressure, so its window is p > 0 alone, and no production, so its source
@@ -122,7 +130,7 @@ FIVE_FIELD = System(
     decode=lambda U, spec: {**_decode(U, spec), "Pi": np.zeros(U.shape[1:])},
     sound_speed=lambda w, spec: euler_sound_speed(w["rho"], w["p"], spec.D),
     flux=lambda U, w: np.delete(flux_fields(U, w), 4, axis=0),
-    relax=lambda g, w, dt, spec: (g, w),
+    relax=lambda g, w, dt, spec, rate: (g, w),
 )
 
 
@@ -444,19 +452,23 @@ def hyperbolic_step(g: Grid1D, dt: float, spec: GasSpec, system: System,
 
 
 def relaxation_step_exact(g: Grid1D, w: dict[str, np.ndarray], dt: float,
-                          spec: GasSpec) -> tuple[Grid1D, dict[str, np.ndarray]]:
-    """Exact solution of the homogeneous relaxation subproblem.
+                          spec: GasSpec, rate=0.0) -> tuple[Grid1D, dict[str, np.ndarray]]:
+    """Exact solution of dPi/dt = rate - Pi/tau over dt, rate held fixed.
 
-    w are the primitives of g.  Holding F, F_i, G_ll (hence rho, v, eps, p)
-    fixed: Pi <- Pi * exp(-dt/tau) and F_ll is rebuilt as
-    rho v^2 + 3 (p + Pi).  Admissibility can only improve since |Pi| shrinks
-    toward 0.  Returns the new grid and its primitives, which differ from w
-    only in Pi, so the caller need not decode it again.  That Pi is read
-    back from the new F_ll row, as primitive_fields would read it.
+    Holding F, F_i, G_ll (hence rho, v, eps, p) of g fixed, Pi starts from
+    w["Pi"] and ends at Pi E + tau (1 - E) rate with E = exp(-dt/tau); F_ll
+    is rebuilt as rho v^2 + 3 (p + Pi).  rate = 0 is the homogeneous
+    relaxation Pi <- Pi E, under which admissibility can only improve since
+    |Pi| shrinks toward 0.  w are the primitives of g, except that Pi may
+    be that of an earlier state.  Returns the new grid and its primitives,
+    which differ from w only in Pi, so the caller need not decode it again.
+    That Pi is read back from the new F_ll row, as primitive_fields would
+    read it.
     """
-    decay = math.exp(-dt / spec.tau)
+    x = -dt / spec.tau
+    Pi = w["Pi"] * math.exp(x) - spec.tau * math.expm1(x) * rate
     U_new = g.U.copy()
-    U_new[4] = momentum_flux_trace(w["rho"], w["v2"], w["p"], w["Pi"] * decay)
+    U_new[4] = momentum_flux_trace(w["rho"], w["v2"], w["p"], Pi)
     Pi = dynamic_pressure(U_new[4], w["rho"], w["v2"], w["p"])
     return g.with_data(U_new), {**w, "Pi": Pi}
 
@@ -492,10 +504,13 @@ def _record_snapshot(ts: TimeSeries, t: float, w: dict[str, np.ndarray], spec: G
 def _march(sc: Scenario, g: Grid1D, system: System) -> TimeSeries:
     """Advance g to sc.t_end, recording snapshots and per-step diagnostics.
 
-    Strang splitting: half source substep, full hyperbolic step, half
-    source substep.  The time step honors the CFL bound and is clipped to
-    land exactly on output-cadence times and on t_end.  A cell outside
-    the window, initially or after a step, raises SolverError naming it.
+    Each step: the exact relaxation over dt/2, the hyperbolic step, then
+    the exponential update of Pi over the whole step from its initial
+    value, at the rate S = (Pi after transport - Pi after the half step) /
+    dt (see the module docstring).  The time step honors the CFL bound and
+    is clipped to land exactly on output-cadence times and on t_end.  A
+    cell outside the window, initially or after a step, raises SolverError
+    naming it.
     """
     spec = sc.spec
     ts = TimeSeries(x=g.centers, dx=g.dx, periodic=(sc.boundary == "periodic"))
@@ -512,9 +527,11 @@ def _march(sc: Scenario, g: Grid1D, system: System) -> TimeSeries:
             speed = max_wave_speed(w, spec, system)
             dt = sc.cfl * g.dx / speed
             dt = min(dt, sc.t_end - t, next_out - t if next_out > t else dt)
-            g, _ = system.relax(g, w, 0.5 * dt, spec)
-            step = hyperbolic_step(g, dt, spec, system, sc.scheme, sc.limiter, speed)
-            g, w = system.relax(step.grid, step.w, 0.5 * dt, spec)
+            half, w_half = system.relax(g, w, 0.5 * dt, spec, 0.0)
+            step = hyperbolic_step(half, dt, spec, system, sc.scheme, sc.limiter, speed)
+            rate = (step.w["Pi"] - w_half["Pi"]) / dt
+            g, w = system.relax(step.grid, {**step.w, "Pi": w["Pi"]}, dt, spec, rate)
+            _require_window(w, spec)
         except SolverError as err:
             raise SolverError(f"step from t = {t:.6g}: {err}") from err
         t += dt
@@ -535,7 +552,9 @@ def _march(sc: Scenario, g: Grid1D, system: System) -> TimeSeries:
 def run_scenario(sc: Scenario, initial: Grid1D | None = None) -> TimeSeries:
     """March a scenario of the six-field system to its end time.
 
-    Relaxation half-steps surround each transport step (see _march).
+    Each transport step sits between an exact relaxation half step and an
+    exponential update of Pi over the whole step (see _march), so the
+    stiff limit Pi = -nu dv/dx holds at transport time steps.
     `initial` overrides the scenario's built-in initial condition.
     """
     return _march(sc, initial_grid(sc) if initial is None else initial, SIX_FIELD)

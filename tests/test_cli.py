@@ -182,6 +182,37 @@ def test_check_cli_oracle_error_exits_one(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("oracle error: scipy returned non-finite"), err
 
 
+def test_check_cli_twin_missing_its_tolerance_is_one_line(tmp_path, capsys):
+    # quad cannot certify 1e-14: its error estimate ends the check in one
+    # line, with no IntegrationWarning above it
+    cfg_file = write(tmp_path / "tight.cfg", "[check]\nadaptive_tol = 1e-14\ngrid_z_count = 2\n"
+                     "grid_d_values = 5\n")
+    assert main(["check", "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("oracle error: adaptive rule int "), err
+    assert "error estimate" in err[0]
+
+
+def test_sweep_labels_keep_distinct_d_values_apart(tmp_path, capsys):
+    # `:g` printed both as 3.000001, and 3.000001 alone as 3
+    cfg_file = write(tmp_path / "d.cfg", "[sweep]\nk_d_values = 3.000001, 3.0000012\n")
+    main(["sweep", "--quick", "--config", cfg_file, "--output-dir", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    for d in ("3.000001", "3.0000012"):
+        assert f"coupling condition D={d}" in out and f"sound speed D={d}" in out
+    report = (tmp_path / "out" / "sweep_report.csv").read_text(encoding="utf-8")
+    for d in ("3.000001", "3.0000012"):
+        assert f"k_condition_D_{d}," in report and f"sound_speed_D_{d}," in report
+
+
+def test_check_labels_keep_distinct_d_values_apart(tmp_path):
+    cfg_file = write(tmp_path / "d.cfg", "[check]\ngrid_d_values = 5.000001, 5\n"
+                     "grid_z_count = 2\nhermite_order = 8\nlaguerre_order = 16\n")
+    assert main(["check", "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "oracle_report.csv").read_text(encoding="utf-8")
+    assert "entropy[D=5.000001,Z=-0.9]" in report and "entropy[D=5,Z=-0.9]" in report
+
+
 @pytest.mark.parametrize("command, section, key, value", [
     ("check", "check", "grid_d_values", ""),
     ("check", "check", "probe_betas", "0.01, -0.001"),

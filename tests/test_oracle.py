@@ -131,16 +131,31 @@ def test_checks_of_one_state_share_their_adaptive_twins(d5, quad_calls):
     assert 0 < len(quad_calls) <= 15
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_validation_disagreement_raises_at_once(quad_calls):
-    # a tolerance below round-off cannot be met: the first quantity fails,
-    # naming the rule, without trying another order
+    # a tolerance below round-off cannot be met: the first adaptive twin
+    # reports it, naming its integrand, value and error estimate, without
+    # trying another order and without an IntegrationWarning
     quad = QuadratureSpec(validate=True, adaptive_tol=1e-16, laguerre_order=8)
     s = State6(rho=1.0, v=[0.4, -0.25, 0.15], T=1.0, Pi=0.1)
-    with pytest.raises(OracleError, match=r"^gh64xgl8 gives .* the adaptive rule"):
+    with pytest.raises(OracleError, match=r"^adaptive rule int .* gives \S+ with error "
+                                          r"estimate \S+: The occurrence of roundoff"):
         oracle_flux_check(s, GasSpec(D=3.5), quad)
     # F_xx alone: S_x[2], S[0] and L[0] in two pieces
     assert len(quad_calls) <= 4
+
+
+def test_gauss_value_off_its_twin_raises_naming_the_rule(monkeypatch):
+    # a twin that converged but disagrees with the Gauss value: the error
+    # names the Gauss rule and both values
+    from et6 import oracle
+
+    twin = oracle._laguerre_twin.__wrapped__
+    monkeypatch.setattr(oracle, "_laguerre_twin",
+                        lambda alpha, j, tol: twin(alpha, j, tol) * (1.0 + 1e-8))
+    quad = QuadratureSpec(validate=True, laguerre_order=8)
+    s = State6(rho=1.0, v=[0.4, -0.25, 0.15], T=1.0, Pi=0.1)
+    with pytest.raises(OracleError, match=r"^gh64xgl8 gives .* the adaptive rule"):
+        oracle_flux_check(s, GasSpec(D=3.5), quad)
 
 
 def test_states_of_equal_d_share_their_laguerre_twins(d5, quad_calls):

@@ -5,7 +5,8 @@ edges and any velocity in [-2, 2]^3; the validated kinetic oracle draws its
 states closer to the edges and with rho and T in [0.1, 10].  The solver's
 slope limiter is checked against its textbook definition on any finite pair,
 and its steps keep two-state Riemann data inside the window at the CFL the
-guarantee rests on.
+guarantee rests on, for tau from 1e-6 to 1.  The exponential update that
+closes each step matches the Strang half step when dt << tau.
 """
 
 import math
@@ -39,6 +40,7 @@ from et6.oracle import (  # noqa: E402
 )
 from et6.solver import (  # noqa: E402
     SIX_FIELD,
+    Grid1D,
     Scenario,
     _minmod,
     flux_fields,
@@ -196,7 +198,7 @@ def riemann_sides(draw, spec: GasSpec, side: str) -> dict:
 
 @st.composite
 def riemann_problems(draw):
-    spec = GasSpec(D=draw(st.floats(3.001, 12.0)))
+    spec = GasSpec(D=draw(st.floats(3.001, 12.0)), tau=10.0 ** draw(st.floats(-6.0, 0.0)))
     return spec, {**draw(riemann_sides(spec, "left")), **draw(riemann_sides(spec, "right"))}
 
 
@@ -210,11 +212,45 @@ def test_ten_steps_stay_admissible(scheme, limiter, cfl, drawn):
     g = initial_grid(Scenario(kind="riemann", spec=spec, N=32, boundary="outflow", **sides))
     w = primitive_fields(g.U, spec)
     for _ in range(10):
+        # the steps of solver._march
         speed = max_wave_speed(w, spec, SIX_FIELD)
         dt = cfl * g.dx / speed
-        g, w = relaxation_step_exact(g, w, 0.5 * dt, spec)
-        step = hyperbolic_step(g, dt, spec, SIX_FIELD, scheme, limiter, speed)
+        half, w_half = relaxation_step_exact(g, w, 0.5 * dt, spec)
+        step = hyperbolic_step(half, dt, spec, SIX_FIELD, scheme, limiter, speed)
         lower, upper = window_bounds(step.w["p"], spec.D)
         assert np.all(step.w["rho"] > 0.0)
         assert np.all((lower < step.w["Pi"]) & (step.w["Pi"] < upper))
-        g, w = relaxation_step_exact(step.grid, step.w, 0.5 * dt, spec)
+        rate = (step.w["Pi"] - w_half["Pi"]) / dt
+        g, w = relaxation_step_exact(step.grid, {**step.w, "Pi": w["Pi"]}, dt, spec, rate)
+        assert np.all((lower < w["Pi"]) & (w["Pi"] < upper))
+
+
+@PROPERTY
+@given(st.floats(3.001, 12.0), st.floats(-6.0, 0.0), st.floats(-4.0, -2.0),
+       st.floats(-1.0, 1.0), st.floats(-3.0, 3.0), st.floats(-2.0, 2.0),
+       st.floats(-0.999, 0.999), st.floats(-0.999, 0.999))
+def test_closing_update_matches_strang_when_dt_is_small(D, log_tau, log_ratio, log_rho, log_p,
+                                                         vx, edge_n, edge_t):
+    # one step from Pi^n, transported to Pi*: the exponential update differs
+    # from the Strang half step Pi* e^(-dt/2tau) by dt^3 S / (24 tau^2)
+    spec = GasSpec(D=D, tau=10.0 ** log_tau)
+    dt = 10.0 ** log_ratio * spec.tau
+    rho, p = 10.0 ** log_rho, 10.0 ** log_p
+
+    def grid(edge):
+        s = State6(rho=rho, v=[vx, 0.0, 0.0], T=p / (spec.gas_constant * rho),
+                   Pi=(edge if edge < 0.0 else edge * spec.z_upper) * p)
+        U = conserved_from_primitive(s, spec).as_array()
+        return Grid1D(x_left=0.0, x_right=1.0, U=np.repeat(U[:, None], 4, axis=1))
+
+    start, moved = grid(edge_n), grid(edge_t)
+    w_n, w_t = primitive_fields(start.U, spec), primitive_fields(moved.U, spec)
+    _, w_half = relaxation_step_exact(start, w_n, 0.5 * dt, spec)
+    rate = (w_t["Pi"] - w_half["Pi"]) / dt
+    _, strang = relaxation_step_exact(moved, w_t, 0.5 * dt, spec)
+    _, closing = relaxation_step_exact(moved, {**w_t, "Pi": w_n["Pi"]}, dt, spec, rate)
+    # round-off of the F_ll row, rho v^2 + 3 (p + Pi), and of the rate
+    roundoff = 8.0 * np.finfo(float).eps * (rho * vx * vx + 3.0 * p + np.abs(w_n["Pi"])
+                                            + np.abs(w_t["Pi"]))
+    bound = dt**3 * np.abs(rate) / spec.tau**2 + roundoff
+    assert np.all(np.abs(closing["Pi"] - strang["Pi"]) <= bound)

@@ -178,6 +178,14 @@ def test_relaxation_semigroup_composition():
     np.testing.assert_allclose(two.U, one.U, rtol=1e-14)
 
 
+def test_relaxation_at_a_frozen_rate_reaches_tau_times_rate():
+    # dt >> tau: Pi forgets its start and settles on tau S, the stiff limit
+    spec = GasSpec(D=5.0, tau=1e-4)
+    g = uniform_grid(spec, vx=0.4, z=-0.5)
+    _, w = relaxation_step_exact(g, primitive_fields(g.U, spec), 0.1, spec, rate=2.0)
+    np.testing.assert_allclose(w["Pi"], 2.0 * spec.tau, rtol=1e-12)
+
+
 def test_relaxation_returns_primitives_of_new_grid():
     spec = GasSpec(D=5.0, tau=0.07)
     g = uniform_grid(spec, vx=0.4, z=-0.5)
@@ -215,6 +223,52 @@ def test_homogeneous_relaxation_matches_ode(tau):
     for t, snap in zip(ts.snapshot_times, ts.snapshots):
         exact = 0.3 * p_scale * math.exp(-t / tau)
         assert np.max(np.abs(snap["Pi"] - exact)) <= 1e-12 * p_scale
+
+
+def test_uniform_relaxation_exact_at_steps_beyond_tau():
+    # dt = 10 tau: no gradient, so the transport rate of Pi is exactly 0 and
+    # the closing update is the exact exponential, step by step
+    tau = 5e-4
+    spec = GasSpec(D=5.0, tau=tau)
+    sc = Scenario(kind="uniform_relaxation", spec=spec, N=50, t_end=40.0 * tau,
+                  output_cadence=10.0 * tau, z0=0.3)
+    ts = run_scenario(sc)
+    assert np.all(np.diff(ts.diag_t) >= 10.0 * tau * (1.0 - 1e-12))
+    assert len(ts.snapshot_times) == 5   # one per step, p = 1
+    for time_, snap in zip(ts.snapshot_times, ts.snapshots):
+        assert np.max(np.abs(snap["Pi"] - 0.3 * math.exp(-time_ / tau))) <= 1e-12
+
+
+def _boundary_flux(rho: float, v: float, p: float, pi: np.ndarray, D: float) -> np.ndarray:
+    """x-flux of (F, F_x, G_ll) for a constant state, one column per Pi."""
+    g_ll = rho * v * v + D * p
+    return np.vstack([np.full_like(pi, rho * v), rho * v * v + p + pi,
+                      (g_ll + 2.0 * (p + pi)) * v])
+
+
+def test_outflow_totals_follow_boundary_fluxes_at_step_midpoints():
+    # Pi/p at 90% of both window edges, tau = 1: until the waves reach them,
+    # the end cells keep rho, v and p and relax Pi = Pi_0 exp(-t/tau), and
+    # each transport step sees them at its midpoint t_n + dt_n / 2, so the
+    # totals move by dt_n times the boundary-flux difference there.  A
+    # relaxation moved inside the SSP stages breaks this at about 1e-8.
+    spec = GasSpec(D=5.0, tau=1.0)
+    sc = Scenario(kind="riemann", spec=spec, N=100, boundary="outflow", t_end=0.15,
+                  scheme="muscl", limiter="minmod", pi_left=-0.9, pi_right=0.6,
+                  rho_right=1.0, p_right=1.0)
+    ts = run_scenario(sc)
+    t = np.array(ts.diag_t)
+    dt = np.diff(t)
+    decay = np.exp(-(t[:-1] + 0.5 * dt) / spec.tau)
+    flux_in = (_boundary_flux(sc.rho_left, sc.v_left, sc.p_left, sc.pi_left * decay, spec.D)
+               - _boundary_flux(sc.rho_right, sc.v_right, sc.p_right, sc.pi_right * decay,
+                                spec.D))
+    totals = np.array([ts.total_F, ts.total_Fx, ts.total_Gll])
+    expected = totals[:, :1] + np.hstack([np.zeros((3, 1)), np.cumsum(flux_in * dt, axis=1)])
+    mass, energy = np.max(np.abs(totals[0])), np.max(np.abs(totals[2]))
+    scale = np.array([mass, math.sqrt(mass * energy), energy])
+    drift = np.max(np.abs(totals - expected), axis=1) / scale
+    assert len(t) > 20 and np.all(drift <= 1e-12), drift
 
 
 def test_sod_entropy_nondecreasing_every_step():
@@ -365,6 +419,20 @@ def test_ns_limit_smooth_acoustic_run():
     rep = ns_limit_diagnostic(ts, spec)
     assert rep.max_rel_deviation <= 10.0 * spec.tau
     assert rep.l2_rel_deviation <= rep.max_rel_deviation
+    assert not rep.reduced_confidence
+
+
+def test_ns_limit_holds_at_transport_time_steps():
+    # the c08 setup at the MUSCL per-stage CFL, dt about 3.5 tau: Strang
+    # splitting alone decays the transport increment of Pi away here
+    spec = GasSpec(D=5.0, tau=1e-3)
+    sc = Scenario(kind="smooth_wave", spec=spec, N=400, x_right=8.0, wavelength=8.0,
+                  t_end=1.5, amplitude=1e-3, cfl=0.25, scheme="muscl",
+                  limiter="minmod", pi_init="ns")
+    ts = run_scenario(sc)
+    assert len(ts.diag_t) - 1 <= 500
+    rep = ns_limit_diagnostic(ts, spec)
+    assert rep.max_rel_deviation <= 10.0 * spec.tau
     assert not rep.reduced_confidence
 
 
