@@ -1,14 +1,14 @@
 """Run configuration: INI-style files plus command-line overrides.
 
 The file format is line-oriented ``key = value`` under ``[section]``
-headers.  Three sections are the library's own dataclasses, so each of
-their defaults and range checks has one home: ``[gas]`` is ``GasSpec``,
-``[scenario]`` is ``Scenario`` plus the ``et6 run`` monitor tolerances, and
-``[check]`` is ``QuadratureSpec`` plus the check tolerances and grid.  The
-other sections hold the settings of one command each.  ``load_config``
-only parses; ``apply_updates`` sets one key at a time, so an unknown
-section or key, or a value that a dataclass or ``_RANGES`` rejects, is an
-error that names ``[section] key``.
+headers.  Each section is one dataclass, which checks its own values in
+``__post_init__``, also when built from Python.  Three of them are the
+library's own: ``[gas]`` is ``GasSpec``, ``[scenario]`` is ``Scenario`` plus
+the ``et6 run`` monitor tolerances, and ``[check]`` is ``QuadratureSpec``
+plus the check tolerances and grid.  The other sections hold the settings
+of one command each.  ``load_config`` only parses; ``apply_updates`` sets
+the keys, so an unknown section or key, or a value that its dataclass
+rejects, is an error that names ``[section] key``.
 """
 
 from __future__ import annotations
@@ -17,13 +17,19 @@ import configparser
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .gas import D_MIN, GasSpec
+from .gas import GasSpec
 from .oracle import QuadratureSpec
 from .solver import Scenario, SolverError
 
 
 class ConfigError(ValueError):
     """Malformed configuration; the message names the key path."""
+
+
+def _require(ok: bool, message: str) -> None:
+    """A section's range check: ValueError(message) unless ok (NaN fails)."""
+    if not ok:
+        raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -34,6 +40,11 @@ class ScenarioConfig(Scenario):
     conservation_tol: float = 1e-13
     entropy_step_tol: float = 1e-10
 
+    def __post_init__(self):
+        super().__post_init__()
+        _require(self.conservation_tol > 0, "conservation_tol must be positive")
+        _require(self.entropy_step_tol > 0, "entropy_step_tol must be positive")
+
 
 @dataclass(frozen=True)
 class CheckConfig(QuadratureSpec):
@@ -41,6 +52,7 @@ class CheckConfig(QuadratureSpec):
     against the adaptive rule by default, plus tolerances and the grid."""
 
     validate: bool = True
+    flux_tol: float = 1e-8
     moment_tol: float = 1e-10
     entropy_tol: float = 1e-8
     decomposition_tol: float = 1e-10
@@ -49,6 +61,19 @@ class CheckConfig(QuadratureSpec):
     grid_d_values: tuple[float, ...] = (3.5, 4.0, 5.0, 6.0, 7.0, 9.0, 12.0)
     z_span: float = 0.95           # fraction of the window covered by the grid
     probe_betas: tuple[float, ...] = (0.001, 0.01, 0.05)
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require(self.flux_tol > 0, "flux_tol must be positive")
+        _require(self.moment_tol > 0, "moment_tol must be positive")
+        _require(self.entropy_tol > 0, "entropy_tol must be positive")
+        _require(self.grid_z_count >= 2, "grid_z_count must be at least 2")
+        _require(0 < self.z_span < 1, "z_span must lie in (0, 1)")
+        _require(bool(self.grid_d_values), "grid_d_values must not be empty")
+        for d in self.grid_d_values:
+            GasSpec(D=d)   # the gas model's bound on D
+        _require(bool(self.probe_betas) and all(b >= 0 for b in self.probe_betas),
+                 "probe_betas must be given, each >= 0")
 
 
 @dataclass(frozen=True)
@@ -67,6 +92,16 @@ class SweepConfig:
     k_d_values: tuple[float, ...] = (4.0, 5.0, 7.0, 12.0)
     speed_tol: float = 1e-10
 
+    def __post_init__(self):
+        _require(self.z_count >= 2, "z_count must be at least 2")
+        _require(self.d_count >= 2, "d_count must be at least 2")
+        _require(0 < self.coverage <= 1, "coverage must lie in (0, 1]")
+        _require(self.round_trip_points >= 1, "round_trip_points must be at least 1")
+        _require(self.convexity_states >= 1, "convexity_states must be at least 1")
+        _require(bool(self.k_d_values), "k_d_values must not be empty")
+        for d in (self.d_min, self.d_max, *self.k_d_values):
+            GasSpec(D=d)   # the gas model's bound on D
+
 
 @dataclass(frozen=True)
 class RelaxConfig:
@@ -74,6 +109,11 @@ class RelaxConfig:
     t_end: float = 0.0             # 0: choose min(1, 10 tau) automatically
     cadence: float = 0.0           # 0: twenty outputs across the run
     tol: float = 1e-12             # measured against the pressure scale
+
+    def __post_init__(self):
+        _require(self.t_end >= 0, "t_end must be nonnegative")
+        _require(self.cadence >= 0, "cadence must be nonnegative")
+        _require(self.tol > 0, "tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -89,12 +129,26 @@ class NsLimitConfig:
     mask_fraction: float = 0.5
     deviation_factor: float = 10.0   # pass bound: factor * tau
 
+    def __post_init__(self):
+        self.scenario(GasSpec())   # GasSpec checks tau; Scenario N, cfl, t_end and the domain
+        _require(0 < self.mask_fraction < 1, "mask_fraction must lie in (0, 1)")
+
+    def scenario(self, gas: GasSpec) -> Scenario:
+        """The stiff-limit run in the given gas, at relaxation time tau."""
+        return Scenario(kind="smooth_wave", spec=replace(gas, tau=self.tau), N=self.N,
+                        x_left=0.0, x_right=self.domain_length, wavelength=self.domain_length,
+                        cfl=self.cfl, t_end=self.t_end, amplitude=self.amplitude,
+                        scheme="muscl", limiter="minmod", pi_init="ns")
+
 
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = ""            # empty: ET6_OUTPUT_DIR, then ./et6_out
     seed: int = 2024
     quick: bool = False
+
+    def __post_init__(self):
+        _require(self.seed >= 0, "seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -109,13 +163,11 @@ class RunConfig:
 
     def build_scenario(self) -> Scenario:
         """The [scenario] run in the [gas] gas."""
-        return Scenario(**{f.name: getattr(self.scenario, f.name) for f in fields(Scenario)
-                           if f.name != "spec"}, spec=self.gas)
+        return replace(self.scenario, spec=self.gas)
 
 
 def _float_tuple(raw: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in raw.replace(",", " ").split()]
-    return tuple(float(p) for p in parts if p)
+    return tuple(float(p) for p in raw.replace(",", " ").split())
 
 
 def _bool(raw: str) -> bool:
@@ -143,35 +195,6 @@ _NOT_KEYS = {("scenario", "spec")}
 # parsers by declared type; the tuple fields take floats split by commas or
 # blanks
 _PARSERS = {"float": float, "int": int, "bool": _bool, "str": str.strip}
-
-# ranges of the keys that no library dataclass checks
-_RANGES = {
-    ("scenario", "conservation_tol"): lambda v: v > 0,
-    ("scenario", "entropy_step_tol"): lambda v: v > 0,
-    ("check", "flux_tol"): lambda v: v > 0,
-    ("check", "moment_tol"): lambda v: v > 0,
-    ("check", "entropy_tol"): lambda v: v > 0,
-    ("check", "grid_z_count"): lambda v: v >= 2,
-    ("check", "z_span"): lambda v: 0 < v < 1,
-    ("check", "grid_d_values"): lambda v: bool(v) and all(d >= D_MIN for d in v),
-    ("check", "probe_betas"): lambda v: bool(v) and all(b >= 0 for b in v),
-    ("sweep", "z_count"): lambda v: v >= 2,
-    ("sweep", "d_count"): lambda v: v >= 2,
-    ("sweep", "d_min"): lambda v: v >= D_MIN,
-    ("sweep", "d_max"): lambda v: v >= D_MIN,
-    ("sweep", "coverage"): lambda v: 0 < v <= 1,
-    ("sweep", "convexity_states"): lambda v: v >= 1,
-    ("sweep", "k_d_values"): lambda v: bool(v) and all(d >= D_MIN for d in v),
-    ("relax", "t_end"): lambda v: v >= 0,
-    ("relax", "cadence"): lambda v: v >= 0,
-    ("relax", "tol"): lambda v: v > 0,
-    ("nslimit", "tau"): lambda v: v > 0,
-    ("nslimit", "N"): lambda v: v >= 4,
-    ("nslimit", "cfl"): lambda v: 0 < v < 1,
-    ("nslimit", "t_end"): lambda v: v > 0,
-    ("nslimit", "mask_fraction"): lambda v: 0 < v < 1,
-    ("output", "seed"): lambda v: v >= 0,
-}
 
 
 def _keys(section: str) -> dict[str, object]:
@@ -207,20 +230,23 @@ def load_config(path: str | Path | None) -> RunConfig:
 
 
 def apply_updates(cfg: RunConfig, updates: dict[str, dict[str, object]]) -> RunConfig:
-    """Apply {section: {key: value}} overrides one key at a time, so that a
-    value the section's dataclass rejects is reported with its key."""
+    """Apply {section: {key: value}} overrides.  A value that the section's
+    dataclass rejects is reported with its key."""
     for section, pairs in updates.items():
         keys = _keys(section)
-        current = getattr(cfg, section)
-        for key, value in pairs.items():
+        for key in pairs:
             if key not in keys:
                 raise ConfigError(f"unknown key [{section}] {key}")
-            check = _RANGES.get((section, key))
-            if check is not None and not check(value):
-                raise ConfigError(f"[{section}] {key} = {value}: out of range")
-            try:
-                current = replace(current, **{key: value})
-            except (SolverError, ValueError) as err:
-                raise ConfigError(f"[{section}] {key} = {value}: {err}") from err
+        current = getattr(cfg, section)
+        try:
+            # all keys at once, so that x_right > x_left sees both new values
+            current = replace(current, **pairs)
+        except (SolverError, ValueError):
+            # name the first key that fails on its own
+            for key, value in pairs.items():
+                try:
+                    current = replace(current, **{key: value})
+                except (SolverError, ValueError) as err:
+                    raise ConfigError(f"[{section}] {key} = {value}: {err}") from err
         cfg = replace(cfg, **{section: current})
     return cfg

@@ -237,6 +237,8 @@ class Scenario:
             raise SolverError(f"unknown scenario kind {self.kind!r}")
         if self.N < 4:
             raise SolverError(f"need at least 4 cells, got {self.N}")
+        if not self.x_right > self.x_left:
+            raise SolverError(f"empty domain [{self.x_left}, {self.x_right}]")
         if not 0.0 < self.cfl < 1.0:
             raise SolverError(f"CFL must lie in (0, 1), got {self.cfl}")
         if not self.t_end > 0.0:

@@ -7,6 +7,7 @@ import pytest
 from et6 import config
 from et6.cli import main
 from et6.config import ConfigError, RunConfig, load_config
+from et6.solver import SolverError
 
 
 def write(path, text):
@@ -219,6 +220,9 @@ def test_check_labels_keep_distinct_d_values_apart(tmp_path):
     ("sweep", "sweep", "k_d_values", "4, 3"),
     ("sweep", "sweep", "d_min", "3.0000001"),
     ("sweep", "sweep", "d_max", "3.0000001"),
+    ("sweep", "sweep", "round_trip_points", "0"),
+    ("run", "scenario", "x_right", "0"),
+    ("nslimit", "nslimit", "domain_length", "0"),
 ])
 def test_values_outside_the_gas_model_are_config_errors(tmp_path, capsys, command, section,
                                                        key, value):
@@ -306,6 +310,58 @@ def test_file_of_every_default_parses_to_defaults(tmp_path):
         for key in keys:
             parsed, default = getattr(getattr(cfg, section), key), getattr(getattr(defaults, section), key)
             assert type(parsed) is type(default), (section, key)
+
+
+# one out-of-range value per check of a section's own dataclass
+OUT_OF_RANGE = [
+    ("scenario", "conservation_tol", 0.0),
+    ("scenario", "entropy_step_tol", -1e-10),
+    ("scenario", "x_right", 0.0),
+    ("check", "flux_tol", 0.0),
+    ("check", "moment_tol", 0.0),
+    ("check", "entropy_tol", -1e-8),
+    ("check", "grid_z_count", 1),
+    ("check", "z_span", 1.0),
+    ("check", "grid_d_values", ()),
+    ("check", "probe_betas", (0.01, -0.001)),
+    ("sweep", "z_count", 1),
+    ("sweep", "d_count", 1),
+    ("sweep", "d_min", 3.0),
+    ("sweep", "d_max", 3.0000001),
+    ("sweep", "coverage", 1.5),
+    ("sweep", "round_trip_points", 0),
+    ("sweep", "convexity_states", 0),
+    ("sweep", "k_d_values", (4.0, 3.0)),
+    ("relax", "t_end", -1.0),
+    ("relax", "cadence", -0.1),
+    ("relax", "tol", 0.0),
+    ("nslimit", "tau", 0.0),
+    ("nslimit", "N", 3),
+    ("nslimit", "domain_length", 0.0),
+    ("nslimit", "cfl", 1.0),
+    ("nslimit", "t_end", 0.0),
+    ("nslimit", "mask_fraction", 0.0),
+    ("output", "seed", -1),
+]
+
+
+@pytest.mark.parametrize("section, key, value", OUT_OF_RANGE,
+                         ids=[f"{section}-{key}" for section, key, _ in OUT_OF_RANGE])
+def test_each_section_checks_its_own_values(tmp_path, capsys, section, key, value):
+    # the same check from Python and from a config file
+    with pytest.raises((ValueError, SolverError)):
+        config._SECTION_TYPES[section](**{key: value})
+    cfg_file = write(tmp_path / "bad.cfg", f"[{section}]\n{key} = {ini_value(value)}\n")
+    assert main(["relax", "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 2
+    assert f"config error: [{section}] {key} = {value}: " in capsys.readouterr().err
+
+
+def test_domain_keys_apply_together(tmp_path):
+    # x_left = 2 alone would leave the default x_right = 1 below it
+    cfg = load_config(write(tmp_path / "shifted.cfg", "[scenario]\nx_left = 2\nx_right = 3\n"))
+    assert (cfg.scenario.x_left, cfg.scenario.x_right) == (2.0, 3.0)
+    with pytest.raises(ConfigError, match=r"^\[scenario\] x_left = 2.0: empty domain \[2.0, 1.0\]"):
+        load_config(write(tmp_path / "empty.cfg", "[scenario]\nx_left = 2\nx_right = 0.5\n"))
 
 
 BENCH_CASES = {

@@ -1,4 +1,5 @@
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,20 @@ def test_probe_solves_each_trial_in_few_quad_calls(d5, quad_calls):
     report = mep_optimality_probe(s, d5, trial_amplitudes=[0.001, 0.01, 0.05])
     assert all(p.converged for p in report.points)
     assert len(quad_calls) <= 90
+
+
+def test_probe_quad_failure_is_an_oracle_error(d5):
+    # quad cannot certify 1e-16 on the radial moments: one OracleError that
+    # names the integrand and quad's error estimate, not warnings and a trial
+    # reported as converged
+    s = State6(rho=1.0, v=0.0, T=1.0, Pi=0.3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OracleError, match=r"^adaptive rule int r\^\d+ exp\(.*\) dr gives "
+                                              r"\S+ with error estimate \S+: "):
+            mep_optimality_probe(s, d5, trial_amplitudes=[0.01],
+                                 quad=QuadratureSpec(adaptive_tol=1e-16))
+    assert caught == []
 
 
 def test_quadrature_spec_validation():

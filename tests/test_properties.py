@@ -23,6 +23,7 @@ from et6.closure import (  # noqa: E402
     multipliers_from_state,
     state_from_multipliers,
 )
+from et6.config import CheckConfig  # noqa: E402
 from et6.eigen import SYMMETRY_TOL, convexity_check  # noqa: E402
 from et6.gas import (  # noqa: E402
     GasSpec,
@@ -32,7 +33,6 @@ from et6.gas import (  # noqa: E402
     window_bounds,
 )
 from et6.oracle import (  # noqa: E402
-    QuadratureSpec,
     oracle_constraint_check,
     oracle_entropy,
     oracle_flux_check,
@@ -156,15 +156,15 @@ def oracle_states(draw):
 def test_validated_oracle_checks_are_finite_and_pass(drawn):
     # validation raises OracleError unless every Gauss value agrees with its
     # adaptive twin; each must also match its closed form at the `et6 check`
-    # tolerances
+    # tolerances (CheckConfig validates by default)
     spec, s = drawn
-    quad = QuadratureSpec(validate=True)
-    for reports, tol in ((oracle_constraint_check(s, spec, quad), 1e-10),
-                         (oracle_flux_check(s, spec, quad, raise_on_failure=False), quad.flux_tol)):
+    chk = CheckConfig()
+    for reports, tol in ((oracle_constraint_check(s, spec, chk), chk.moment_tol),
+                         (oracle_flux_check(s, spec, chk), chk.flux_tol)):
         for r in reports:
             assert math.isfinite(r.quadrature) and r.rel_err <= tol, r
-    h = oracle_entropy(s, spec, quad)
-    assert math.isfinite(h) and rel_err(h, entropy_parts(s, spec).h) <= 1e-8
+    h = oracle_entropy(s, spec, chk)
+    assert math.isfinite(h) and rel_err(h, entropy_parts(s, spec).h) <= chk.entropy_tol
 
 
 def textbook_minmod(a: float, b: float) -> float:

@@ -7,11 +7,16 @@ wrapped ones up when it calls them.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from et6 import solver
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def load_spans():
@@ -43,3 +48,37 @@ def test_kernel_calls_solver_functions_through_module_globals(monkeypatch):
     assert steps > 0
     assert all(counts.values()), counts
     assert counts["primitive_fields"] <= 6 * steps
+
+
+# install() rewires module globals, so the traced run gets its own interpreter
+TRACED_RUN = """
+import importlib.util, json, sys, tempfile
+import et6.cli
+
+spec = importlib.util.spec_from_file_location("bench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+spans.install(tracer)
+with tempfile.TemporaryDirectory() as out:
+    codes = [et6.cli.main([command, "--quick", "--output-dir", out])
+             for command in ("check", "nslimit")]
+metrics = spans.layer_metrics(tracer)
+print(json.dumps({"codes": codes, "counts": dict(tracer.counts), "metrics": metrics}))
+"""
+
+
+def test_traced_check_and_nslimit_run():
+    # the benchmark's traced worker, as one fresh process: install() must find
+    # every name it wraps, including the oracle's module global `integrate`
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", TRACED_RUN, str(SPANS)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0], done.stdout
+    assert result["counts"].get("oracle.quad", 0) > 0
+    assert result["counts"].get("solver.primitive_fields", 0) > 0
+    assert result["metrics"]["oracle.quad_calls"] == result["counts"]["oracle.quad"]
+    assert result["metrics"]["solver.steps"] > 0
