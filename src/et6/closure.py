@@ -25,8 +25,12 @@ import numpy as np
 
 from .gas import GasSpec, State6, energy_moment, eos_evaluate, require_admissible
 
-# Guard against exp overflow when Pi approaches the window boundary.
+# Guard against exp overflow of Omega, near the window's edges or at large D
 LOG_OMEGA_GUARD = 500.0
+
+
+class ClosureError(OverflowError):
+    """|ln Omega| passed LOG_OMEGA_GUARD: Omega is out of floating-point range."""
 
 
 @dataclass(frozen=True)
@@ -116,14 +120,12 @@ def entropy_terms(rho, p, z, spec: GasSpec):
     return h, k, log_omega, log_omega_eq
 
 
-def _guard_log_omega(*values: float) -> float:
-    """Raise OverflowError once any |ln Omega| passes LOG_OMEGA_GUARD."""
+def _guard_log_omega(z: float, spec: GasSpec, *values: float) -> float:
+    """Raise ClosureError once any |ln Omega| passes LOG_OMEGA_GUARD."""
     value = max(abs(v) for v in values)
     if value > LOG_OMEGA_GUARD:
-        raise OverflowError(
-            f"|ln Omega| = {value:.1f} exceeds the overflow guard "
-            f"{LOG_OMEGA_GUARD}; state too close to the window boundary"
-        )
+        raise ClosureError(f"|ln Omega| = {value:.1f} exceeds the overflow guard "
+                           f"{LOG_OMEGA_GUARD:g} at Z = {z:.6g}, D = {spec.D:g}")
     return values[0]
 
 
@@ -141,7 +143,7 @@ def multipliers_from_state(s: State6, spec: GasSpec) -> Multipliers:
     p = s.pressure(spec)
     xi = 0.5 * s.rho / p / (1.0 + z)
     zeta = s.rho / (spec.m * p) / (1.0 - 3.0 * z / (spec.D - 3.0))
-    log_omega = _guard_log_omega(entropy_terms(s.rho, p, z, spec)[2])
+    log_omega = _guard_log_omega(z, spec, entropy_terms(s.rho, p, z, spec)[2])
     return Multipliers(xi=xi, zeta=zeta, omega=math.exp(log_omega), log_omega=log_omega)
 
 
@@ -260,8 +262,9 @@ def entropy_parts(s: State6, spec: GasSpec) -> EntropyParts:
     """
     require_admissible(s, spec)
     p, _ = eos_evaluate(s.rho, s.T, spec)
-    h, k, log_omega, log_omega_eq = entropy_terms(s.rho, p, s.Pi / p, spec)
-    _guard_log_omega(log_omega, log_omega_eq)
+    z = s.Pi / p
+    h, k, log_omega, log_omega_eq = entropy_terms(s.rho, p, z, spec)
+    _guard_log_omega(z, spec, log_omega, log_omega_eq)
     g = s.T * spec.gas_constant * (1.0 + log_omega_eq)
     return EntropyParts(h=h, h_E=h - s.rho * k, k=k, g=g)
 

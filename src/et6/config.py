@@ -2,13 +2,14 @@
 
 The file format is line-oriented ``key = value`` under ``[section]``
 headers.  Each section is one dataclass, which checks its own values in
-``__post_init__``, also when built from Python.  Three of them are the
-library's own: ``[gas]`` is ``GasSpec``, ``[scenario]`` is ``Scenario`` plus
-the ``et6 run`` monitor tolerances, and ``[check]`` is ``QuadratureSpec``
-plus the check tolerances and grid.  The other sections hold the settings
-of one command each.  ``load_config`` only parses; ``apply_updates`` sets
-the keys, so an unknown section or key, or a value that its dataclass
-rejects, is an error that names ``[section] key``.
+``__post_init__``, also when built from Python.  Two of them are the
+library's own: ``[gas]`` is ``GasSpec`` and ``[scenario]`` is ``Scenario``
+plus the ``et6 run`` monitor tolerances.  The other sections hold the
+settings of one command each; ``[check]`` holds the tolerance of the
+oracle's adaptive twins, the check tolerances and the grid.  ``load_config``
+only parses; ``apply_updates`` sets the keys, so an unknown section or key,
+or a value that its dataclass rejects, is an error that names
+``[section] key``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .gas import GasSpec
-from .oracle import QuadratureSpec
+from .oracle import ADAPTIVE_TOL
 from .solver import Scenario, SolverError
 
 
@@ -32,6 +33,12 @@ def _require(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _require_positive(section, *names: str) -> None:
+    """Each named value of the section must be > 0 (NaN fails)."""
+    for name in names:
+        _require(getattr(section, name) > 0, f"{name} must be positive")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig(Scenario):
     """A Scenario, whose gas comes from [gas] (see RunConfig.build_scenario),
@@ -42,16 +49,16 @@ class ScenarioConfig(Scenario):
 
     def __post_init__(self):
         super().__post_init__()
-        _require(self.conservation_tol > 0, "conservation_tol must be positive")
-        _require(self.entropy_step_tol > 0, "entropy_step_tol must be positive")
+        _require_positive(self, "conservation_tol", "entropy_step_tol")
 
 
 @dataclass(frozen=True)
-class CheckConfig(QuadratureSpec):
-    """Kinetic-oracle verification settings: the quadrature, cross-checked
-    against the adaptive rule by default, plus tolerances and the grid."""
+class CheckConfig:
+    """Kinetic-oracle verification settings: the tolerance of the adaptive
+    twins that check every quadrature value, the check tolerances and the
+    grid."""
 
-    validate: bool = True
+    adaptive_tol: float = ADAPTIVE_TOL
     flux_tol: float = 1e-8
     moment_tol: float = 1e-10
     entropy_tol: float = 1e-8
@@ -63,10 +70,8 @@ class CheckConfig(QuadratureSpec):
     probe_betas: tuple[float, ...] = (0.001, 0.01, 0.05)
 
     def __post_init__(self):
-        super().__post_init__()
-        _require(self.flux_tol > 0, "flux_tol must be positive")
-        _require(self.moment_tol > 0, "moment_tol must be positive")
-        _require(self.entropy_tol > 0, "entropy_tol must be positive")
+        _require_positive(self, "adaptive_tol", "flux_tol", "moment_tol", "entropy_tol",
+                          "decomposition_tol", "equilibrium_tol")
         _require(self.grid_z_count >= 2, "grid_z_count must be at least 2")
         _require(0 < self.z_span < 1, "z_span must lie in (0, 1)")
         _require(bool(self.grid_d_values), "grid_d_values must not be empty")
@@ -98,6 +103,7 @@ class SweepConfig:
         _require(0 < self.coverage <= 1, "coverage must lie in (0, 1]")
         _require(self.round_trip_points >= 1, "round_trip_points must be at least 1")
         _require(self.convexity_states >= 1, "convexity_states must be at least 1")
+        _require_positive(self, "round_trip_tol", "gradient_tol", "speed_tol")
         _require(bool(self.k_d_values), "k_d_values must not be empty")
         for d in (self.d_min, self.d_max, *self.k_d_values):
             GasSpec(D=d)   # the gas model's bound on D
@@ -113,7 +119,7 @@ class RelaxConfig:
     def __post_init__(self):
         _require(self.t_end >= 0, "t_end must be nonnegative")
         _require(self.cadence >= 0, "cadence must be nonnegative")
-        _require(self.tol > 0, "tol must be positive")
+        _require_positive(self, "tol")
 
 
 @dataclass(frozen=True)
@@ -132,6 +138,7 @@ class NsLimitConfig:
     def __post_init__(self):
         self.scenario(GasSpec())   # GasSpec checks tau; Scenario N, cfl, t_end and the domain
         _require(0 < self.mask_fraction < 1, "mask_fraction must lie in (0, 1)")
+        _require_positive(self, "deviation_factor")
 
     def scenario(self, gas: GasSpec) -> Scenario:
         """The stiff-limit run in the given gas, at relaxation time tau."""

@@ -15,14 +15,15 @@ peculiar velocity), and L[j] = int I^(alpha+j) exp(-zeta I) dI, by
 generalized Gauss-Laguerre nodes (weight I^alpha e^-I) scaled by 1/zeta.
 The Laguerre weight absorbs I**alpha exactly, which keeps the integrable
 singularity at I = 0 harmless for 3 < D < 5.  An n-point rule is exact up
-to degree 2n - 1, which covers every monomial weight used here.  With
-validation on, each quantity is compared once with the same sum of adaptive
-twins, and any disagreement raises OracleError, as does a twin that quad
-reports short of its tolerance (with quad's error estimate; no
-IntegrationWarning reaches stderr).  The twins integrate on the
-rules' unit scale, (s x + v_a)^k exp(-x^2/2) with s = 1/sqrt(2 xi) and
-x^(alpha+j) e^-x, so they check the rules, while the closed forms check the
-affine maps.  A twin is keyed by its integrand, so the checks of one state
+to degree 2n - 1, which covers every polynomial weight used here, so the
+orders are fixed (64 Hermite, 128 Laguerre nodes: rule gh64xgl128) and no
+other order could change a value beyond round-off.  Each quantity is
+compared once with the same sum of adaptive twins, within adaptive_tol, and
+any disagreement raises OracleError, as does a twin that quad reports short
+of its tolerance (with quad's error estimate; no IntegrationWarning reaches
+stderr).  The twins integrate on the rules' unit scale, (s x + v_a)^k
+exp(-x^2/2) with s = 1/sqrt(2 xi) and x^(alpha+j) e^-x, so they check the
+rules, while the closed forms check the affine maps.  A twin is keyed by its integrand, so the checks of one state
 (and the Laguerre twins of all states of one D) compute it once.
 """
 
@@ -40,28 +41,14 @@ from .closure import closed_fluxes, entropy_parts, multipliers_from_state
 from .gas import GasSpec, State6, conserved_from_primitive, eos_evaluate
 
 REL_ERR_FLOOR = 1e-300
+HERMITE_ORDER = 64
+LAGUERRE_ORDER = 128
+RULE = f"gh{HERMITE_ORDER}xgl{LAGUERRE_ORDER}"
+ADAPTIVE_TOL = 1e-10   # default tolerance of the adaptive twins
 
 
 class OracleError(RuntimeError):
     """Quadrature failed to converge or to validate."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Orders and tolerances of the verification quadrature.  The orders are
-    exact for every degree checked here; `validate` compares each value once
-    with its adaptive twin, within adaptive_tol."""
-
-    hermite_order: int = 64
-    laguerre_order: int = 128
-    adaptive_tol: float = 1e-10
-    validate: bool = False   # cross-check every value against the adaptive rule
-
-    def __post_init__(self):
-        if self.hermite_order < 8 or self.laguerre_order < 8:
-            raise ValueError("quadrature orders must be >= 8")
-        if not self.adaptive_tol > 0:
-            raise ValueError("adaptive tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -85,39 +72,9 @@ def rel_err(a: float, b: float, floor: float = REL_ERR_FLOOR) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-@dataclass(frozen=True)
-class MomentWeight:
-    """Monomial weight coeff * Cx^ax Cy^ay Cz^az (C^2)^a2 I^ai."""
-
-    ax: int = 0
-    ay: int = 0
-    az: int = 0
-    a2: int = 0
-    ai: int = 0
-    coeff: float = 1.0
-
-    @property
-    def velocity_degree(self) -> int:
-        return self.ax + self.ay + self.az + 2 * self.a2
-
-
 # One product of the table: coeff * S_x[kx] S_y[ky] S_z[kz] L[j], as
 # (coeff, (kx, ky, kz), j).  A quantity is a short list of them.
 Term = tuple[float, tuple[int, int, int], int]
-
-
-def _expand_c2(w: MomentWeight) -> list[Term]:
-    """Expand (C^2)^a2 into axis monomials via the multinomial theorem."""
-    terms = []
-    n = w.a2
-    for i in range(n + 1):
-        for j in range(n - i + 1):
-            k = n - i - j
-            mult = math.factorial(n) // (
-                math.factorial(i) * math.factorial(j) * math.factorial(k)
-            )
-            terms.append((w.coeff * mult, (w.ax + 2 * i, w.ay + 2 * j, w.az + 2 * k), w.ai))
-    return terms
 
 
 def _powers(*axes: int) -> tuple[int, int, int]:
@@ -144,19 +101,19 @@ def _finite(rule, *args):
     return nodes, weights
 
 
-@lru_cache(maxsize=32)
-def _hermite_rule(order: int):
-    return _finite(roots_hermitenorm, order)
+@lru_cache(maxsize=1)
+def _hermite_rule():
+    return _finite(roots_hermitenorm, HERMITE_ORDER)
 
 
 @lru_cache(maxsize=64)
-def _laguerre_rule(order: int, alpha: float):
-    return _finite(roots_genlaguerre, order, alpha)
+def _laguerre_rule(alpha: float):
+    return _finite(roots_genlaguerre, LAGUERRE_ORDER, alpha)
 
 
-def _laguerre_integrals(order: int, alpha: float, zeta: float, power: int) -> np.ndarray:
+def _laguerre_integrals(alpha: float, zeta: float, power: int) -> np.ndarray:
     """L[j] = int I^(alpha+j) exp(-zeta I) dI for j = 0..power, by the Laguerre rule."""
-    y, wy = _laguerre_rule(order, alpha)
+    y, wy = _laguerre_rule(alpha)
     return (wy * zeta ** (-(alpha + 1.0))) @ (y / zeta)[:, None] ** np.arange(power + 1)
 
 
@@ -207,28 +164,19 @@ class _Table:
     L[j].  The table holds the powers that the given terms use.
     """
 
-    def __init__(self, s: State6, spec: GasSpec, quad: QuadratureSpec, v,
-                 terms: list[Term]):
+    def __init__(self, s: State6, spec: GasSpec, adaptive_tol: float, v, terms: list[Term]):
         self.mul = multipliers_from_state(s, spec)
-        self.v, self.alpha, self.quad = np.asarray(v, dtype=float), spec.alpha, quad
-        self.rule = f"gh{quad.hermite_order}xgl{quad.laguerre_order}"
+        self.v, self.alpha, self.tol = np.asarray(v, dtype=float), spec.alpha, adaptive_tol
         degree = max(max(k) for _, k, _ in terms)
-        x, wx = _hermite_rule(quad.hermite_order)
+        x, wx = _hermite_rule()
         scale = 1.0 / math.sqrt(2.0 * self.mul.xi)
         nodes = x * scale + self.v[:, None]
         self.S = (wx * scale) @ nodes[:, :, None] ** np.arange(degree + 1)
-        self.L = _laguerre_integrals(quad.laguerre_order, self.alpha, self.mul.zeta,
-                                     max(j for _, _, j in terms))
-
-    def integral(self, terms: list[Term]) -> float:
-        """Omega times the sum of the terms, by the Gauss rules."""
-        S, L = self.S, self.L
-        return self.mul.omega * float(sum(
-            c * S[0, kx] * S[1, ky] * S[2, kz] * L[j] for c, (kx, ky, kz), j in terms))
+        self.L = _laguerre_integrals(self.alpha, self.mul.zeta, max(j for _, _, j in terms))
 
     def adaptive_integral(self, terms: list[Term]) -> float:
         """Omega times the sum of the terms, by the adaptive rule."""
-        xi, zeta, tol = self.mul.xi, self.mul.zeta, self.quad.adaptive_tol
+        xi, zeta, tol = self.mul.xi, self.mul.zeta, self.tol
 
         def hermite(axis: int, k: int) -> float:
             # S_a[0] does not depend on the shift
@@ -240,55 +188,36 @@ class _Table:
             for c, (kx, ky, kz), j in terms)
 
     def validated(self, terms: list[Term]) -> float:
-        """Gauss value; with validation on, OracleError unless the adaptive
-        twin agrees (a NaN on either side fails too)."""
-        value = self.integral(terms)
-        if not self.quad.validate:
-            return value
+        """Omega times the sum of the terms, by the Gauss rules; OracleError
+        unless the adaptive twin agrees (a NaN on either side fails too)."""
+        S, L, tol = self.S, self.L, self.tol
+        value = self.mul.omega * float(sum(
+            c * S[0, kx] * S[1, ky] * S[2, kz] * L[j] for c, (kx, ky, kz), j in terms))
         reference = self.adaptive_integral(terms)
-        tol = self.quad.adaptive_tol
         if not abs(value - reference) <= tol * max(abs(value), abs(reference), 1.0):
-            raise OracleError(f"{self.rule} gives {value!r}, the adaptive rule "
+            raise OracleError(f"{RULE} gives {value!r}, the adaptive rule "
                               f"{reference!r}: they differ by more than {tol:g}")
         return value
 
 
-def oracle_moment(s: State6, weight, spec: GasSpec,
-                  quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Numeric moment int int m f w(C, I) I^alpha dI dC.
-
-    `weight` is a MomentWeight (or an iterable of them, summed).  A weight
-    beyond the degrees the rules integrate exactly is a ValueError; with
-    quad.validate set, a disagreement with the adaptive twins an OracleError.
-    """
-    ws = [weight] if isinstance(weight, MomentWeight) else list(weight)
-    for w in ws:
-        if w.velocity_degree > 6:
-            raise ValueError(f"velocity degree {w.velocity_degree} exceeds 6")
-        if w.ai >= 2 * quad.laguerre_order:
-            raise ValueError(f"internal-energy power {w.ai} exceeds {2 * quad.laguerre_order - 1}")
-    terms = [t for w in ws for t in _expand_c2(w)]
-    return spec.m * _Table(s, spec, quad, np.zeros(3), terms).validated(terms)
-
-
-def _check(s: State6, spec: GasSpec, quad: QuadratureSpec,
+def _check(s: State6, spec: GasSpec, adaptive_tol: float,
            targets: list[tuple[str, float, list[Term]]]) -> list[OracleReport]:
     """Report each (name, closed value, terms) target against the lab-frame table.
 
     Relative errors are floored at the largest closed value of the family.
     """
-    table = _Table(s, spec, quad, s.v, [t for _, _, terms in targets for t in terms])
+    table = _Table(s, spec, adaptive_tol, s.v, [t for _, _, terms in targets for t in terms])
     family_scale = max(abs(closed) for _, closed, _ in targets)
     reports = []
     for name, closed, terms in targets:
         value = spec.m * table.validated(terms)
         reports.append(OracleReport(name, closed, value,
-                                    rel_err(closed, value, floor=family_scale), table.rule))
+                                    rel_err(closed, value, floor=family_scale), RULE))
     return reports
 
 
 def oracle_flux_check(s: State6, spec: GasSpec,
-                      quad: QuadratureSpec = QuadratureSpec()) -> list[OracleReport]:
+                      adaptive_tol: float = ADAPTIVE_TOL) -> list[OracleReport]:
     """Compare every closed flux entry against quadrature.
 
     Twelve entries: the six independent components of F_ik, and the three
@@ -303,20 +232,20 @@ def oracle_flux_check(s: State6, spec: GasSpec,
     ]
     targets += [(f"F_ll{labels[k]}", fl.F_llk[k], _speed2(k)) for k in range(3)]
     targets += [(f"G_ll{labels[k]}", fl.G_llk[k], _energy(spec, k)) for k in range(3)]
-    return _check(s, spec, quad, targets)
+    return _check(s, spec, adaptive_tol, targets)
 
 
 def oracle_constraint_check(s: State6, spec: GasSpec,
-                            quad: QuadratureSpec = QuadratureSpec()) -> list[OracleReport]:
+                            adaptive_tol: float = ADAPTIVE_TOL) -> list[OracleReport]:
     """Verify the six constraint moments (F, F_i, F_ll, G_ll) by quadrature."""
     u = conserved_from_primitive(s, spec)
     targets = [("F", u.F, [(1.0, _powers(), 0)])]
     targets += [(f"F_{x}", u.F_i[a], [(1.0, _powers(a), 0)]) for a, x in enumerate("xyz")]
     targets += [("F_ll", u.F_ll, _speed2()), ("G_ll", u.G_ll, _energy(spec))]
-    return _check(s, spec, quad, targets)
+    return _check(s, spec, adaptive_tol, targets)
 
 
-def oracle_entropy(s: State6, spec: GasSpec, quad: QuadratureSpec = QuadratureSpec()) -> float:
+def oracle_entropy(s: State6, spec: GasSpec, adaptive_tol: float = ADAPTIVE_TOL) -> float:
     """Entropy density -kB int int f ln f I^alpha dI dC by quadrature.
 
     ln f is expanded as ln(Omega) - zeta I - xi C^2, which turns the
@@ -324,7 +253,7 @@ def oracle_entropy(s: State6, spec: GasSpec, quad: QuadratureSpec = QuadratureSp
     logarithms near the underflow region).
     """
     number, internal, speed2 = [(1.0, _powers(), 0)], [(1.0, _powers(), 1)], _speed2()
-    table = _Table(s, spec, quad, np.zeros(3), number + internal + speed2)
+    table = _Table(s, spec, adaptive_tol, np.zeros(3), number + internal + speed2)
     mul = table.mul
     return -spec.kB * (mul.log_omega * table.validated(number)
                        - mul.zeta * table.validated(internal)
@@ -410,7 +339,7 @@ def _solve_trial_xi(target_ratio: float, beta: float, xi0: float, tol: float) ->
 
 
 def mep_optimality_probe(s: State6, spec: GasSpec, trial_amplitudes=(0.001, 0.01, 0.05),
-                         quad: QuadratureSpec = QuadratureSpec()) -> ProbeReport:
+                         adaptive_tol: float = ADAPTIVE_TOL) -> ProbeReport:
     """Probe entropy optimality against a quartic-perturbed trial family.
 
     For each beta >= 0 the three constraint equations (rho, trace pressure,
@@ -418,7 +347,7 @@ def mep_optimality_probe(s: State6, spec: GasSpec, trial_amplitudes=(0.001, 0.01
     using quadrature moments, and the trial entropy is compared with the
     closure entropy.  beta = 0 must recover the closure.
     """
-    tol = min(quad.adaptive_tol, 1e-12)
+    tol = min(adaptive_tol, 1e-12)
     p, eps = eos_evaluate(s.rho, s.T, spec)
     ppi = p + s.Pi
     alpha = spec.alpha
@@ -428,7 +357,7 @@ def mep_optimality_probe(s: State6, spec: GasSpec, trial_amplitudes=(0.001, 0.01
     target_ratio = 3.0 * ppi / s.rho
 
     # Laguerre factors for the internal-energy part
-    l0, l1 = _laguerre_integrals(quad.laguerre_order, alpha, zeta_trial, 1).tolist()
+    l0, l1 = _laguerre_integrals(alpha, zeta_trial, 1).tolist()
 
     points = []
     for beta in trial_amplitudes:

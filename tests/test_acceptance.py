@@ -19,7 +19,6 @@ from et6.closure import (
     main_field,
 )
 from et6.oracle import (
-    QuadratureSpec,
     oracle_constraint_check,
     oracle_entropy,
     oracle_flux_check,
@@ -47,7 +46,6 @@ def report(num: int, ok: bool, detail: str):
 def test_c01_closure_oracle_equivalence():
     """7x7 (Z, D) grid: constraint moments and flux entries vs quadrature."""
     start = time.time()
-    quad = QuadratureSpec()
     velocity = np.array([0.4, -0.25, 0.15])
     worst = 0.0
     d_values = (3.5, 4.0, 5.0, 6.0, 7.0, 9.0, 12.0)
@@ -55,9 +53,9 @@ def test_c01_closure_oracle_equivalence():
         spec = GasSpec(D=d_val)
         for z in np.linspace(-0.9, 0.95 * spec.z_upper, 7):
             s = State6(rho=1.0, v=velocity, T=1.0, Pi=float(z))
-            for rep in oracle_constraint_check(s, spec, quad):
+            for rep in oracle_constraint_check(s, spec):
                 worst = max(worst, rep.rel_err)
-            for rep in oracle_flux_check(s, spec, quad):
+            for rep in oracle_flux_check(s, spec):
                 worst = max(worst, rep.rel_err)
     elapsed = time.time() - start
     ok = worst <= 1e-8 and elapsed <= 60.0
@@ -82,7 +80,6 @@ def test_c02_equilibrium_reduction():
 
 def test_c03_entropy_structure():
     """k(0) = 0, k < 0 off equilibrium, h matches quadrature and decomposes."""
-    quad = QuadratureSpec()
     spec = GasSpec(D=5.0)
     k0 = entropy_parts(State6(rho=1.0, v=0.0, T=1.0, Pi=0.0), spec).k
     k_neg = True
@@ -95,7 +92,7 @@ def test_c03_entropy_structure():
             parts = entropy_parts(s, spec_d)
             if abs(z) > 1e-12 and parts.k >= 0.0:
                 k_neg = False
-            worst_h = max(worst_h, rel_err(oracle_entropy(s, spec_d, quad), parts.h))
+            worst_h = max(worst_h, rel_err(oracle_entropy(s, spec_d), parts.h))
             worst_split = max(worst_split, rel_err(parts.h, parts.h_E + parts.k))
     ok = (k0 == 0.0) and k_neg and worst_h <= 1e-8 and worst_split <= 1e-10
     report(3, ok, f"k(0) = {k0}, k < 0 off equilibrium: {k_neg}, "

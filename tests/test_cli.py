@@ -104,6 +104,28 @@ def test_eigen_cli_rejects_z_outside_window(tmp_path, capsys):
     assert "outside the admissible window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--rho", "-1"], "--rho -1 must be positive"),
+    (["--T", "0"], "--T 0 must be positive"),
+    (["--p", "-1"], "--p -1 must be positive"),
+    (["--nx", "0", "--ny", "0", "--nz", "0"], "--nx, --ny, --nz must give a nonzero direction"),
+], ids=["rho", "T", "p", "direction"])
+def test_eigen_cli_rejects_bad_state_or_direction(tmp_path, capsys, flags, message):
+    assert main(["eigen", *flags, "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+
+
+def test_omega_past_the_overflow_guard_is_one_closure_error_line(tmp_path, capsys):
+    # ln Gamma((D-3)/2) alone carries |ln Omega| past the guard, even at Z = 0
+    cfg_file = write(tmp_path / "big_d.cfg", "[check]\ngrid_d_values = 1000\ngrid_z_count = 2\n")
+    for argv, where in ((["eigen", "--D", "300"], " at Z = 0, D = 300"),
+                        (["check", "--config", cfg_file], " at Z = -0.9, D = 1000")):
+        assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("closure error: |ln Omega| = "), err
+        assert err[0].endswith(where), err
+
+
 def test_check_cli_quick_passes(tmp_path):
     code = main(["check", "--quick", "--output-dir", str(tmp_path / "out")])
     assert code == 0
@@ -174,13 +196,18 @@ def test_run_cli_solver_error_exits_one(tmp_path, capsys):
     assert err == ["solver error: initial Pi/p outside the window: 2 at index 0"]
 
 
-def test_check_cli_oracle_error_exits_one(tmp_path, capsys):
-    # scipy's 512-node Laguerre rule is NaN: one line, no traceback, no PASS
-    cfg_file = write(tmp_path / "nan.cfg", "[check]\nlaguerre_order = 512\ngrid_z_count = 2\n"
-                     "grid_d_values = 5\n")
+def test_check_cli_oracle_error_exits_one(tmp_path, capsys, monkeypatch):
+    # NaN Laguerre nodes from scipy: one line, no traceback, no PASS
+    from et6 import oracle
+
+    oracle._laguerre_rule.cache_clear()
+    monkeypatch.setattr(oracle, "roots_genlaguerre", lambda n, alpha: ([math.nan] * n, [1.0] * n))
+    cfg_file = write(tmp_path / "nan.cfg", "[check]\ngrid_z_count = 2\ngrid_d_values = 5\n")
     assert main(["check", "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("oracle error: scipy returned non-finite"), err
+    assert "[PASS]" not in captured.out
 
 
 def test_check_cli_twin_missing_its_tolerance_is_one_line(tmp_path, capsys):
@@ -208,7 +235,7 @@ def test_sweep_labels_keep_distinct_d_values_apart(tmp_path, capsys):
 
 def test_check_labels_keep_distinct_d_values_apart(tmp_path):
     cfg_file = write(tmp_path / "d.cfg", "[check]\ngrid_d_values = 5.000001, 5\n"
-                     "grid_z_count = 2\nhermite_order = 8\nlaguerre_order = 16\n")
+                     "grid_z_count = 2\n")
     assert main(["check", "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 0
     report = (tmp_path / "out" / "oracle_report.csv").read_text(encoding="utf-8")
     assert "entropy[D=5.000001,Z=-0.9]" in report and "entropy[D=5,Z=-0.9]" in report
@@ -272,9 +299,8 @@ SECTION_KEYS = {
                  "rho_right", "p_right", "v_right", "pi_right", "x_split", "rho0", "T0",
                  "amplitude", "wavelength", "pi_init", "z0", "conservation_tol",
                  "entropy_step_tol"},
-    "check": {"hermite_order", "laguerre_order", "adaptive_tol", "validate", "flux_tol",
-              "moment_tol", "entropy_tol", "decomposition_tol", "equilibrium_tol",
-              "grid_z_count", "grid_d_values", "z_span", "probe_betas"},
+    "check": {"adaptive_tol", "flux_tol", "moment_tol", "entropy_tol", "decomposition_tol",
+              "equilibrium_tol", "grid_z_count", "grid_d_values", "z_span", "probe_betas"},
     "sweep": {"z_count", "d_count", "d_min", "d_max", "coverage", "round_trip_points",
               "round_trip_tol", "convexity_states", "gradient_tol", "k_d_values", "speed_tol"},
     "relax": {"z0", "t_end", "cadence", "tol"},
@@ -317,9 +343,12 @@ OUT_OF_RANGE = [
     ("scenario", "conservation_tol", 0.0),
     ("scenario", "entropy_step_tol", -1e-10),
     ("scenario", "x_right", 0.0),
+    ("check", "adaptive_tol", 0.0),
     ("check", "flux_tol", 0.0),
     ("check", "moment_tol", 0.0),
     ("check", "entropy_tol", -1e-8),
+    ("check", "decomposition_tol", -1.0),
+    ("check", "equilibrium_tol", -1.0),
     ("check", "grid_z_count", 1),
     ("check", "z_span", 1.0),
     ("check", "grid_d_values", ()),
@@ -332,6 +361,9 @@ OUT_OF_RANGE = [
     ("sweep", "round_trip_points", 0),
     ("sweep", "convexity_states", 0),
     ("sweep", "k_d_values", (4.0, 3.0)),
+    ("sweep", "round_trip_tol", -1.0),
+    ("sweep", "gradient_tol", -1.0),
+    ("sweep", "speed_tol", -1.0),
     ("relax", "t_end", -1.0),
     ("relax", "cadence", -0.1),
     ("relax", "tol", 0.0),
@@ -341,6 +373,7 @@ OUT_OF_RANGE = [
     ("nslimit", "cfl", 1.0),
     ("nslimit", "t_end", 0.0),
     ("nslimit", "mask_fraction", 0.0),
+    ("nslimit", "deviation_factor", -1.0),
     ("output", "seed", -1),
 ]
 

@@ -156,14 +156,14 @@ def oracle_states(draw):
 def test_validated_oracle_checks_are_finite_and_pass(drawn):
     # validation raises OracleError unless every Gauss value agrees with its
     # adaptive twin; each must also match its closed form at the `et6 check`
-    # tolerances (CheckConfig validates by default)
+    # tolerances
     spec, s = drawn
     chk = CheckConfig()
-    for reports, tol in ((oracle_constraint_check(s, spec, chk), chk.moment_tol),
-                         (oracle_flux_check(s, spec, chk), chk.flux_tol)):
+    for reports, tol in ((oracle_constraint_check(s, spec, chk.adaptive_tol), chk.moment_tol),
+                         (oracle_flux_check(s, spec, chk.adaptive_tol), chk.flux_tol)):
         for r in reports:
             assert math.isfinite(r.quadrature) and r.rel_err <= tol, r
-    h = oracle_entropy(s, spec, chk)
+    h = oracle_entropy(s, spec, chk.adaptive_tol)
     assert math.isfinite(h) and rel_err(h, entropy_parts(s, spec).h) <= chk.entropy_tol
 
 
