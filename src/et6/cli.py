@@ -51,7 +51,7 @@ from .oracle import (
     oracle_flux_check,
     rel_err,
 )
-from .solver import BOUNDARIES, LIMITERS, SCENARIO_KINDS, SCHEMES, Scenario, SolverError, \
+from .solver import BOUNDARIES, LIMITERS, SCENARIO_KINDS, SCHEMES, SolverError, \
     bulk_viscosity, ns_limit_diagnostic, run_scenario
 
 
@@ -129,7 +129,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path) -> bool:
         for z in zs:
             p0 = spec.gas_constant * 1.0 * 1.0
             s = State6(rho=1.0, v=velocity, T=1.0, Pi=float(z) * p0)
-            tag = f"[D={_label(d_val)},Z={z:.4g}]"
+            tag = f"[D={_label(d_val)};Z={z:.4g}]"
             for name, reports in (("constraint moments",
                                    oracle_constraint_check(s, spec, chk.adaptive_tol)),
                                   ("closed fluxes", oracle_flux_check(s, spec, chk.adaptive_tol))):
@@ -150,15 +150,14 @@ def cmd_check(cfg: RunConfig, out_dir: Path) -> bool:
         ok &= _status(worst <= tol, name, f"max rel err {worst:.3e} <= {tol:g}")
 
     # equilibrium reduction on a 10x10x10 (C, I) sample
-    worst_eq = 0.0
     spec = cfg.gas
     s_eq = State6(rho=1.3, v=0.0, T=0.8, Pi=0.0)
-    for cx in np.linspace(-2.5, 2.5, 10):
-        for cy in np.linspace(-2.0, 2.0, 10):
-            for i_val in np.linspace(0.0, 4.0, 10):
-                f = distribution_value([cx, cy, 0.3], i_val, s_eq, spec)
-                f_eq = equilibrium_distribution_value([cx, cy, 0.3], i_val, 1.3, 0.8, spec)
-                worst_eq = max(worst_eq, rel_err(f, f_eq))
+    cx, cy, i_val = np.meshgrid(np.linspace(-2.5, 2.5, 10), np.linspace(-2.0, 2.0, 10),
+                                np.linspace(0.0, 4.0, 10), indexing="ij")
+    c = np.stack([cx, cy, np.full_like(cx, 0.3)], axis=-1)
+    f = distribution_value(c, i_val, s_eq, spec)
+    f_eq = equilibrium_distribution_value(c, i_val, 1.3, 0.8, spec)
+    worst_eq = float(np.max(rel_err(f, f_eq)))
     ok &= _status(worst_eq <= chk.equilibrium_tol, "equilibrium reduction",
                   f"max rel err {worst_eq:.3e} <= {chk.equilibrium_tol:g}")
 
@@ -300,11 +299,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> bool:
 def cmd_relax(cfg: RunConfig, out_dir: Path) -> bool:
     spec = cfg.gas
     z0 = cfg.relax.z0
-    t_end = cfg.relax.t_end if cfg.relax.t_end > 0 else min(1.0, 10.0 * spec.tau)
-    cadence = cfg.relax.cadence if cfg.relax.cadence > 0 else t_end / 20.0
-    sc = Scenario(kind="uniform_relaxation", spec=spec, N=50, t_end=t_end,
-                  output_cadence=cadence, z0=z0)
-    ts = run_scenario(sc)
+    ts = run_scenario(cfg.relax.scenario(spec))
     p0 = spec.gas_constant * 1.0 * 1.0
     rows = []
     worst = 0.0

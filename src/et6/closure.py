@@ -168,22 +168,32 @@ def state_from_multipliers(mul: Multipliers, spec: GasSpec) -> tuple[float, floa
     return rho, p_plus_pi, rho_eps
 
 
-def distribution_value(C, I: float, s: State6, spec: GasSpec) -> float:
-    """Phase-space density f(C, I) of the closed distribution.
+def _speed2_energy(C, I):
+    """(C^2, I) as arrays, C's last axis holding the 3 components of the
+    peculiar velocity; ValueError where I < 0."""
+    C, I = np.asarray(C, dtype=float), np.asarray(I, dtype=float)
+    if np.any(I < 0):
+        raise ValueError(f"internal energy must be nonnegative, got {np.min(I)}")
+    return np.sum(C * C, axis=-1), I
 
-    C is the peculiar velocity (3 components), I >= 0 the internal energy.
-    Strictly positive on admissible states; at Pi = 0 this is the
-    generalized Maxwellian of the polyatomic equilibrium.
+
+def distribution_value(C, I, s: State6, spec: GasSpec):
+    """Phase-space density f(C, I) of the closed distribution, on floats or
+    arrays.
+
+    C is the peculiar velocity (last axis: 3 components), I >= 0 the
+    internal energy, broadcast against C[..., 0].  Strictly positive on
+    admissible states; at Pi = 0 this is the generalized Maxwellian of the
+    polyatomic equilibrium.
     """
-    if I < 0:
-        raise ValueError(f"internal energy must be nonnegative, got {I}")
+    c2, I = _speed2_energy(C, I)
     mul = multipliers_from_state(s, spec)
-    c2 = float(np.dot(np.asarray(C, dtype=float), np.asarray(C, dtype=float)))
-    return math.exp(mul.log_omega - mul.zeta * I - mul.xi * c2)
+    return np.exp(mul.log_omega - mul.zeta * I - mul.xi * c2)
 
 
-def equilibrium_distribution_value(C, I: float, rho: float, T: float, spec: GasSpec) -> float:
-    """Generalized Maxwellian for a polyatomic gas in equilibrium.
+def equilibrium_distribution_value(C, I, rho: float, T: float, spec: GasSpec):
+    """Generalized Maxwellian for a polyatomic gas in equilibrium, on floats
+    or arrays (C and I as in distribution_value).
 
     f_E = rho / (m (kB T)^{1+alpha} Gamma(1+alpha)) * (m / (2 pi kB T))^{3/2}
           * exp(-(m C^2/2 + I) / (kB T))
@@ -191,11 +201,9 @@ def equilibrium_distribution_value(C, I: float, rho: float, T: float, spec: GasS
     Written independently of the nonequilibrium closure so the Pi -> 0
     reduction can be tested against it.
     """
-    if I < 0:
-        raise ValueError(f"internal energy must be nonnegative, got {I}")
+    c2, I = _speed2_energy(C, I)
     kT = spec.kB * T
     alpha = spec.alpha
-    c2 = float(np.dot(np.asarray(C, dtype=float), np.asarray(C, dtype=float)))
     log_pref = (
         math.log(rho)
         - math.log(spec.m)
@@ -203,7 +211,7 @@ def equilibrium_distribution_value(C, I: float, rho: float, T: float, spec: GasS
         - math.lgamma(1.0 + alpha)
         + 1.5 * (math.log(spec.m) - math.log(2.0 * math.pi * kT))
     )
-    return math.exp(log_pref - (0.5 * spec.m * c2 + I) / kT)
+    return np.exp(log_pref - (0.5 * spec.m * c2 + I) / kT)
 
 
 def flux_rows(F_i, G_ll, rho_v2, ppi, v_k, k: int):

@@ -18,7 +18,7 @@ import configparser
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .gas import GasSpec
+from .gas import GasSpec, window_bounds
 from .oracle import ADAPTIVE_TOL
 from .solver import Scenario, SolverError
 
@@ -37,6 +37,18 @@ def _require_positive(section, *names: str) -> None:
     """Each named value of the section must be > 0 (NaN fails)."""
     for name in names:
         _require(getattr(section, name) > 0, f"{name} must be positive")
+
+
+def _require_in_window(section: str, key: str, gas: GasSpec, pi: float,
+                       p_key: str = "", p: float = 1.0) -> None:
+    """ConfigError naming [section] key unless -p < pi < (D-3) p / 3, the
+    window of the [gas] gas; without p_key, pi is Z = Pi/p.  A pressure
+    p <= 0 has no window: the solver reports it."""
+    lower, upper = window_bounds(p, gas.D)
+    if p > 0 and not lower < pi < upper:
+        at = f"{p_key} = {p:g} and " if p_key else ""
+        raise ConfigError(f"[{section}] {key} = {pi}: outside the window {lower:.6g} < {key} "
+                          f"< {upper:.6g} at {at}[gas] D = {gas.D:g}")
 
 
 @dataclass(frozen=True)
@@ -121,6 +133,15 @@ class RelaxConfig:
         _require(self.cadence >= 0, "cadence must be nonnegative")
         _require_positive(self, "tol")
 
+    def scenario(self, gas: GasSpec) -> Scenario:
+        """The homogeneous relaxation run in the given gas; ConfigError
+        unless z0 lies in its window."""
+        _require_in_window("relax", "z0", gas, self.z0)
+        t_end = self.t_end if self.t_end > 0 else min(1.0, 10.0 * gas.tau)
+        cadence = self.cadence if self.cadence > 0 else t_end / 20.0
+        return Scenario(kind="uniform_relaxation", spec=gas, N=50, t_end=t_end,
+                        output_cadence=cadence, z0=self.z0)
+
 
 @dataclass(frozen=True)
 class NsLimitConfig:
@@ -169,8 +190,16 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def build_scenario(self) -> Scenario:
-        """The [scenario] run in the [gas] gas."""
-        return replace(self.scenario, spec=self.gas)
+        """The [scenario] run in the [gas] gas; ConfigError unless the
+        initial Pi of its kind lies in the window."""
+        sc = self.scenario
+        if sc.kind == "riemann":
+            _require_in_window("scenario", "pi_left", self.gas, sc.pi_left, "p_left", sc.p_left)
+            _require_in_window("scenario", "pi_right", self.gas, sc.pi_right, "p_right",
+                               sc.p_right)
+        elif sc.kind == "uniform_relaxation":
+            _require_in_window("scenario", "z0", self.gas, sc.z0)
+        return replace(sc, spec=self.gas)
 
 
 def _float_tuple(raw: str) -> tuple[float, ...]:

@@ -60,50 +60,50 @@ def _unit(n) -> np.ndarray:
     return n / norm
 
 
-def _jacobians_primitive(s: State6, n: np.ndarray, spec: GasSpec):
-    """(d flux_n / dw, d u / dw) for w = (rho, v1, v2, v3, p, Pi).
-
-    du/dw is the derivative of the moment map (gas.momentum_flux_trace and
-    gas.energy_moment) and maps a primitive jump dw to its conserved jump
-    du @ dw.
-    """
-    p, _ = eos_evaluate(s.rho, s.T, spec)
-    rho, v, Pi, D = s.rho, s.v, s.Pi, spec.D
-    v2 = float(np.dot(v, v))
-    vn = float(np.dot(v, n))
-    ppi = p + Pi
-
+def _du_dw(s: State6, spec: GasSpec) -> np.ndarray:
+    """du/dw for w = (rho, v1, v2, v3, p, Pi): the derivative of the moment
+    map (gas.momentum_flux_trace and gas.energy_moment), which maps a
+    primitive jump dw to its conserved jump du @ dw."""
+    rho, v = s.rho, s.v
     du = np.zeros((6, 6))
     du[0, 0] = 1.0
     for i in range(3):
         du[1 + i, 0] = v[i]
         du[1 + i, 1 + i] = rho
-    du[4, 0] = v2
-    du[4, 1:4] = 2.0 * rho * v
+    du[4, 0] = du[5, 0] = float(np.dot(v, v))
+    du[4, 1:4] = du[5, 1:4] = 2.0 * rho * v
     du[4, 4] = 3.0
     du[4, 5] = 3.0
-    du[5, 0] = v2
-    du[5, 1:4] = 2.0 * rho * v
-    du[5, 4] = D
+    du[5, 4] = spec.D
+    return du
 
-    df = np.zeros((6, 6))
-    df[0, 0] = vn
-    df[0, 1:4] = rho * n
-    for i in range(3):
-        df[1 + i, 0] = v[i] * vn
-        df[1 + i, 1:4] = rho * v[i] * n
-        df[1 + i, 1 + i] += rho * vn
-        df[1 + i, 4] = n[i]
-        df[1 + i, 5] = n[i]
-    df[4, 0] = v2 * vn
-    df[4, 1:4] = (5.0 * ppi + rho * v2) * n + 2.0 * rho * vn * v
-    df[4, 4] = 5.0 * vn
-    df[4, 5] = 5.0 * vn
-    df[5, 0] = v2 * vn
-    df[5, 1:4] = (rho * v2 + (D + 2.0) * p + 2.0 * Pi) * n + 2.0 * rho * vn * v
-    df[5, 4] = (D + 2.0) * vn
-    df[5, 5] = 2.0 * vn
-    return df, du
+
+def _df_dw(s: State6, n: np.ndarray, spec: GasSpec) -> np.ndarray:
+    """d flux_n / dw for w = (rho, v1, v2, v3, p, Pi).  Built row by row
+    from Python floats: setting 6x6 entries one by one costs more than the
+    arithmetic."""
+    p, _ = eos_evaluate(s.rho, s.T, spec)
+    rho, Pi, D = s.rho, s.Pi, spec.D
+    v2 = float(np.dot(s.v, s.v))
+    vn = float(np.dot(s.v, n))
+    v, n = s.v.tolist(), n.tolist()
+    ppi = p + Pi
+    two_rho_vn = 2.0 * rho * vn
+
+    def momentum(i: int) -> list[float]:
+        row = [v[i] * vn, *(rho * v[i] * nk for nk in n), n[i], n[i]]
+        row[1 + i] += rho * vn
+        return row
+
+    def energy(a: float, d_p: float, d_pi: float) -> list[float]:
+        return [v2 * vn, *(a * n[k] + two_rho_vn * v[k] for k in range(3)), d_p * vn, d_pi * vn]
+
+    return np.array([
+        [vn, rho * n[0], rho * n[1], rho * n[2], 0.0, 0.0],
+        momentum(0), momentum(1), momentum(2),
+        energy(5.0 * ppi + rho * v2, 5.0, 5.0),
+        energy(rho * v2 + (D + 2.0) * p + 2.0 * Pi, D + 2.0, 2.0),
+    ])
 
 
 def flux_jacobian(u: Conserved6, n, spec: GasSpec) -> np.ndarray:
@@ -115,9 +115,8 @@ def flux_jacobian(u: Conserved6, n, spec: GasSpec) -> np.ndarray:
 
 
 def _flux_jacobian(s: State6, n: np.ndarray, spec: GasSpec) -> np.ndarray:
-    df, du = _jacobians_primitive(s, n, spec)
     # A = df/dw * (du/dw)^-1, solved rather than inverted
-    return np.linalg.solve(du.T, df.T).T
+    return np.linalg.solve(_du_dw(s, spec).T, _df_dw(s, n, spec).T).T
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,7 @@ def acceleration_wave(u_eq: Conserved6, n, delta_rho: float,
     s = _require_equilibrium(u_eq, spec)
     p, eps = eos_evaluate(s.rho, s.T, spec)
     vn = float(np.dot(s.v, n))
-    _, du = _jacobians_primitive(s, n, spec)
+    du = _du_dw(s, spec)
     waves = []
     d_eps = 2.0 / spec.D * eps / s.rho * delta_rho
     d_pi = 4.0 / (3.0 * spec.D**2) * (spec.D - 3.0) * eps * delta_rho
@@ -319,7 +318,7 @@ def k_condition(u_eq: Conserved6, n, spec: GasSpec) -> KConditionReport:
     # delta p = p in every basis vector (see class docstring)
     t1, t2 = _tangent_basis(n)
     c_speed = math.sqrt(p / s.rho)
-    _, du = _jacobians_primitive(s, n, spec)
+    du = _du_dw(s, spec)
     for d_rho, d_v in ((s.rho, np.zeros(3)), (0.0, c_speed * t1), (0.0, c_speed * t2),
                        (0.0, np.zeros(3))):
         delta_pi = float(np.dot(grad, du @ np.array([d_rho, *d_v, p, -p])))
@@ -415,13 +414,14 @@ def convexity_check(u: Conserved6, spec: GasSpec, grad_tol: float = 1e-6) -> Con
     """
     s = primitive_from_conserved(u, spec)
     dh, dmf = _entropy_derivatives(s, spec)
-    jacobians = [_jacobians_primitive(s, n, spec) for n in np.eye(3)]
-    du = jacobians[0][1]
+    du = _du_dw(s, spec)
     mf_du = main_field(s, spec).as_array() @ du
-    hess = np.linalg.solve(du.T, dmf.T).T
+    # H and the three A_n from one factorization of du^T
+    solved = np.linalg.solve(du.T, np.hstack([dmf.T] + [_df_dw(s, n, spec).T
+                                                        for n in np.eye(3)]))
+    hess, *a_matrices = solved.T.reshape(4, 6, 6)
     asymmetry = 0.0
-    for df, _ in jacobians:
-        a_matrix = np.linalg.solve(du.T, df.T).T
+    for a_matrix in a_matrices:
         ha = hess @ a_matrix
         scale = np.max(np.abs(hess) @ np.abs(a_matrix))
         asymmetry = max(asymmetry, float(np.max(np.abs(ha - ha.T)) / scale))

@@ -10,21 +10,28 @@ multiplier inversion (xi, zeta, Omega).
 The distribution is separable, so every moment is Omega times a short sum
 of products of 1-D integrals, and each state needs one small table of them:
 S_a[k] = int c^k exp(-xi (c - v_a)^2) dc per velocity axis, by Gauss-Hermite
-nodes scaled by 1/sqrt(2 xi) and shifted by v_a (by 0 for moments in
+nodes scaled by s = 1/sqrt(2 xi) and shifted by v_a (by 0 for moments in
 peculiar velocity), and L[j] = int I^(alpha+j) exp(-zeta I) dI, by
 generalized Gauss-Laguerre nodes (weight I^alpha e^-I) scaled by 1/zeta.
 The Laguerre weight absorbs I**alpha exactly, which keeps the integrable
 singularity at I = 0 harmless for 3 < D < 5.  An n-point rule is exact up
 to degree 2n - 1, which covers every polynomial weight used here, so the
 orders are fixed (64 Hermite, 128 Laguerre nodes: rule gh64xgl128) and no
-other order could change a value beyond round-off.  Each quantity is
-compared once with the same sum of adaptive twins, within adaptive_tol, and
-any disagreement raises OracleError, as does a twin that quad reports short
-of its tolerance (with quad's error estimate; no IntegrationWarning reaches
-stderr).  The twins integrate on the rules' unit scale, (s x + v_a)^k
-exp(-x^2/2) with s = 1/sqrt(2 xi) and x^(alpha+j) e^-x, so they check the
-rules, while the closed forms check the affine maps.  A twin is keyed by its integrand, so the checks of one state
-(and the Laguerre twins of all states of one D) compute it once.
+other order could change a value beyond round-off.
+
+Beside the Gauss table each state builds a twin table from adaptive
+integrals (QUADPACK) on the rules' unit scale: M_i = int x^i exp(-x^2/2) dx,
+mapped by the binomial expansion S_a[k] = s sum_i C(k, i) s^i v_a^(k-i) M_i,
+and int x^(alpha+j) e^-x dx, scaled by zeta^-(alpha+1+j).  Each quantity is
+compared once with the same sum over the twin table, within adaptive_tol,
+and any disagreement raises OracleError, as does a twin that quad reports
+short of its tolerance (with quad's error estimate; no IntegrationWarning
+reaches stderr).  In exact arithmetic the comparison holds for every state
+iff each Gauss sum of x^i (and of x^(alpha+j)) equals its twin, so the twins
+check the rules, while the closed forms check the affine maps.  A twin
+depends on (i, tol) or (alpha, j, tol) only, so all states share the
+Hermite twins, and all states of one D the Laguerre twins: a default
+`et6 check` computes 4 Hermite and 28 Laguerre integrals.
 """
 
 from __future__ import annotations
@@ -62,14 +69,14 @@ class OracleReport:
     rule: str
 
 
-def rel_err(a: float, b: float, floor: float = REL_ERR_FLOOR) -> float:
-    """|a - b| / max(|a|, |b|, floor).
+def rel_err(a, b, floor: float = REL_ERR_FLOOR):
+    """|a - b| / max(|a|, |b|, floor), on floats or arrays.
 
     The floor carries the scale of the quantity family so that entries whose
     exact value is zero (odd moments, rest-frame fluxes) are judged against
     the size of their nonzero siblings instead of against themselves.
     """
-    return abs(a - b) / max(abs(a), abs(b), floor)
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
 
 
 # One product of the table: coeff * S_x[kx] S_y[ky] S_z[kz] L[j], as
@@ -127,16 +134,11 @@ def _adaptive(rule: str, f, a: float, b: float, **options) -> float:
     return value
 
 
-@lru_cache(maxsize=1024)
-def _hermite_twin(xi: float, shift: float, k: int, tol: float) -> float:
-    """int c^k exp(-xi (c - shift)^2) dc over R by adaptive quadrature, as
-    s int (s x + shift)^k exp(-x^2/2) dx with s = 1/sqrt(2 xi)."""
-    s = 1.0 / math.sqrt(2.0 * xi)
-    size = math.sqrt(2.0 * math.pi) * (s + abs(shift)) ** k   # of the integrand
-    value = _adaptive(f"int ({s:.6g} x + {shift:.6g})^{k} exp(-x^2/2) dx",
-                      lambda x: (s * x + shift) ** k * math.exp(-0.5 * x * x),
-                      -np.inf, np.inf, epsabs=tol * size, epsrel=tol)
-    return s * value
+@lru_cache(maxsize=64)
+def _hermite_twin(i: int, tol: float) -> float:
+    """M_i = int x^i exp(-x^2/2) dx over R by adaptive quadrature."""
+    return _adaptive(f"int x^{i} exp(-x^2/2) dx", lambda x: x**i * math.exp(-0.5 * x * x),
+                     -np.inf, np.inf, epsabs=tol * math.sqrt(2.0 * math.pi), epsrel=tol)
 
 
 @lru_cache(maxsize=1024)
@@ -156,44 +158,44 @@ class _Table:
     """The 1-D integrals of one state's density, seen through one lens.
 
     S_a[k] = int c^k exp(-xi (c - v_a)^2) dc over R: Gauss-Hermite nodes
-             x_i / sqrt(2 xi) shifted by v_a (v = 0 in peculiar velocity)
+             s x_i + v_a with s = 1/sqrt(2 xi) (v = 0 in peculiar velocity)
     L[j]   = int I^(alpha+j) exp(-zeta I) dI over [0, inf): generalized
              Gauss-Laguerre nodes y_i / zeta
 
     Every moment is Omega times a sum of products S_x[kx] S_y[ky] S_z[kz]
-    L[j].  The table holds the powers that the given terms use.
+    L[j].  The table holds the powers that the given terms use, by the
+    Gauss rules (S, L) and by the adaptive twins (S_twin, L_twin).
     """
 
     def __init__(self, s: State6, spec: GasSpec, adaptive_tol: float, v, terms: list[Term]):
         self.mul = multipliers_from_state(s, spec)
-        self.v, self.alpha, self.tol = np.asarray(v, dtype=float), spec.alpha, adaptive_tol
-        degree = max(max(k) for _, k, _ in terms)
+        self.tol = adaptive_tol
+        v, alpha, zeta = np.asarray(v, dtype=float), spec.alpha, self.mul.zeta
+        k = np.arange(max(max(powers) for _, powers, _ in terms) + 1)
+        j = np.arange(max(j for _, _, j in terms) + 1)
         x, wx = _hermite_rule()
         scale = 1.0 / math.sqrt(2.0 * self.mul.xi)
-        nodes = x * scale + self.v[:, None]
-        self.S = (wx * scale) @ nodes[:, :, None] ** np.arange(degree + 1)
-        self.L = _laguerre_integrals(self.alpha, self.mul.zeta, max(j for _, _, j in terms))
+        nodes = x * scale + v[:, None]
+        self.S = (wx * scale) @ nodes[:, :, None] ** k
+        self.L = _laguerre_integrals(alpha, zeta, j[-1])
+        # (s x + v_a)^k = sum_i C(k, i) v_a^(k-i) s^i x^i, with C(k, i) = 0 for i > k
+        binomial = np.array([[math.comb(n, i) for i in k] for n in k], dtype=float)
+        affine = binomial * v[:, None, None] ** np.maximum(k[:, None] - k, 0)
+        unit = np.array([_hermite_twin(int(i), adaptive_tol) for i in k])
+        self.S_twin = scale * affine @ (scale**k * unit)
+        self.L_twin = (np.array([_laguerre_twin(alpha, int(i), adaptive_tol) for i in j])
+                       * zeta ** -(alpha + 1.0 + j))
 
-    def adaptive_integral(self, terms: list[Term]) -> float:
-        """Omega times the sum of the terms, by the adaptive rule."""
-        xi, zeta, tol = self.mul.xi, self.mul.zeta, self.tol
-
-        def hermite(axis: int, k: int) -> float:
-            # S_a[0] does not depend on the shift
-            return _hermite_twin(xi, float(self.v[axis]) if k else 0.0, k, tol)
-
-        return self.mul.omega * sum(
-            c * hermite(0, kx) * hermite(1, ky) * hermite(2, kz)
-            * _laguerre_twin(self.alpha, j, tol) * zeta ** (-(self.alpha + 1.0 + j))
-            for c, (kx, ky, kz), j in terms)
+    def _sum(self, S: np.ndarray, L: np.ndarray, terms: list[Term]) -> float:
+        return self.mul.omega * float(sum(
+            c * S[0, kx] * S[1, ky] * S[2, kz] * L[j] for c, (kx, ky, kz), j in terms))
 
     def validated(self, terms: list[Term]) -> float:
         """Omega times the sum of the terms, by the Gauss rules; OracleError
-        unless the adaptive twin agrees (a NaN on either side fails too)."""
-        S, L, tol = self.S, self.L, self.tol
-        value = self.mul.omega * float(sum(
-            c * S[0, kx] * S[1, ky] * S[2, kz] * L[j] for c, (kx, ky, kz), j in terms))
-        reference = self.adaptive_integral(terms)
+        unless the twin table agrees (a NaN on either side fails too)."""
+        tol = self.tol
+        value = self._sum(self.S, self.L, terms)
+        reference = self._sum(self.S_twin, self.L_twin, terms)
         if not abs(value - reference) <= tol * max(abs(value), abs(reference), 1.0):
             raise OracleError(f"{RULE} gives {value!r}, the adaptive rule "
                               f"{reference!r}: they differ by more than {tol:g}")

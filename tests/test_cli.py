@@ -1,3 +1,4 @@
+import csv
 import math
 from dataclasses import fields, replace
 from pathlib import Path
@@ -129,9 +130,11 @@ def test_omega_past_the_overflow_guard_is_one_closure_error_line(tmp_path, capsy
 def test_check_cli_quick_passes(tmp_path):
     code = main(["check", "--quick", "--output-dir", str(tmp_path / "out")])
     assert code == 0
-    table = (tmp_path / "out" / "oracle_report.csv").read_text().splitlines()
-    assert table[0] == "quantity,closed_form,quadrature,rel_err,rule"
-    assert len(table) > 10
+    # valid CSV: no label carries a comma, so every row has the header's fields
+    with (tmp_path / "out" / "oracle_report.csv").open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["quantity", "closed_form", "quadrature", "rel_err", "rule"]
+    assert len(rows) > 10 and all(len(row) == 5 for row in rows)
 
 
 def test_sweep_cli_quick_passes(tmp_path):
@@ -189,11 +192,29 @@ def test_run_cli_periodic_conservation_with_zero_net_momentum(tmp_path):
 
 
 def test_run_cli_solver_error_exits_one(tmp_path, capsys):
-    # Pi = 2 p lies above the window's upper edge (D - 3) p / 3 = 2 p / 3
-    cfg_file = write(tmp_path / "above.cfg", "[scenario]\nkind = riemann\npi_left = 2\n")
+    # the Navier-Stokes Pi = -nu dv/dx of a strong wave at tau = 10 leaves
+    # the window below -p: no key holds it, so the solver's t = 0 check
+    # reports it
+    cfg_file = write(tmp_path / "ns.cfg", "[gas]\ntau = 10\n[scenario]\nkind = smooth_wave\n"
+                     "pi_init = ns\namplitude = 0.1\n")
     assert main(["run", "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["solver error: initial Pi/p outside the window: 2 at index 0"]
+    assert err == ["solver error: initial Pi/p outside the window: -1.98225 at index 0"]
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("relax", "[relax]\nz0 = 5\n", "[relax] z0 = 5.0"),
+    ("relax", "[gas]\nD = 3.2\n", "[relax] z0 = 0.3"),    # above (D-3)/3 = 1/15
+    ("run", "[scenario]\nkind = uniform_relaxation\nz0 = -1\n", "[scenario] z0 = -1.0"),
+    ("run", "[scenario]\nkind = riemann\npi_left = 2\n", "[scenario] pi_left = 2.0"),
+    ("run", "[scenario]\nkind = riemann\npi_right = -0.2\n", "[scenario] pi_right = -0.2"),
+])
+def test_initial_pi_outside_the_window_is_a_config_error(tmp_path, capsys, command, text, key):
+    # the window depends on [gas] D alone, so it is checked before a run
+    cfg_file = write(tmp_path / "window.cfg", text)
+    assert main([command, "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {key}: outside the window "), err
 
 
 def test_check_cli_oracle_error_exits_one(tmp_path, capsys, monkeypatch):
@@ -238,7 +259,7 @@ def test_check_labels_keep_distinct_d_values_apart(tmp_path):
                      "grid_z_count = 2\n")
     assert main(["check", "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 0
     report = (tmp_path / "out" / "oracle_report.csv").read_text(encoding="utf-8")
-    assert "entropy[D=5.000001,Z=-0.9]" in report and "entropy[D=5,Z=-0.9]" in report
+    assert "entropy[D=5.000001;Z=-0.9]" in report and "entropy[D=5;Z=-0.9]" in report
 
 
 @pytest.mark.parametrize("command, section, key, value", [

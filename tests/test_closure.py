@@ -140,6 +140,28 @@ def test_distribution_matches_full_closed_form(d5):
         assert f == pytest.approx(direct, rel=1e-13)
 
 
+def test_distributions_on_arrays_match_their_points(d5):
+    s = State6(rho=1.1, v=0.0, T=0.9, Pi=0.2)
+    rng = np.random.default_rng(3)
+    c, i_val = rng.normal(size=(4, 5, 3)), rng.uniform(0.0, 3.0, size=(4, 5))
+    f = distribution_value(c, i_val, s, d5)
+    f_eq = equilibrium_distribution_value(c, i_val, 1.1, 0.9, d5)
+    assert f.shape == f_eq.shape == (4, 5)
+    for idx in np.ndindex(4, 5):
+        assert f[idx] == pytest.approx(distribution_value(c[idx], i_val[idx], s, d5), rel=1e-15)
+        assert f_eq[idx] == pytest.approx(
+            equilibrium_distribution_value(c[idx], i_val[idx], 1.1, 0.9, d5), rel=1e-15)
+
+
+@pytest.mark.parametrize("i_val", [-0.5, np.array([0.0, 1.0, -1e-3])])
+def test_distributions_reject_negative_internal_energy(d5, i_val):
+    c = np.zeros(np.shape(i_val) + (3,))
+    with pytest.raises(ValueError, match="internal energy must be nonnegative"):
+        distribution_value(c, i_val, eq_state(), d5)
+    with pytest.raises(ValueError, match="internal energy must be nonnegative"):
+        equilibrium_distribution_value(c, i_val, 1.0, 1.0, d5)
+
+
 def test_distribution_positive_everywhere(d5):
     rng = np.random.default_rng(7)
     s = State6(rho=0.5, v=0.0, T=2.0, Pi=-0.4)

@@ -100,19 +100,32 @@ def quad_calls(monkeypatch):
 def test_validation_computes_each_adaptive_twin_once(d5, quad_calls):
     s = State6(rho=0.8, v=[0.2, -0.1, 0.3], T=1.4, Pi=0.3)
     oracle_flux_check(s, d5)
-    # S_a[0] once (it does not depend on the shift), S_a[1..3] for three
-    # axes, L[0] and L[1] in two pieces each
-    assert 0 < len(quad_calls) <= 1 + 3 * 3 + 2 * 2
+    # the unit-scale M_0..M_3, shared by the three axes, and L[0] and L[1]
+    # in two pieces each
+    assert 0 < len(quad_calls) <= 4 + 2 * 2
 
 
 def test_checks_of_one_state_share_their_adaptive_twins(d5, quad_calls):
-    # lab-frame S_a[1..3] for three axes, S[0], peculiar S[2] (entropy),
-    # L[0] and L[1] in two pieces each: 15 integrands for all three checks
+    # M_0..M_3 serve the lab frame and the peculiar frame (entropy) alike,
+    # with L[0] and L[1] in two pieces each: 8 integrands for all three checks
     s = State6(rho=0.8, v=[0.2, -0.1, 0.3], T=1.4, Pi=0.3)
     oracle_constraint_check(s, d5)
     oracle_flux_check(s, d5)
     oracle_entropy(s, d5)
-    assert 0 < len(quad_calls) <= 15
+    assert 0 < len(quad_calls) <= 8
+
+
+def test_states_share_their_hermite_twins(d5, quad_calls):
+    # different xi (T) and shifts (v), one set of unit-scale twins M_0..M_3
+    from et6 import oracle
+
+    for s in (State6(rho=0.8, v=[0.2, -0.1, 0.3], T=1.4, Pi=0.3),
+              State6(rho=3.0, v=[-1.5, 0.0, 2.0], T=0.2, Pi=-0.1),
+              State6(rho=1.0, v=0.0, T=5.0, Pi=0.5)):
+        oracle_constraint_check(s, d5)
+        oracle_flux_check(s, d5)
+        oracle_entropy(s, d5)
+    assert oracle._hermite_twin.cache_info().misses <= 4
 
 
 def test_validation_disagreement_raises_at_once(quad_calls):
@@ -123,8 +136,8 @@ def test_validation_disagreement_raises_at_once(quad_calls):
     with pytest.raises(OracleError, match=r"^adaptive rule int .* gives \S+ with error "
                                           r"estimate \S+: The occurrence of roundoff"):
         oracle_flux_check(s, GasSpec(D=3.5), adaptive_tol=1e-16)
-    # F_xx alone: S_x[2], S[0] and L[0] in two pieces
-    assert len(quad_calls) <= 4
+    # the first twin of the table, M_0
+    assert len(quad_calls) == 1
 
 
 def test_gauss_value_off_its_twin_raises_naming_the_rule(monkeypatch):
@@ -135,6 +148,20 @@ def test_gauss_value_off_its_twin_raises_naming_the_rule(monkeypatch):
     twin = oracle._laguerre_twin.__wrapped__
     monkeypatch.setattr(oracle, "_laguerre_twin",
                         lambda alpha, j, tol: twin(alpha, j, tol) * (1.0 + 1e-8))
+    s = State6(rho=1.0, v=[0.4, -0.25, 0.15], T=1.0, Pi=0.1)
+    with pytest.raises(OracleError, match=r"^gh64xgl128 gives .* the adaptive rule"):
+        oracle_flux_check(s, GasSpec(D=3.5))
+
+
+def test_hermite_weight_off_its_twins_raises_naming_the_rule(monkeypatch):
+    # the twins check the Hermite rule itself: its largest weight 1e-8 off
+    # moves every moment by far more than adaptive_tol
+    from et6 import oracle
+
+    x, w = oracle._hermite_rule()
+    w = w.copy()
+    w[np.argmax(w)] *= 1.0 + 1e-8
+    monkeypatch.setattr(oracle, "_hermite_rule", lambda: (x, w))
     s = State6(rho=1.0, v=[0.4, -0.25, 0.15], T=1.0, Pi=0.1)
     with pytest.raises(OracleError, match=r"^gh64xgl128 gives .* the adaptive rule"):
         oracle_flux_check(s, GasSpec(D=3.5))
@@ -206,7 +233,16 @@ def test_probe_solves_each_trial_in_few_quad_calls(d5, quad_calls):
     s = State6(rho=1.0, v=0.0, T=1.0, Pi=0.3)
     report = mep_optimality_probe(s, d5, trial_amplitudes=[0.001, 0.01, 0.05])
     assert all(p.converged for p in report.points)
-    assert len(quad_calls) <= 90
+    assert len(quad_calls) <= 67
+
+
+def test_default_check_computes_each_twin_once(tmp_path, quad_calls):
+    # 4 Hermite twins, 2 Laguerre twins in two pieces for each of the 7 D
+    # values, and the probe's 67 radial moments
+    from et6.cli import main
+
+    assert main(["check", "--output-dir", str(tmp_path)]) == 0
+    assert len(quad_calls) <= 4 + 7 * 2 * 2 + 67 <= 100
 
 
 def test_probe_quad_failure_is_an_oracle_error(d5):
