@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gas import GasSpec, State6, energy_moment, eos_evaluate, require_admissible
+from .gas import GasSpec, State6, energy_moment, require_admissible
 
 # Guard against exp overflow of Omega, near the window's edges or at large D
 LOG_OMEGA_GUARD = 500.0
@@ -239,7 +239,7 @@ def closed_fluxes(s: State6, spec: GasSpec) -> FluxSet:
     value is delegated to production_bgk.
     """
     require_admissible(s, spec)
-    p, _ = eos_evaluate(s.rho, s.T, spec)
+    p = s.pressure(spec)
     v = s.v.tolist()
     v2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
     G_ll = energy_moment(s.rho, v2, p, spec.D)
@@ -269,7 +269,7 @@ def entropy_parts(s: State6, spec: GasSpec) -> EntropyParts:
     k(0) = 0 is the global maximum; h = h_E + rho*k identically.
     """
     require_admissible(s, spec)
-    p, _ = eos_evaluate(s.rho, s.T, spec)
+    p = s.pressure(spec)
     z = s.Pi / p
     h, k, log_omega, log_omega_eq = entropy_terms(s.rho, p, z, spec)
     _guard_log_omega(z, spec, log_omega, log_omega_eq)
@@ -289,7 +289,7 @@ def main_field(s: State6, spec: GasSpec) -> MainField:
     five-field gas dynamics with lam_ll = 0.
     """
     require_admissible(s, spec)
-    p, _ = eos_evaluate(s.rho, s.T, spec)
+    p = s.pressure(spec)
     z = s.Pi / p
     parts = entropy_parts(s, spec)
     rgas = spec.gas_constant

@@ -27,6 +27,8 @@ K_CONDITION_TOL = 1e-10     # |dPi| threshold, relative to the pressure scale
 K_MARGINAL_FACTOR = 1e-4    # below this the pass is flagged marginal
 EQUILIBRIUM_TOL = 1e-10     # |Pi|/p defining "on the equilibrium manifold"
 SYMMETRY_TOL = 1e-10        # |H A - (H A)^T|, relative to the largest entry of |H| |A|
+GRADIENT_TOL = 1e-6         # |dh/dw - main field . du/dw|, relative to its largest entry
+IMAG_TOL = 1e-9             # imaginary part of a speed, relative to the speed scale
 
 
 class HyperbolicityError(RuntimeError):
@@ -82,7 +84,7 @@ def _df_dw(s: State6, n: np.ndarray, spec: GasSpec) -> np.ndarray:
     """d flux_n / dw for w = (rho, v1, v2, v3, p, Pi).  Built row by row
     from Python floats: setting 6x6 entries one by one costs more than the
     arithmetic."""
-    p, _ = eos_evaluate(s.rho, s.T, spec)
+    p = s.pressure(spec)
     rho, Pi, D = s.rho, s.Pi, spec.D
     v2 = float(np.dot(s.v, s.v))
     vn = float(np.dot(s.v, n))
@@ -135,22 +137,22 @@ class WaveFan:
     tags: tuple[str, ...]
 
 
-def wave_fan(u: Conserved6, n, spec: GasSpec, imag_tol: float = 1e-9) -> WaveFan:
+def wave_fan(u: Conserved6, n, spec: GasSpec) -> WaveFan:
     """Full eigendecomposition of flux_jacobian(u, n).
 
     Raises HyperbolicityError when an eigenvalue pair is complex beyond
-    imag_tol relative to the characteristic speed scale.
+    IMAG_TOL relative to the characteristic speed scale.
     """
-    return _wave_fan(primitive_from_conserved(u, spec), _unit(n), spec, imag_tol)
+    return _wave_fan(primitive_from_conserved(u, spec), _unit(n), spec)
 
 
-def _wave_fan(s: State6, n: np.ndarray, spec: GasSpec, imag_tol: float = 1e-9) -> WaveFan:
-    p, _ = eos_evaluate(s.rho, s.T, spec)
+def _wave_fan(s: State6, n: np.ndarray, spec: GasSpec) -> WaveFan:
+    p = s.pressure(spec)
     values, vectors = np.linalg.eig(_flux_jacobian(s, n, spec))
     vn = float(np.dot(s.v, n))
     scale = abs(vn) + et6_sound_speed(s.rho, p, s.Pi)
     max_imag = float(np.max(np.abs(values.imag)))
-    if max_imag > imag_tol * scale:
+    if max_imag > IMAG_TOL * scale:
         raise HyperbolicityError(
             f"complex characteristic speeds (max imaginary part {max_imag:.3e} "
             f"at speed scale {scale:.3e})",
@@ -193,7 +195,7 @@ class AccelerationWave:
 
 def _require_equilibrium(u: Conserved6, spec: GasSpec) -> State6:
     s = primitive_from_conserved(u, spec)
-    p, _ = eos_evaluate(s.rho, s.T, spec)
+    p = s.pressure(spec)
     if abs(s.Pi) > EQUILIBRIUM_TOL * p:
         raise EquilibriumRequiredError(
             f"state is not on the equilibrium manifold: Pi/p = {s.Pi / p:.3e}"
@@ -300,7 +302,7 @@ def k_condition(u_eq: Conserved6, n, spec: GasSpec) -> KConditionReport:
     """
     n = _unit(n)
     s = _require_equilibrium(u_eq, spec)
-    p, _ = eos_evaluate(s.rho, s.T, spec)
+    p = s.pressure(spec)
     vn = float(np.dot(s.v, n))
     grad = _grad_pi(s, spec)
     entries = []
@@ -373,7 +375,7 @@ def _entropy_derivatives(s: State6, spec: GasSpec) -> tuple[np.ndarray, np.ndarr
         lam_i   = -R rho v_i / q,   mu_ll = R rho / 2r,   lam_ll + mu_ll = R rho / 2q
     so dh/drho = h / rho - R (D/2 + 1), with h from entropy_parts.
     """
-    p, _ = eos_evaluate(s.rho, s.T, spec)
+    p = s.pressure(spec)
     rho, v, D, R = s.rho, s.v, spec.D, spec.gas_constant
     q, r, dr_dpi = p + s.Pi, p - 3.0 * s.Pi / (D - 3.0), -3.0 / (D - 3.0)
     v2 = float(np.dot(v, v))
@@ -398,13 +400,13 @@ def _entropy_derivatives(s: State6, spec: GasSpec) -> tuple[np.ndarray, np.ndarr
     return dh, dmf
 
 
-def convexity_check(u: Conserved6, spec: GasSpec, grad_tol: float = 1e-6) -> ConvexityReport:
+def convexity_check(u: Conserved6, spec: GasSpec) -> ConvexityReport:
     """Verify that the main field is the entropy gradient, that h(u) is
     concave, and that the entropy Hessian symmetrizes the system.
 
     All in closed form through w = (rho, v, p, Pi):
     - gradient: dh/dw against main field . du/dw, relative to the largest
-      entry of the latter;
+      entry of the latter, passing below GRADIENT_TOL;
     - Hessian: H = d(main field)/du = d(main field)/dw . (du/dw)^-1 must be
       negative definite;
     - symmetrizer: H A_n must be symmetric for n = x, y, z, the mismatch
@@ -427,7 +429,7 @@ def convexity_check(u: Conserved6, spec: GasSpec, grad_tol: float = 1e-6) -> Con
         asymmetry = max(asymmetry, float(np.max(np.abs(ha - ha.T)) / scale))
     mismatch = float(np.max(np.abs(dh - mf_du)) / np.max(np.abs(mf_du)))
     max_eig = float(np.max(np.linalg.eigvalsh(0.5 * (hess + hess.T))))
-    grad_ok = mismatch <= grad_tol
+    grad_ok = mismatch <= GRADIENT_TOL
     hess_ok = max_eig < 0.0
     return ConvexityReport(
         gradient_mismatch=mismatch,
@@ -470,5 +472,5 @@ def hyperbolicity_scan(d_values, n_z: int = 21, coverage: float = 0.99,
             ratio = float(np.max(np.abs(values.imag))) / scale
             points.append(ScanPoint(D=float(d_val), z=float(z),
                                     max_imag_over_scale=ratio,
-                                    all_real=ratio <= 1e-9))
+                                    all_real=ratio <= IMAG_TOL))
     return points

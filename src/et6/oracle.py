@@ -23,15 +23,19 @@ Beside the Gauss table each state builds a twin table from adaptive
 integrals (QUADPACK) on the rules' unit scale: M_i = int x^i exp(-x^2/2) dx,
 mapped by the binomial expansion S_a[k] = s sum_i C(k, i) s^i v_a^(k-i) M_i,
 and int x^(alpha+j) e^-x dx, scaled by zeta^-(alpha+1+j).  Each quantity is
-compared once with the same sum over the twin table, within adaptive_tol,
+compared once with the same sum over the twin table, within ADAPTIVE_TOL,
 and any disagreement raises OracleError, as does a twin that quad reports
 short of its tolerance (with quad's error estimate; no IntegrationWarning
 reaches stderr).  In exact arithmetic the comparison holds for every state
 iff each Gauss sum of x^i (and of x^(alpha+j)) equals its twin, so the twins
 check the rules, while the closed forms check the affine maps.  A twin
-depends on (i, tol) or (alpha, j, tol) only, so all states share the
-Hermite twins, and all states of one D the Laguerre twins: a default
-`et6 check` computes 4 Hermite and 28 Laguerre integrals.
+depends on (i, tol) or (alpha, j, tol) only, tol being the ADAPTIVE_TOL in
+force, so all states share the Hermite twins, and all states of one D the
+Laguerre twins: a default `et6 check` computes 4 Hermite and 28 Laguerre
+integrals.
+
+The oracle measures and its callers judge: its one pass bound is
+ADAPTIVE_TOL, on the agreement of each Gauss value with its twin.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ REL_ERR_FLOOR = 1e-300
 HERMITE_ORDER = 64
 LAGUERRE_ORDER = 128
 RULE = f"gh{HERMITE_ORDER}xgl{LAGUERRE_ORDER}"
-ADAPTIVE_TOL = 1e-10   # default tolerance of the adaptive twins
+ADAPTIVE_TOL = 1e-10   # agreement of each Gauss value with its adaptive twin
 
 
 class OracleError(RuntimeError):
@@ -167,9 +171,9 @@ class _Table:
     Gauss rules (S, L) and by the adaptive twins (S_twin, L_twin).
     """
 
-    def __init__(self, s: State6, spec: GasSpec, adaptive_tol: float, v, terms: list[Term]):
+    def __init__(self, s: State6, spec: GasSpec, v, terms: list[Term]):
         self.mul = multipliers_from_state(s, spec)
-        self.tol = adaptive_tol
+        self.tol = ADAPTIVE_TOL
         v, alpha, zeta = np.asarray(v, dtype=float), spec.alpha, self.mul.zeta
         k = np.arange(max(max(powers) for _, powers, _ in terms) + 1)
         j = np.arange(max(j for _, _, j in terms) + 1)
@@ -181,9 +185,9 @@ class _Table:
         # (s x + v_a)^k = sum_i C(k, i) v_a^(k-i) s^i x^i, with C(k, i) = 0 for i > k
         binomial = np.array([[math.comb(n, i) for i in k] for n in k], dtype=float)
         affine = binomial * v[:, None, None] ** np.maximum(k[:, None] - k, 0)
-        unit = np.array([_hermite_twin(int(i), adaptive_tol) for i in k])
+        unit = np.array([_hermite_twin(int(i), self.tol) for i in k])
         self.S_twin = scale * affine @ (scale**k * unit)
-        self.L_twin = (np.array([_laguerre_twin(alpha, int(i), adaptive_tol) for i in j])
+        self.L_twin = (np.array([_laguerre_twin(alpha, int(i), self.tol) for i in j])
                        * zeta ** -(alpha + 1.0 + j))
 
     def _sum(self, S: np.ndarray, L: np.ndarray, terms: list[Term]) -> float:
@@ -202,13 +206,13 @@ class _Table:
         return value
 
 
-def _check(s: State6, spec: GasSpec, adaptive_tol: float,
+def _check(s: State6, spec: GasSpec,
            targets: list[tuple[str, float, list[Term]]]) -> list[OracleReport]:
     """Report each (name, closed value, terms) target against the lab-frame table.
 
     Relative errors are floored at the largest closed value of the family.
     """
-    table = _Table(s, spec, adaptive_tol, s.v, [t for _, _, terms in targets for t in terms])
+    table = _Table(s, spec, s.v, [t for _, _, terms in targets for t in terms])
     family_scale = max(abs(closed) for _, closed, _ in targets)
     reports = []
     for name, closed, terms in targets:
@@ -218,8 +222,7 @@ def _check(s: State6, spec: GasSpec, adaptive_tol: float,
     return reports
 
 
-def oracle_flux_check(s: State6, spec: GasSpec,
-                      adaptive_tol: float = ADAPTIVE_TOL) -> list[OracleReport]:
+def oracle_flux_check(s: State6, spec: GasSpec) -> list[OracleReport]:
     """Compare every closed flux entry against quadrature.
 
     Twelve entries: the six independent components of F_ik, and the three
@@ -234,20 +237,19 @@ def oracle_flux_check(s: State6, spec: GasSpec,
     ]
     targets += [(f"F_ll{labels[k]}", fl.F_llk[k], _speed2(k)) for k in range(3)]
     targets += [(f"G_ll{labels[k]}", fl.G_llk[k], _energy(spec, k)) for k in range(3)]
-    return _check(s, spec, adaptive_tol, targets)
+    return _check(s, spec, targets)
 
 
-def oracle_constraint_check(s: State6, spec: GasSpec,
-                            adaptive_tol: float = ADAPTIVE_TOL) -> list[OracleReport]:
+def oracle_constraint_check(s: State6, spec: GasSpec) -> list[OracleReport]:
     """Verify the six constraint moments (F, F_i, F_ll, G_ll) by quadrature."""
     u = conserved_from_primitive(s, spec)
     targets = [("F", u.F, [(1.0, _powers(), 0)])]
     targets += [(f"F_{x}", u.F_i[a], [(1.0, _powers(a), 0)]) for a, x in enumerate("xyz")]
     targets += [("F_ll", u.F_ll, _speed2()), ("G_ll", u.G_ll, _energy(spec))]
-    return _check(s, spec, adaptive_tol, targets)
+    return _check(s, spec, targets)
 
 
-def oracle_entropy(s: State6, spec: GasSpec, adaptive_tol: float = ADAPTIVE_TOL) -> float:
+def oracle_entropy(s: State6, spec: GasSpec) -> float:
     """Entropy density -kB int int f ln f I^alpha dI dC by quadrature.
 
     ln f is expanded as ln(Omega) - zeta I - xi C^2, which turns the
@@ -255,7 +257,7 @@ def oracle_entropy(s: State6, spec: GasSpec, adaptive_tol: float = ADAPTIVE_TOL)
     logarithms near the underflow region).
     """
     number, internal, speed2 = [(1.0, _powers(), 0)], [(1.0, _powers(), 1)], _speed2()
-    table = _Table(s, spec, adaptive_tol, np.zeros(3), number + internal + speed2)
+    table = _Table(s, spec, np.zeros(3), number + internal + speed2)
     mul = table.mul
     return -spec.kB * (mul.log_omega * table.validated(number)
                        - mul.zeta * table.validated(internal)
@@ -312,9 +314,9 @@ def _radial_moment(k: int, xi: float, beta: float, tol: float) -> float:
     return 4.0 * math.pi * val
 
 
-def _solve_trial_xi(target_ratio: float, beta: float, xi0: float, tol: float) -> tuple[float, bool]:
+def _solve_trial_xi(target_ratio: float, beta: float, xi0: float, moment) -> tuple[float, bool]:
     """Solve M1(xi)/M0(xi) = target_ratio for xi, given that xi0 solves it
-    at beta = 0.
+    at beta = 0, with M_k = moment(k, xi, beta).
 
     The ratio is strictly decreasing in xi and beta, so for beta > 0 the
     root lies below xi0: a bracket is widened downward by doubling steps,
@@ -324,7 +326,7 @@ def _solve_trial_xi(target_ratio: float, beta: float, xi0: float, tol: float) ->
         return xi0, True
 
     def resid(xi: float) -> float:
-        return _radial_moment(1, xi, beta, tol) / _radial_moment(0, xi, beta, tol) - target_ratio
+        return moment(1, xi, beta) / moment(0, xi, beta) - target_ratio
 
     scale = max(abs(xi0), 1e-3)
     hi, step = xi0, scale
@@ -340,16 +342,19 @@ def _solve_trial_xi(target_ratio: float, beta: float, xi0: float, tol: float) ->
     return xi, result.converged
 
 
-def mep_optimality_probe(s: State6, spec: GasSpec, trial_amplitudes=(0.001, 0.01, 0.05),
-                         adaptive_tol: float = ADAPTIVE_TOL) -> ProbeReport:
+def mep_optimality_probe(s: State6, spec: GasSpec,
+                         trial_amplitudes=(0.001, 0.01, 0.05)) -> ProbeReport:
     """Probe entropy optimality against a quartic-perturbed trial family.
 
     For each beta >= 0 the three constraint equations (rho, trace pressure,
     energy) are re-solved for (Omega', xi', zeta') by Brent's method on xi'
     using quadrature moments, and the trial entropy is compared with the
-    closure entropy.  beta = 0 must recover the closure.
+    closure entropy.  beta = 0 must recover the closure.  Each radial
+    moment is integrated once per call: Brent's method revisits its bracket
+    ends, and the entropy reuses the moments of the solution.
     """
-    tol = min(adaptive_tol, 1e-12)
+    tol = min(ADAPTIVE_TOL, 1e-12)
+    moment = lru_cache(maxsize=None)(lambda k, xi, beta: _radial_moment(k, xi, beta, tol))
     p, eps = eos_evaluate(s.rho, s.T, spec)
     ppi = p + s.Pi
     alpha = spec.alpha
@@ -366,8 +371,8 @@ def mep_optimality_probe(s: State6, spec: GasSpec, trial_amplitudes=(0.001, 0.01
         beta = float(beta)
         if beta < 0:
             raise ValueError("trial amplitude beta must be nonnegative")
-        xi_trial, converged = _solve_trial_xi(target_ratio, beta, mul.xi, tol)
-        m0, m1, m2 = (_radial_moment(k, xi_trial, beta, tol) for k in range(3))
+        xi_trial, converged = _solve_trial_xi(target_ratio, beta, mul.xi, moment)
+        m0, m1, m2 = (moment(k, xi_trial, beta) for k in range(3))
         omega_trial = s.rho / (spec.m * m0 * l0)
         log_omega_trial = math.log(omega_trial)
         number = s.rho / spec.m

@@ -47,6 +47,8 @@ BOUNDARIES = ("periodic", "outflow", "reflective")
 SCHEMES = ("rusanov", "muscl")
 LIMITERS = ("minmod", "none")
 SCENARIO_KINDS = ("riemann", "smooth_wave", "uniform_relaxation")
+NS_BOUNDARY_MARGIN = 8            # cells the stiff-limit check leaves out at a non-periodic end
+LIMITER_ACTIVITY_THRESHOLD = 0.03  # zeroed-slope fraction above which confidence is reduced
 
 
 class SolverError(RuntimeError):
@@ -253,6 +255,9 @@ class Scenario:
             raise SolverError("output cadence must be nonnegative")
         if self.pi_init not in ("zero", "ns"):
             raise SolverError(f"unknown initial Pi profile {self.pi_init!r}")
+        for name in ("rho_left", "p_left", "rho_right", "p_right", "rho0", "T0"):
+            if not getattr(self, name) > 0.0:
+                raise SolverError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass
@@ -598,12 +603,14 @@ class NsLimitReport:
 
 
 def ns_limit_diagnostic(ts: TimeSeries, spec: GasSpec, snapshot: int = -1,
-                        mask_fraction: float = 0.5, boundary_margin: int = 8,
-                        limiter_activity_threshold: float = 0.03) -> NsLimitReport:
+                        mask_fraction: float = 0.5) -> NsLimitReport:
     """Compare the recorded Pi with the first-order relaxation limit.
 
     The target is -nu dv/dx with nu = (2/3)((D-3)/D) p tau evaluated with
     the local pressure, dv/dx by central differences on the snapshot grid.
+    Non-periodic runs leave NS_BOUNDARY_MARGIN cells out at each end; a run whose
+    limiter zeroed more than LIMITER_ACTIVITY_THRESHOLD of its slopes is
+    flagged reduced_confidence.
     """
     snap = ts.snapshots[snapshot]
     vx = snap["vx"]
@@ -616,7 +623,7 @@ def ns_limit_diagnostic(ts: TimeSeries, spec: GasSpec, snapshot: int = -1,
     else:
         dvdx = np.gradient(vx, dx)
         interior = np.zeros_like(vx, dtype=bool)
-        interior[boundary_margin:-boundary_margin] = True
+        interior[NS_BOUNDARY_MARGIN:-NS_BOUNDARY_MARGIN] = True
     target = -bulk_viscosity(p, spec) * dvdx
     scale = float(np.max(np.abs(target[interior])))
     if scale == 0.0:
@@ -630,7 +637,7 @@ def ns_limit_diagnostic(ts: TimeSeries, spec: GasSpec, snapshot: int = -1,
         l2_rel_deviation=l2,
         n_masked_cells=int(np.count_nonzero(mask)),
         mask_fraction=mask_fraction,
-        reduced_confidence=ts.limiter_fraction > limiter_activity_threshold,
+        reduced_confidence=ts.limiter_fraction > LIMITER_ACTIVITY_THRESHOLD,
         x=ts.x.copy(),
         pi=pi.copy(),
         target=target,

@@ -128,14 +128,17 @@ def test_states_share_their_hermite_twins(d5, quad_calls):
     assert oracle._hermite_twin.cache_info().misses <= 4
 
 
-def test_validation_disagreement_raises_at_once(quad_calls):
+def test_validation_disagreement_raises_at_once(quad_calls, monkeypatch):
     # a tolerance below round-off cannot be met: the first adaptive twin
     # reports it, naming its integrand, value and error estimate, without
     # trying another order and without an IntegrationWarning
+    from et6 import oracle
+
+    monkeypatch.setattr(oracle, "ADAPTIVE_TOL", 1e-16)
     s = State6(rho=1.0, v=[0.4, -0.25, 0.15], T=1.0, Pi=0.1)
     with pytest.raises(OracleError, match=r"^adaptive rule int .* gives \S+ with error "
                                           r"estimate \S+: The occurrence of roundoff"):
-        oracle_flux_check(s, GasSpec(D=3.5), adaptive_tol=1e-16)
+        oracle_flux_check(s, GasSpec(D=3.5))
     # the first twin of the table, M_0
     assert len(quad_calls) == 1
 
@@ -155,7 +158,7 @@ def test_gauss_value_off_its_twin_raises_naming_the_rule(monkeypatch):
 
 def test_hermite_weight_off_its_twins_raises_naming_the_rule(monkeypatch):
     # the twins check the Hermite rule itself: its largest weight 1e-8 off
-    # moves every moment by far more than adaptive_tol
+    # moves every moment by far more than ADAPTIVE_TOL
     from et6 import oracle
 
     x, w = oracle._hermite_rule()
@@ -229,32 +232,36 @@ def test_probe_sweep_monotone(d5):
 
 def test_probe_solves_each_trial_in_few_quad_calls(d5, quad_calls):
     # `et6 check`'s probe: a downward bracket and Brent's method on M1/M0,
-    # two integrals per residual, and M2 only at each solution
+    # two integrals per new residual, and M2 only at each solution; a
+    # bracket end that Brent's method revisits, or M0 and M1 at the
+    # solution, are not integrated again
     s = State6(rho=1.0, v=0.0, T=1.0, Pi=0.3)
     report = mep_optimality_probe(s, d5, trial_amplitudes=[0.001, 0.01, 0.05])
     assert all(p.converged for p in report.points)
-    assert len(quad_calls) <= 67
+    assert len(quad_calls) <= 53
 
 
 def test_default_check_computes_each_twin_once(tmp_path, quad_calls):
     # 4 Hermite twins, 2 Laguerre twins in two pieces for each of the 7 D
-    # values, and the probe's 67 radial moments
+    # values, and the probe's 53 radial moments
     from et6.cli import main
 
     assert main(["check", "--output-dir", str(tmp_path)]) == 0
-    assert len(quad_calls) <= 4 + 7 * 2 * 2 + 67 <= 100
+    assert len(quad_calls) <= 4 + 7 * 2 * 2 + 53 <= 85
 
 
-def test_probe_quad_failure_is_an_oracle_error(d5):
+def test_probe_quad_failure_is_an_oracle_error(d5, monkeypatch):
     # quad cannot certify 1e-16 on the radial moments: one OracleError that
     # names the integrand and quad's error estimate, not warnings and a trial
     # reported as converged
+    from et6 import oracle
+
+    monkeypatch.setattr(oracle, "ADAPTIVE_TOL", 1e-16)
     s = State6(rho=1.0, v=0.0, T=1.0, Pi=0.3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(OracleError, match=r"^adaptive rule int r\^\d+ exp\(.*\) dr gives "
                                               r"\S+ with error estimate \S+: "):
-            mep_optimality_probe(s, d5, trial_amplitudes=[0.01],
-                                 adaptive_tol=1e-16)
+            mep_optimality_probe(s, d5, trial_amplitudes=[0.01])
     assert caught == []
 

@@ -17,13 +17,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from et6.cli import ENTROPY_TOL, FLUX_TOL, MOMENT_TOL  # noqa: E402
 from et6.closure import (  # noqa: E402
     closed_fluxes,
     entropy_parts,
     multipliers_from_state,
     state_from_multipliers,
 )
-from et6.config import CheckConfig  # noqa: E402
 from et6.eigen import SYMMETRY_TOL, convexity_check  # noqa: E402
 from et6.gas import (  # noqa: E402
     GasSpec,
@@ -158,13 +158,12 @@ def test_validated_oracle_checks_are_finite_and_pass(drawn):
     # adaptive twin; each must also match its closed form at the `et6 check`
     # tolerances
     spec, s = drawn
-    chk = CheckConfig()
-    for reports, tol in ((oracle_constraint_check(s, spec, chk.adaptive_tol), chk.moment_tol),
-                         (oracle_flux_check(s, spec, chk.adaptive_tol), chk.flux_tol)):
+    for reports, tol in ((oracle_constraint_check(s, spec), MOMENT_TOL),
+                         (oracle_flux_check(s, spec), FLUX_TOL)):
         for r in reports:
             assert math.isfinite(r.quadrature) and r.rel_err <= tol, r
-    h = oracle_entropy(s, spec, chk.adaptive_tol)
-    assert math.isfinite(h) and rel_err(h, entropy_parts(s, spec).h) <= chk.entropy_tol
+    h = oracle_entropy(s, spec)
+    assert math.isfinite(h) and rel_err(h, entropy_parts(s, spec).h) <= ENTROPY_TOL
 
 
 def textbook_minmod(a: float, b: float) -> float:
