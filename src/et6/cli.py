@@ -65,8 +65,10 @@ FLUX_TOL = 1e-8                    # check: closed fluxes by quadrature
 ENTROPY_TOL = 1e-8                 # check: entropy by quadrature
 DECOMPOSITION_TOL = 1e-10          # check: h against h_E + rho k
 EQUILIBRIUM_REDUCTION_TOL = 1e-12  # check: f at Pi = 0 against the Maxwellian
+PROBE_ENTROPY_TOL = 1e-12          # check: trial entropy h(beta) above h(0)
 ROUND_TRIP_TOL = 1e-12             # sweep: multipliers -> state
 SPEED_TOL = 1e-10                  # sweep: equilibrium sound speed
+SUBCHARACTERISTIC_TOL = 1e-15      # sweep: five-field speed above the six-field one, absolute
 CONSERVATION_TOL = 1e-13           # run: drift of the periodic totals
 ENTROPY_STEP_TOL = 1e-10           # run: entropy decrease per step, of the initial total
 RELAX_TOL = 1e-12                  # relax: |Pi - Pi0 exp(-t/tau)|, of the pressure
@@ -183,7 +185,9 @@ def cmd_check(cfg: RunConfig, out_dir: Path) -> bool:
     if probe.inconclusive:
         print("[WARN] optimality probe inconclusive (trial solve did not converge)")
     else:
-        ok &= _status(probe.optimal, "entropy optimality probe",
+        bound = probe.reference_entropy + PROBE_ENTROPY_TOL * abs(probe.reference_entropy)
+        optimal = all(point.entropy <= bound for point in probe.points if point.converged)
+        ok &= _status(optimal, "entropy optimality probe",
                       f"h(beta) <= h(0) across betas {chk.probe_betas}")
     for point in probe.points:
         rows.append([f"probe_entropy[beta={point.beta:g}]", probe.reference_entropy,
@@ -339,7 +343,7 @@ def cmd_nslimit(cfg: RunConfig, out_dir: Path) -> bool:
     ns = cfg.nslimit
     sc = ns.scenario(cfg.gas)
     ts = run_scenario(sc)
-    rep = ns_limit_diagnostic(ts, sc.spec, mask_fraction=ns.mask_fraction)
+    rep = ns_limit_diagnostic(ts, sc, mask_fraction=ns.mask_fraction)
     rows = [[x, rep.pi[j], rep.target[j]] for j, x in enumerate(rep.x)]
     path = _write_csv(out_dir / "nslimit.csv", ["x", "Pi", "minus_nu_dvdx"], rows)
     bound = NS_DEVIATION_FACTOR * ns.tau
@@ -429,7 +433,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> bool:
 
     sub_ok = True
     for d_val in np.linspace(3.0 + 1e-6, sw.d_max, 25):
-        sub_ok &= euler_sound_speed(1.0, 1.0, float(d_val)) <= et6_sound_speed(1.0, 1.0) + 1e-15
+        sub_ok &= (euler_sound_speed(1.0, 1.0, float(d_val))
+                   <= et6_sound_speed(1.0, 1.0) + SUBCHARACTERISTIC_TOL)
     ok &= _status(bool(sub_ok), "subcharacteristic ordering",
                   "five-field speed <= six-field speed across D")
     rows_summary.append(["subcharacteristic", "speed ordering", int(sub_ok), 1, sub_ok])

@@ -451,24 +451,23 @@ class ScanPoint:
     all_real: bool
 
 
-def hyperbolicity_scan(d_values, n_z: int = 21, coverage: float = 0.99,
-                       rho: float = 1.0, T: float = 1.0,
-                       n=(1.0, 0.0, 0.0)) -> list[ScanPoint]:
-    """Eigenvalue reality over a (Z, D) grid spanning the window.
+def hyperbolicity_scan(d_values, n_z: int = 21, coverage: float = 0.99) -> list[ScanPoint]:
+    """Eigenvalue reality over a (Z, D) grid spanning the window, at
+    rho = T = 1 at rest, along x.
 
     Never suppresses a failure: each point records the largest imaginary
     part relative to the speed scale.
     """
-    n = _unit(n)
+    n = np.array([1.0, 0.0, 0.0])
     points = []
     for d_val in d_values:
         spec = GasSpec(D=float(d_val))
         zs = np.linspace(-coverage, coverage * spec.z_upper, n_z)
-        p, _ = eos_evaluate(rho, T, spec)
+        p = spec.gas_constant
         for z in zs:
-            s = State6(rho=rho, v=0.0, T=T, Pi=z * p)
+            s = State6(rho=1.0, v=0.0, T=1.0, Pi=z * p)
             values = np.linalg.eigvals(_flux_jacobian(s, n, spec))
-            scale = et6_sound_speed(rho, p, s.Pi)
+            scale = et6_sound_speed(1.0, p, s.Pi)
             ratio = float(np.max(np.abs(values.imag))) / scale
             points.append(ScanPoint(D=float(d_val), z=float(z),
                                     max_imag_over_scale=ratio,

@@ -247,7 +247,7 @@ def require_admissible(s: State6, spec: GasSpec) -> AdmissibilityReport:
 
 def conserved_from_primitive(s: State6, spec: GasSpec) -> Conserved6:
     """Map (rho, v, T, Pi) to the densities (F, F_i, F_ll, G_ll)."""
-    p, _ = eos_evaluate(s.rho, s.T, spec)
+    p = s.pressure(spec)
     vx, vy, vz = s.v.tolist()
     v2 = vx * vx + vy * vy + vz * vz
     return Conserved6(F=s.rho, F_i=s.rho * s.v, F_ll=momentum_flux_trace(s.rho, v2, p, s.Pi),

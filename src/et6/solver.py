@@ -24,9 +24,10 @@ MUSCL, with a = |v_x| + c (cfl/1.1 at rest, cfl in general).
 
 One marching kernel also runs the five-field equilibrium subsystem (the
 classical polyatomic gas dynamics) as a reference; a `System` supplies what
-differs.  Each state is decoded once per stage.  Cell data lives in arrays
-of shape (6, N) with rows (F, F_x, F_y, F_z, F_ll, G_ll); the five-field
-rows drop F_ll.
+differs.  Each state is decoded once per stage.  A `Scenario` holds the
+grid (N cells on [x_left, x_right], the boundary policy) and the scheme;
+the kernel marches bare arrays of cell averages, shape (6, N) with rows
+(F, F_x, F_y, F_z, F_ll, G_ll); the five-field rows drop F_ll.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class System(NamedTuple):
     decode: Callable        # (U, spec) -> primitives w
     sound_speed: Callable   # (w, spec) -> c; |v_x| + c bounds the spectrum
     flux: Callable          # (U, w) -> physical x-flux
-    relax: Callable         # (g, w, dt, spec, rate) -> (grid, primitives) after the source substep
+    relax: Callable         # (U, w, dt, spec, rate) -> (U, primitives) after the source substep
 
 
 # The six-field decode and relaxation are looked up when called, not bound
@@ -123,7 +124,7 @@ SIX_FIELD = System(
     decode=lambda U, spec: primitive_fields(U, spec),
     sound_speed=lambda w, spec: et6_sound_speed(w["rho"], w["p"], w["Pi"]),
     flux=flux_fields,
-    relax=lambda g, w, dt, spec, rate: relaxation_step_exact(g, w, dt, spec, rate),
+    relax=lambda U, w, dt, spec, rate: relaxation_step_exact(U, w, dt, spec, rate),
 )
 # The equilibrium subsystem, rows (F, F_x, F_y, F_z, G_ll): no dynamic
 # pressure, so its window is p > 0 alone, and no production, so its source
@@ -132,13 +133,12 @@ FIVE_FIELD = System(
     decode=lambda U, spec: {**_decode(U, spec), "Pi": np.zeros(U.shape[1:])},
     sound_speed=lambda w, spec: euler_sound_speed(w["rho"], w["p"], spec.D),
     flux=lambda U, w: np.delete(flux_fields(U, w), 4, axis=0),
-    relax=lambda g, w, dt, spec, rate: (g, w),
+    relax=lambda U, w, dt, spec, rate: (U, w),
 )
 
 
-def max_wave_speed(w: dict[str, np.ndarray], spec: GasSpec, system: System,
-                   safety: float = WAVE_SPEED_SAFETY) -> float:
-    """CFL bound max(|v_x| + safety * c) over cells with primitives w.
+def max_wave_speed(w: dict[str, np.ndarray], spec: GasSpec, system: System) -> float:
+    """CFL bound max(|v_x| + WAVE_SPEED_SAFETY * c) over cells with primitives w.
 
     The six-field c = sqrt(5 (p+Pi) / 3 rho) carries (p + Pi), not p: for
     Pi > 0.21 p the equilibrium value under-estimates the spectrum even
@@ -147,54 +147,19 @@ def max_wave_speed(w: dict[str, np.ndarray], spec: GasSpec, system: System,
     non-finite speed raises SolverError.
     """
     c = system.sound_speed({**w, "Pi": np.maximum(w["Pi"], 0.0)}, spec)
-    speed = np.abs(w["vx"]) + safety * c
+    speed = np.abs(w["vx"]) + WAVE_SPEED_SAFETY * c
     _require(np.isfinite(speed), speed, "non-finite wave speed", "cell")
     return float(np.max(speed))
 
 
 # ---------------------------------------------------------------------------
-# grid and scenario containers
+# scenario and time series
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Grid1D:
-    """Uniform cell-averaged grid of conserved six- or five-field states."""
-
-    x_left: float
-    x_right: float
-    U: np.ndarray                  # shape (6, N), or (5, N) for the reference
-    boundary: str = "periodic"
-
-    def __post_init__(self):
-        self.U = np.asarray(self.U, dtype=float)
-        if self.U.ndim != 2 or self.U.shape[0] not in (5, 6):
-            raise SolverError(f"grid data must have shape (6, N) or (5, N), got {self.U.shape}")
-        if self.N < 4:
-            raise SolverError(f"need at least 4 cells, got {self.N}")
-        if self.boundary not in BOUNDARIES:
-            raise SolverError(f"unknown boundary policy {self.boundary!r}")
-        if not self.x_right > self.x_left:
-            raise SolverError("empty domain")
-
-    @property
-    def N(self) -> int:
-        return self.U.shape[1]
-
-    @property
-    def dx(self) -> float:
-        return (self.x_right - self.x_left) / self.N
-
-    @property
-    def centers(self) -> np.ndarray:
-        return self.x_left + (np.arange(self.N) + 0.5) * self.dx
-
-    def with_data(self, U: np.ndarray) -> "Grid1D":
-        return Grid1D(x_left=self.x_left, x_right=self.x_right, U=U, boundary=self.boundary)
-
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete run description.
+    """A complete run description, the grid included: N uniform cells on
+    [x_left, x_right] with the boundary policy, and the scheme.
 
     kind selects the initial condition:
       riemann            - two constant states split at x_split
@@ -259,6 +224,16 @@ class Scenario:
             if not getattr(self, name) > 0.0:
                 raise SolverError(f"{name} must be positive, got {getattr(self, name)}")
 
+    @property
+    def dx(self) -> float:
+        return (self.x_right - self.x_left) / self.N
+
+    @property
+    def centers(self) -> np.ndarray:
+        """Cell centres, where the initial data are sampled (not
+        x_left + (j + 0.5) dx, which rounds differently in the last bit)."""
+        return self.x_left + (np.arange(self.N) + 0.5) * (self.x_right - self.x_left) / self.N
+
 
 @dataclass
 class TimeSeries:
@@ -279,8 +254,6 @@ class TimeSeries:
     projections: list[int] = field(default_factory=list)
     entropy_outflow: list[float] = field(default_factory=list)  # per step, dt * [h v_x]
     limiter_fraction: float = 0.0    # max per-step fraction of zeroed slopes
-    dx: float = 0.0
-    periodic: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +278,18 @@ def bulk_viscosity(p, spec: GasSpec):
     return 2.0 / 3.0 * (spec.D - 3.0) / spec.D * p * spec.tau
 
 
-def initial_grid(sc: Scenario) -> Grid1D:
-    """Build the cell-averaged initial data for a scenario."""
+def initial_grid(sc: Scenario) -> np.ndarray:
+    """The cell-averaged initial data of a scenario, shape (6, N)."""
     spec = sc.spec
-    x = sc.x_left + (np.arange(sc.N) + 0.5) * (sc.x_right - sc.x_left) / sc.N
+    x = sc.centers
     if sc.kind == "riemann":
         left = x < sc.x_split
         rho = np.where(left, sc.rho_left, sc.rho_right)
         p = np.where(left, sc.p_left, sc.p_right)
         vx = np.where(left, sc.v_left, sc.v_right)
         Pi = np.where(left, sc.pi_left, sc.pi_right)
-        U = _pack(rho, vx, p, Pi, spec)
-    elif sc.kind == "smooth_wave":
+        return _pack(rho, vx, p, Pi, spec)
+    if sc.kind == "smooth_wave":
         lam = sc.wavelength if sc.wavelength > 0 else (sc.x_right - sc.x_left)
         kwave = 2.0 * math.pi / lam
         p0 = spec.gas_constant * sc.rho0 * sc.T0
@@ -331,11 +304,10 @@ def initial_grid(sc: Scenario) -> Grid1D:
             Pi = -bulk_viscosity(p, spec) * dvdx
         else:
             Pi = np.zeros_like(x)
-        U = _pack(rho, vx, p, Pi, spec)
-    else:  # uniform_relaxation
-        p0 = spec.gas_constant * sc.rho0 * sc.T0
-        U = _pack(np.full(sc.N, sc.rho0), 0.0, p0, sc.z0 * p0, spec)
-    return Grid1D(x_left=sc.x_left, x_right=sc.x_right, U=U, boundary=sc.boundary)
+        return _pack(rho, vx, p, Pi, spec)
+    # uniform_relaxation
+    p0 = spec.gas_constant * sc.rho0 * sc.T0
+    return _pack(np.full(sc.N, sc.rho0), 0.0, p0, sc.z0 * p0, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +331,8 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(b, np.minimum(a, 0.0), np.maximum(a, 0.0))
 
 
-def _reconstruct(U: np.ndarray, boundary: str, spec: GasSpec, system: System, scheme: str,
-                 limiter: str, max_speed: float) -> tuple[np.ndarray, dict, np.ndarray, int]:
+def _reconstruct(U: np.ndarray, sc: Scenario, system: System,
+                 max_speed: float) -> tuple[np.ndarray, dict, np.ndarray, int]:
     """Edge states of the cells and one ghost each side, shape (rows, K, N+2),
     their primitives and signal speeds |v_x| + c, and the count of zeroed
     slopes.  Along K, 0 is the right edge and -1 the left edge (one and the
@@ -369,16 +341,16 @@ def _reconstruct(U: np.ndarray, boundary: str, spec: GasSpec, system: System, sc
     slopes count as zeroed."""
 
     def decoded(edges):
-        w = system.decode(edges, spec)
-        return w, np.abs(w["vx"]) + system.sound_speed(w, spec)
+        w = system.decode(edges, sc.spec)
+        return w, np.abs(w["vx"]) + system.sound_speed(w, sc.spec)
 
-    if scheme == "rusanov":
-        edges = _pad(U, boundary, 1)[:, None, :]
+    if sc.scheme == "rusanov":
+        edges = _pad(U, sc.boundary, 1)[:, None, :]
         return (edges, *decoded(edges), 0)
-    Up = _pad(U, boundary, 2)
+    Up = _pad(U, sc.boundary, 2)
     fwd = Up[:, 2:] - Up[:, 1:-1]
     bwd = Up[:, 1:-1] - Up[:, :-2]
-    if limiter == "minmod":
+    if sc.limiter == "minmod":
         half = 0.5 * _minmod(bwd, fwd)
         zeroed = (bwd * fwd <= 0.0) & ((bwd != 0.0) | (fwd != 0.0))
     else:
@@ -403,38 +375,37 @@ def _reconstruct(U: np.ndarray, boundary: str, spec: GasSpec, system: System, sc
     return edges, w, speed, int(np.count_nonzero(zeroed))
 
 
-def _stage(U: np.ndarray, g: Grid1D, spec: GasSpec, system: System, scheme: str,
-           limiter: str, max_speed: float) -> tuple[np.ndarray, int, float]:
+def _stage(U: np.ndarray, sc: Scenario, system: System,
+           max_speed: float) -> tuple[np.ndarray, int, float]:
     """-d/dx of the numerical flux, the count of zeroed slopes and the net
     entropy flux out through outflow boundaries (0 for the other policies)."""
-    edges, w, speed, clipped = _reconstruct(U, g.boundary, spec, system, scheme, limiter, max_speed)
+    edges, w, speed, clipped = _reconstruct(U, sc, system, max_speed)
     a = np.maximum(speed[0, :-1], speed[-1, 1:])
     _require(np.isfinite(a), a, "non-finite wave speed", "the face left of cell")
     f = system.flux(edges, w)
     F = 0.5 * (f[:, 0, :-1] + f[:, -1, 1:]) - 0.5 * a * (edges[:, -1, 1:] - edges[:, 0, :-1])
     outflow = 0.0
-    if g.boundary == "outflow":
+    if sc.boundary == "outflow":
         # both states of an end face equal the boundary cell, so the flux
         # h v_x there is exact; take the domain-side edges of both end faces
         end = {key: w[key][[-1, 0], [1, -2]] for key in ("rho", "p", "Pi", "vx")}
-        h = entropy_terms(end["rho"], end["p"], end["Pi"] / end["p"], spec)[0]
+        h = entropy_terms(end["rho"], end["p"], end["Pi"] / end["p"], sc.spec)[0]
         outflow = float(h[1] * end["vx"][1] - h[0] * end["vx"][0])
-    return -(F[:, 1:] - F[:, :-1]) / g.dx, clipped, outflow
+    return -(F[:, 1:] - F[:, :-1]) / sc.dx, clipped, outflow
 
 
 class TransportStep(NamedTuple):
     """Result of hyperbolic_step."""
 
-    grid: Grid1D
-    w: dict[str, np.ndarray]       # primitives of grid.U
+    U: np.ndarray
+    w: dict[str, np.ndarray]       # primitives of U
     clipped: int                   # zeroed slopes, the larger of the stages
     entropy_outflow: float         # dt * net h v_x out through outflow ends
 
 
-def hyperbolic_step(g: Grid1D, dt: float, spec: GasSpec, system: System,
-                    scheme: str = "rusanov", limiter: str = "minmod",
+def hyperbolic_step(U: np.ndarray, dt: float, sc: Scenario, system: System,
                     max_speed: float = math.inf) -> TransportStep:
-    """One conservative transport step.
+    """One conservative transport step of U on the grid of sc, by its scheme.
 
     Rusanov is a forward-Euler monotone update; MUSCL reconstructs limited
     slopes and uses two-stage SSP time integration, whose flux is the mean
@@ -443,41 +414,41 @@ def hyperbolic_step(g: Grid1D, dt: float, spec: GasSpec, system: System,
     speed dt was chosen from.  The new state is decoded once; a cell
     outside the window raises SolverError.
     """
-    if scheme == "rusanov":
-        rhs, clipped, outflow = _stage(g.U, g, spec, system, scheme, limiter, max_speed)
-        U_new = g.U + dt * rhs
+    if sc.scheme == "rusanov":
+        rhs, clipped, outflow = _stage(U, sc, system, max_speed)
+        U_new = U + dt * rhs
     else:
-        rhs1, c1, out1 = _stage(g.U, g, spec, system, scheme, limiter, max_speed)
-        U_stage = g.U + dt * rhs1
-        rhs2, c2, out2 = _stage(U_stage, g, spec, system, scheme, limiter, max_speed)
-        U_new = 0.5 * (g.U + U_stage + dt * rhs2)
+        rhs1, c1, out1 = _stage(U, sc, system, max_speed)
+        U_stage = U + dt * rhs1
+        rhs2, c2, out2 = _stage(U_stage, sc, system, max_speed)
+        U_new = 0.5 * (U + U_stage + dt * rhs2)
         clipped = max(c1, c2)
         outflow = 0.5 * (out1 + out2)
-    w = system.decode(U_new, spec)
-    _require_window(w, spec)
-    return TransportStep(g.with_data(U_new), w, clipped, dt * outflow)
+    w = system.decode(U_new, sc.spec)
+    _require_window(w, sc.spec)
+    return TransportStep(U_new, w, clipped, dt * outflow)
 
 
-def relaxation_step_exact(g: Grid1D, w: dict[str, np.ndarray], dt: float,
-                          spec: GasSpec, rate=0.0) -> tuple[Grid1D, dict[str, np.ndarray]]:
+def relaxation_step_exact(U: np.ndarray, w: dict[str, np.ndarray], dt: float,
+                          spec: GasSpec, rate=0.0) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Exact solution of dPi/dt = rate - Pi/tau over dt, rate held fixed.
 
-    Holding F, F_i, G_ll (hence rho, v, eps, p) of g fixed, Pi starts from
+    Holding F, F_i, G_ll (hence rho, v, eps, p) of U fixed, Pi starts from
     w["Pi"] and ends at Pi E + tau (1 - E) rate with E = exp(-dt/tau); F_ll
     is rebuilt as rho v^2 + 3 (p + Pi).  rate = 0 is the homogeneous
     relaxation Pi <- Pi E, under which admissibility can only improve since
-    |Pi| shrinks toward 0.  w are the primitives of g, except that Pi may
-    be that of an earlier state.  Returns the new grid and its primitives,
+    |Pi| shrinks toward 0.  w are the primitives of U, except that Pi may
+    be that of an earlier state.  Returns the new data and its primitives,
     which differ from w only in Pi, so the caller need not decode it again.
     That Pi is read back from the new F_ll row, as primitive_fields would
     read it.
     """
     x = -dt / spec.tau
     Pi = w["Pi"] * math.exp(x) - spec.tau * math.expm1(x) * rate
-    U_new = g.U.copy()
+    U_new = U.copy()
     U_new[4] = momentum_flux_trace(w["rho"], w["v2"], w["p"], Pi)
     Pi = dynamic_pressure(U_new[4], w["rho"], w["v2"], w["p"])
-    return g.with_data(U_new), {**w, "Pi": Pi}
+    return U_new, {**w, "Pi": Pi}
 
 
 # ---------------------------------------------------------------------------
@@ -485,16 +456,16 @@ def relaxation_step_exact(g: Grid1D, w: dict[str, np.ndarray], dt: float,
 # ---------------------------------------------------------------------------
 
 def _record_diag(ts: TimeSeries, t: float, U: np.ndarray, w: dict[str, np.ndarray],
-                 spec: GasSpec, entropy_outflow: float):
+                 sc: Scenario, entropy_outflow: float):
     z = w["Pi"] / w["p"]
-    h = entropy_terms(w["rho"], w["p"], z, spec)[0]
+    h = entropy_terms(w["rho"], w["p"], z, sc.spec)[0]
     ts.diag_t.append(t)
-    ts.total_F.append(float(np.sum(U[0])) * ts.dx)
-    ts.total_Fx.append(float(np.sum(U[1])) * ts.dx)
-    ts.total_Gll.append(float(np.sum(U[-1])) * ts.dx)
+    ts.total_F.append(float(np.sum(U[0])) * sc.dx)
+    ts.total_Fx.append(float(np.sum(U[1])) * sc.dx)
+    ts.total_Gll.append(float(np.sum(U[-1])) * sc.dx)
     F_ll = momentum_flux_trace(w["rho"], w["v2"], w["p"], w["Pi"])
-    ts.total_Fll.append(float(np.sum(F_ll)) * ts.dx)
-    ts.total_entropy.append(float(np.sum(h)) * ts.dx)
+    ts.total_Fll.append(float(np.sum(F_ll)) * sc.dx)
+    ts.total_entropy.append(float(np.sum(h)) * sc.dx)
     ts.max_abs_z.append(float(np.max(np.abs(z))))
     ts.projections.append(0)
     ts.entropy_outflow.append(entropy_outflow)
@@ -508,8 +479,8 @@ def _record_snapshot(ts: TimeSeries, t: float, w: dict[str, np.ndarray], spec: G
     ts.snapshots.append({**snap, "Pi_over_p": z, "h": h, "k": k})
 
 
-def _march(sc: Scenario, g: Grid1D, system: System) -> TimeSeries:
-    """Advance g to sc.t_end, recording snapshots and per-step diagnostics.
+def _march(sc: Scenario, U: np.ndarray, system: System) -> TimeSeries:
+    """Advance U to sc.t_end, recording snapshots and per-step diagnostics.
 
     Each step: the exact relaxation over dt/2, the hyperbolic step, then
     the exponential update of Pi over the whole step from its initial
@@ -520,11 +491,11 @@ def _march(sc: Scenario, g: Grid1D, system: System) -> TimeSeries:
     naming it.
     """
     spec = sc.spec
-    ts = TimeSeries(x=g.centers, dx=g.dx, periodic=(sc.boundary == "periodic"))
+    ts = TimeSeries(x=sc.centers)
     t = 0.0
-    w = system.decode(g.U, spec)
+    w = system.decode(U, spec)
     _require_window(w, spec, "initial Pi/p outside the window:")
-    _record_diag(ts, t, g.U, w, spec, 0.0)
+    _record_diag(ts, t, U, w, sc, 0.0)
     _record_snapshot(ts, t, w, spec)
     next_out = sc.output_cadence if sc.output_cadence > 0 else sc.t_end
     for _ in range(10_000_000):
@@ -532,18 +503,18 @@ def _march(sc: Scenario, g: Grid1D, system: System) -> TimeSeries:
             break
         try:
             speed = max_wave_speed(w, spec, system)
-            dt = sc.cfl * g.dx / speed
+            dt = sc.cfl * sc.dx / speed
             dt = min(dt, sc.t_end - t, next_out - t if next_out > t else dt)
-            half, w_half = system.relax(g, w, 0.5 * dt, spec, 0.0)
-            step = hyperbolic_step(half, dt, spec, system, sc.scheme, sc.limiter, speed)
+            half, w_half = system.relax(U, w, 0.5 * dt, spec, 0.0)
+            step = hyperbolic_step(half, dt, sc, system, speed)
             rate = (step.w["Pi"] - w_half["Pi"]) / dt
-            g, w = system.relax(step.grid, {**step.w, "Pi": w["Pi"]}, dt, spec, rate)
+            U, w = system.relax(step.U, {**step.w, "Pi": w["Pi"]}, dt, spec, rate)
             _require_window(w, spec)
         except SolverError as err:
             raise SolverError(f"step from t = {t:.6g}: {err}") from err
         t += dt
-        ts.limiter_fraction = max(ts.limiter_fraction, step.clipped / g.U.size)
-        _record_diag(ts, t, g.U, w, spec, step.entropy_outflow)
+        ts.limiter_fraction = max(ts.limiter_fraction, step.clipped / U.size)
+        _record_diag(ts, t, U, w, sc, step.entropy_outflow)
         if t >= next_out - 1e-14 * max(next_out, 1.0):
             _record_snapshot(ts, t, w, spec)
             next_out = min(next_out + sc.output_cadence, sc.t_end) if sc.output_cadence > 0 else sc.t_end
@@ -556,15 +527,19 @@ def _march(sc: Scenario, g: Grid1D, system: System) -> TimeSeries:
     return ts
 
 
-def run_scenario(sc: Scenario, initial: Grid1D | None = None) -> TimeSeries:
+def run_scenario(sc: Scenario, initial: np.ndarray | None = None) -> TimeSeries:
     """March a scenario of the six-field system to its end time.
 
     Each transport step sits between an exact relaxation half step and an
     exponential update of Pi over the whole step (see _march), so the
     stiff limit Pi = -nu dv/dx holds at transport time steps.
-    `initial` overrides the scenario's built-in initial condition.
+    `initial`, of shape (6, sc.N), overrides the scenario's built-in
+    initial condition.
     """
-    return _march(sc, initial_grid(sc) if initial is None else initial, SIX_FIELD)
+    U = initial_grid(sc) if initial is None else np.asarray(initial, dtype=float)
+    if U.shape != (6, sc.N):
+        raise SolverError(f"initial data must have shape {(6, sc.N)}, got {U.shape}")
+    return _march(sc, U, SIX_FIELD)
 
 
 def euler_reference(sc: Scenario) -> TimeSeries:
@@ -574,8 +549,7 @@ def euler_reference(sc: Scenario) -> TimeSeries:
     equilibrium value); state rows are (F, F_x, F_y, F_z, G_ll), and the
     signal speed is the equilibrium sound speed sqrt((D+2) p / (D rho)).
     """
-    g = initial_grid(sc)
-    return _march(sc, g.with_data(np.delete(g.U, 4, axis=0)), FIVE_FIELD)
+    return _march(sc, np.delete(initial_grid(sc), 4, axis=0), FIVE_FIELD)
 
 
 # ---------------------------------------------------------------------------
@@ -602,29 +576,30 @@ class NsLimitReport:
     target: np.ndarray
 
 
-def ns_limit_diagnostic(ts: TimeSeries, spec: GasSpec, snapshot: int = -1,
+def ns_limit_diagnostic(ts: TimeSeries, sc: Scenario,
                         mask_fraction: float = 0.5) -> NsLimitReport:
-    """Compare the recorded Pi with the first-order relaxation limit.
+    """Compare the last recorded Pi of a run of sc with the first-order
+    relaxation limit.
 
     The target is -nu dv/dx with nu = (2/3)((D-3)/D) p tau evaluated with
-    the local pressure, dv/dx by central differences on the snapshot grid.
+    the local pressure, dv/dx by central differences on the grid of sc.
     Non-periodic runs leave NS_BOUNDARY_MARGIN cells out at each end; a run whose
     limiter zeroed more than LIMITER_ACTIVITY_THRESHOLD of its slopes is
     flagged reduced_confidence.
     """
-    snap = ts.snapshots[snapshot]
+    snap = ts.snapshots[-1]
     vx = snap["vx"]
     p = snap["p"]
     pi = snap["Pi"]
-    dx = ts.dx
-    if ts.periodic:
+    dx = sc.dx
+    if sc.boundary == "periodic":
         dvdx = (np.roll(vx, -1) - np.roll(vx, 1)) / (2.0 * dx)
         interior = np.ones_like(vx, dtype=bool)
     else:
         dvdx = np.gradient(vx, dx)
         interior = np.zeros_like(vx, dtype=bool)
         interior[NS_BOUNDARY_MARGIN:-NS_BOUNDARY_MARGIN] = True
-    target = -bulk_viscosity(p, spec) * dvdx
+    target = -bulk_viscosity(p, sc.spec) * dvdx
     scale = float(np.max(np.abs(target[interior])))
     if scale == 0.0:
         raise SolverError("no velocity gradient in the snapshot; nothing to compare")

@@ -192,7 +192,7 @@ def test_c08_ns_limit():
                   t_end=1.5, amplitude=1e-3, cfl=NsLimitConfig().cfl, scheme="muscl",
                   limiter="minmod", pi_init="ns")
     ts = run_scenario(sc)
-    rep = ns_limit_diagnostic(ts, spec)
+    rep = ns_limit_diagnostic(ts, sc)
     elapsed = time.time() - start
     steps = len(ts.diag_t) - 1
     nu = bulk_viscosity(1.0, spec)
@@ -213,7 +213,7 @@ def test_c09_monatomic_limit():
     eu = euler_reference(sc)
     worst = 0.0
     for name in ("rho", "vx", "T"):
-        diff = float(np.sum(np.abs(ts.snapshots[-1][name] - eu.snapshots[-1][name]))) * ts.dx
+        diff = float(np.sum(np.abs(ts.snapshots[-1][name] - eu.snapshots[-1][name]))) * sc.dx
         worst = max(worst, diff)
     report(9, worst <= 1e-6,
            f"max L1 distance to the five-field reference {worst:.3e} <= 1e-6")

@@ -218,7 +218,6 @@ def test_probe_equilibrium_state(d5):
                                   trial_amplitudes=[0.01])
     assert report.points[0].converged
     assert report.points[0].entropy < report.reference_entropy
-    assert report.optimal
 
 
 def test_probe_sweep_monotone(d5):

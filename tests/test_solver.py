@@ -7,7 +7,6 @@ from et6 import solver as solver_module
 from et6.gas import GasSpec
 from et6.solver import (
     SIX_FIELD,
-    Grid1D,
     Scenario,
     SolverError,
     bulk_viscosity,
@@ -23,14 +22,19 @@ from et6.solver import (
 )
 
 
-def uniform_grid(spec, N=16, rho=1.0, T=1.0, vx=0.0, z=0.0, boundary="periodic"):
+def uniform_grid(spec, N=16, rho=1.0, T=1.0, vx=0.0, z=0.0):
     p = spec.gas_constant * rho * T
     U = np.zeros((6, N))
     U[0] = rho
     U[1] = rho * vx
     U[4] = rho * vx**2 + 3.0 * (p + z * p)
     U[5] = rho * vx**2 + spec.D * p
-    return Grid1D(x_left=0.0, x_right=1.0, U=U, boundary=boundary)
+    return U
+
+
+def holding(U, spec, **fields):
+    """A scenario on [0, 1] whose grid holds the cells of U."""
+    return Scenario(spec=spec, N=U.shape[1], **fields)
 
 
 def test_primitive_fields_match_point_conversions():
@@ -63,8 +67,8 @@ def test_flux_fields_match_closed_fluxes():
     from et6.gas import State6
 
     spec = GasSpec(D=5.0)
-    g = uniform_grid(spec, N=4, rho=1.2, T=0.8, vx=0.6, z=0.2)
-    fl_arrays = flux_fields(g.U, primitive_fields(g.U, spec))
+    U = uniform_grid(spec, N=4, rho=1.2, T=0.8, vx=0.6, z=0.2)
+    fl_arrays = flux_fields(U, primitive_fields(U, spec))
     s = State6(rho=1.2, v=[0.6, 0.0, 0.0], T=0.8, Pi=0.2 * 1.2 * 0.8)
     fl = closed_fluxes(s, spec)
     assert fl_arrays[1, 0] == pytest.approx(fl.F_ik[0, 0], rel=1e-14)
@@ -77,8 +81,8 @@ def test_entropy_fields_match_point_values():
     from et6.gas import State6
 
     spec = GasSpec(D=4.5)
-    g = uniform_grid(spec, N=4, rho=0.7, T=1.1, z=-0.3)
-    w = primitive_fields(g.U, spec)
+    U = uniform_grid(spec, N=4, rho=0.7, T=1.1, z=-0.3)
+    w = primitive_fields(U, spec)
     h, k, _, _ = entropy_terms(w["rho"], w["p"], w["Pi"] / w["p"], spec)
     parts = entropy_parts(State6(rho=0.7, v=0.0, T=1.1, Pi=-0.3 * 0.7 * 1.1), spec)
     assert h[0] == pytest.approx(parts.h, rel=1e-13)
@@ -88,14 +92,14 @@ def test_entropy_fields_match_point_values():
 @pytest.mark.parametrize("scheme", ["rusanov", "muscl"])
 def test_uniform_state_is_exact_steady_state(scheme):
     spec = GasSpec(D=5.0)
-    g = uniform_grid(spec, vx=0.3, z=0.1)
-    step = hyperbolic_step(g, 1e-3, spec, SIX_FIELD, scheme=scheme)
-    np.testing.assert_array_equal(step.grid.U, g.U)
+    U = uniform_grid(spec, vx=0.3, z=0.1)
+    step = hyperbolic_step(U, 1e-3, holding(U, spec, scheme=scheme), SIX_FIELD)
+    np.testing.assert_array_equal(step.U, U)
 
 
 def test_decode_rejects_nan_state():
     spec = GasSpec(D=5.0)
-    U = uniform_grid(spec).U
+    U = uniform_grid(spec)
     U[0, 3] = np.nan
     with pytest.raises(SolverError, match="density nan at index 3"):
         primitive_fields(U, spec)
@@ -120,10 +124,10 @@ def test_rusanov_step_on_cell_below_window_raises_on_nan_face_speed():
     # p + Pi < 0 in one cell: its NaN wave speed must stop the step instead
     # of turning the flux into NaN; numpy warns on the sqrt of p + Pi < 0
     spec = GasSpec(D=5.0)
-    g = uniform_grid(spec, z=-1.5)
+    U = uniform_grid(spec, z=-1.5)
     with pytest.raises(SolverError, match="non-finite wave speed nan at the face left of cell"), \
             pytest.warns(RuntimeWarning, match="invalid value encountered in sqrt"):
-        hyperbolic_step(g, 1e-3, spec, SIX_FIELD)
+        hyperbolic_step(U, 1e-3, holding(U, spec), SIX_FIELD)
 
 
 def test_muscl_face_faster_than_the_step_speed_falls_back():
@@ -142,26 +146,26 @@ def test_muscl_face_faster_than_the_step_speed_falls_back():
 def test_single_sod_step_conserves_mass():
     spec = GasSpec(D=5.0, tau=1e-2)
     sc = Scenario(kind="riemann", spec=spec, N=200, boundary="outflow", t_end=0.1)
-    g = initial_grid(sc)
-    dt = 0.45 * g.dx / max_wave_speed(primitive_fields(g.U, spec), spec, SIX_FIELD)
-    g2 = hyperbolic_step(g, dt, spec, SIX_FIELD).grid
-    before = np.sum(g.U[0]) * g.dx
-    after = np.sum(g2.U[0]) * g2.dx
+    U = initial_grid(sc)
+    dt = 0.45 * sc.dx / max_wave_speed(primitive_fields(U, spec), spec, SIX_FIELD)
+    U2 = hyperbolic_step(U, dt, sc, SIX_FIELD).U
+    before = np.sum(U[0]) * sc.dx
+    after = np.sum(U2[0]) * sc.dx
     assert abs(after - before) <= 1e-14 * before
 
 
 def test_relaxation_identity_at_equilibrium():
     spec = GasSpec(D=5.0, tau=0.1)
-    g = uniform_grid(spec, z=0.0)
-    g2, _ = relaxation_step_exact(g, primitive_fields(g.U, spec), 0.05, spec)
-    np.testing.assert_allclose(g2.U, g.U, rtol=0, atol=1e-15)
+    U = uniform_grid(spec, z=0.0)
+    U2, _ = relaxation_step_exact(U, primitive_fields(U, spec), 0.05, spec)
+    np.testing.assert_allclose(U2, U, rtol=0, atol=1e-15)
 
 
 def test_relaxation_exact_exponential():
     spec = GasSpec(D=5.0, tau=0.1)
-    g = uniform_grid(spec, z=0.3)  # p = 1, Pi = 0.3
-    g2, _ = relaxation_step_exact(g, primitive_fields(g.U, spec), 0.1, spec)
-    w = primitive_fields(g2.U, spec)
+    U = uniform_grid(spec, z=0.3)  # p = 1, Pi = 0.3
+    U2, _ = relaxation_step_exact(U, primitive_fields(U, spec), 0.1, spec)
+    w = primitive_fields(U2, spec)
     assert w["Pi"][0] == pytest.approx(0.3 / math.e, rel=1e-14)
     # rho, v, T untouched
     assert w["rho"][0] == 1.0
@@ -170,27 +174,27 @@ def test_relaxation_exact_exponential():
 
 def test_relaxation_semigroup_composition():
     spec = GasSpec(D=5.0, tau=0.07)
-    g = uniform_grid(spec, z=-0.5)
+    U = uniform_grid(spec, z=-0.5)
     dt = 0.033
-    one, _ = relaxation_step_exact(g, primitive_fields(g.U, spec), dt, spec)
-    half, _ = relaxation_step_exact(g, primitive_fields(g.U, spec), dt / 2, spec)
-    two, _ = relaxation_step_exact(half, primitive_fields(half.U, spec), dt / 2, spec)
-    np.testing.assert_allclose(two.U, one.U, rtol=1e-14)
+    one, _ = relaxation_step_exact(U, primitive_fields(U, spec), dt, spec)
+    half, _ = relaxation_step_exact(U, primitive_fields(U, spec), dt / 2, spec)
+    two, _ = relaxation_step_exact(half, primitive_fields(half, spec), dt / 2, spec)
+    np.testing.assert_allclose(two, one, rtol=1e-14)
 
 
 def test_relaxation_at_a_frozen_rate_reaches_tau_times_rate():
     # dt >> tau: Pi forgets its start and settles on tau S, the stiff limit
     spec = GasSpec(D=5.0, tau=1e-4)
-    g = uniform_grid(spec, vx=0.4, z=-0.5)
-    _, w = relaxation_step_exact(g, primitive_fields(g.U, spec), 0.1, spec, rate=2.0)
+    U = uniform_grid(spec, vx=0.4, z=-0.5)
+    _, w = relaxation_step_exact(U, primitive_fields(U, spec), 0.1, spec, rate=2.0)
     np.testing.assert_allclose(w["Pi"], 2.0 * spec.tau, rtol=1e-12)
 
 
 def test_relaxation_returns_primitives_of_new_grid():
     spec = GasSpec(D=5.0, tau=0.07)
-    g = uniform_grid(spec, vx=0.4, z=-0.5)
-    g2, w2 = relaxation_step_exact(g, primitive_fields(g.U, spec), 0.033, spec)
-    decoded = primitive_fields(g2.U, spec)
+    U = uniform_grid(spec, vx=0.4, z=-0.5)
+    U2, w2 = relaxation_step_exact(U, primitive_fields(U, spec), 0.033, spec)
+    decoded = primitive_fields(U2, spec)
     assert w2.keys() == decoded.keys()
     for key, value in decoded.items():
         np.testing.assert_array_equal(w2[key], value, err_msg=key)
@@ -338,10 +342,10 @@ def test_step_ending_outside_window_raises():
     # Pi = p in cell 5 lies above (D - 3) p / 3; a step that ends there
     # raises naming the cell instead of editing the state
     spec = GasSpec(D=5.0)
-    g = uniform_grid(spec, N=8, z=0.0)
-    g.U[4, 5] = 3.0 * (1.0 + 1.0)
+    U = uniform_grid(spec, N=8, z=0.0)
+    U[4, 5] = 3.0 * (1.0 + 1.0)
     with pytest.raises(SolverError, match="^Pi/p outside the window: 1 at index 5$"):
-        hyperbolic_step(g, 1e-9, spec, SIX_FIELD)
+        hyperbolic_step(U, 1e-9, holding(U, spec), SIX_FIELD)
 
 
 def test_run_aborts_on_mass_projection():
@@ -349,20 +353,20 @@ def test_run_aborts_on_mass_projection():
     # before the t = 0 diagnostics, at its first cell
     spec = GasSpec(D=5.0, tau=1e9)
     sc = Scenario(kind="uniform_relaxation", spec=spec, N=50, t_end=0.1, z0=0.3)
-    g = initial_grid(sc)
-    g.U[4, :] = 3.0 * (1.0 + 2.0)  # Pi = 2 p, far above (D-3)/3 = 2/3
+    U = initial_grid(sc)
+    U[4, :] = 3.0 * (1.0 + 2.0)  # Pi = 2 p, far above (D-3)/3 = 2/3
     with pytest.raises(SolverError, match="initial Pi/p outside the window: 2 at index 0$"):
-        run_scenario(sc, initial=g)
+        run_scenario(sc, initial=U)
 
 
 def test_run_rejects_one_inadmissible_initial_cell():
     # one cell at Pi = 2 p: once a NaN entropy at t = 0 and a completed run
     spec = GasSpec(D=5.0, tau=1e9)
     sc = Scenario(kind="uniform_relaxation", spec=spec, N=200, t_end=0.1, z0=0.3)
-    g = initial_grid(sc)
-    g.U[4, 7] = 9.0
+    U = initial_grid(sc)
+    U[4, 7] = 9.0
     with pytest.raises(SolverError, match="outside the window: 2 at index 7$"):
-        run_scenario(sc, initial=g)
+        run_scenario(sc, initial=U)
 
 
 @pytest.mark.parametrize("bad", [{"pi_init": "NS"}, {"N": 2}])
@@ -416,7 +420,7 @@ def test_ns_limit_smooth_acoustic_run():
                   t_end=0.75, amplitude=1e-3, cfl=0.02, scheme="muscl",
                   limiter="minmod", pi_init="ns")
     ts = run_scenario(sc)
-    rep = ns_limit_diagnostic(ts, spec)
+    rep = ns_limit_diagnostic(ts, sc)
     assert rep.max_rel_deviation <= 10.0 * spec.tau
     assert rep.l2_rel_deviation <= rep.max_rel_deviation
     assert not rep.reduced_confidence
@@ -454,7 +458,7 @@ def test_monatomic_limit_matches_euler():
     ts = run_scenario(sc)
     eu = euler_reference(sc)
     for name in ("rho", "vx", "T"):
-        diff = np.sum(np.abs(ts.snapshots[-1][name] - eu.snapshots[-1][name])) * ts.dx
+        diff = np.sum(np.abs(ts.snapshots[-1][name] - eu.snapshots[-1][name])) * sc.dx
         assert diff <= 1e-6
 
 
@@ -467,7 +471,7 @@ def test_riemann_et6_approaches_euler_for_small_tau():
     rho_eu = eu.snapshots[-1]["rho"]
     # L1 distance, allowing up to two cells of shift
     best = min(
-        float(np.sum(np.abs(np.roll(rho_et6, shift) - rho_eu))) * ts.dx
+        float(np.sum(np.abs(np.roll(rho_et6, shift) - rho_eu))) * sc.dx
         for shift in range(-2, 3)
     )
     assert best <= 1e-2
@@ -493,5 +497,18 @@ def test_scenario_validation():
         Scenario(kind="warp")
     with pytest.raises(SolverError):
         Scenario(scheme="weno5")
-    with pytest.raises(SolverError):
-        Grid1D(x_left=0.0, x_right=1.0, U=np.ones((6, 3)))
+
+
+def test_run_rejects_initial_data_of_another_shape():
+    sc = Scenario(N=16)
+    with pytest.raises(SolverError, match=r"^initial data must have shape \(6, 16\), "
+                                          r"got \(6, 15\)$"):
+        run_scenario(sc, initial=np.ones((6, sc.N - 1)))
+
+
+def test_snapshot_x_is_where_the_initial_data_were_built():
+    # the x written beside every snapshot is the centre each cell's initial
+    # value was sampled at, bit for bit
+    sc = Scenario(kind="smooth_wave", N=200, x_right=8.0, t_end=0.05)
+    expected = sc.x_left + (np.arange(sc.N) + 0.5) * (sc.x_right - sc.x_left) / sc.N
+    np.testing.assert_array_equal(run_scenario(sc).x, expected)
