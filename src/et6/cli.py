@@ -260,29 +260,33 @@ def cmd_eigen(cfg: RunConfig, out_dir: Path, args) -> bool:
 # run
 # ---------------------------------------------------------------------------
 
+def _write_columns(path: Path, header: list[str], columns: list) -> Path:
+    """_write_csv from whole columns, each formatted in one pass: integer
+    columns as integers and the rest by _fmt's `.17g`."""
+    texts = []
+    for column in map(np.asarray, columns):
+        values = column.tolist()
+        texts.append([str(v) for v in values] if column.dtype.kind in "iu"
+                     else [f"{v:.17g}" for v in values])
+    path.write_text("\n".join([",".join(header), *map(",".join, zip(*texts))]) + "\n",
+                    encoding="utf-8")
+    return path
+
+
 def _write_timeseries(ts, out_dir: Path, prefix: str) -> list[Path]:
     files = []
-    for idx, (t, snap) in enumerate(zip(ts.snapshot_times, ts.snapshots)):
-        rows = [
-            [x, snap["rho"][j], snap["vx"][j], snap["T"][j], snap["p"][j],
-             snap["Pi"][j], snap["Pi_over_p"][j], snap["h"][j], snap["k"][j]]
-            for j, x in enumerate(ts.x)
-        ]
-        files.append(_write_csv(
+    keys = ["rho", "vx", "T", "p", "Pi", "Pi_over_p", "h", "k"]
+    for idx, snap in enumerate(ts.snapshots):
+        files.append(_write_columns(
             out_dir / f"{prefix}_snapshot_{idx:04d}.csv",
-            ["x", "rho", "vx", "T", "p", "Pi", "Pi_over_p", "h", "k"],
-            rows,
+            ["x", *keys], [ts.x, *(snap[key] for key in keys)],
         ))
-    diag_rows = [
-        [ts.diag_t[i], ts.total_F[i], ts.total_Fx[i], ts.total_Gll[i],
-         ts.total_entropy[i], ts.max_abs_z[i], ts.projections[i], ts.entropy_outflow[i]]
-        for i in range(len(ts.diag_t))
-    ]
-    files.append(_write_csv(
+    files.append(_write_columns(
         out_dir / f"{prefix}_diagnostics.csv",
         ["t", "total_F", "total_Fx", "total_Gll", "total_entropy",
          "max_abs_Z", "projections", "entropy_outflow"],
-        diag_rows,
+        [ts.diag_t, ts.total_F, ts.total_Fx, ts.total_Gll, ts.total_entropy,
+         ts.max_abs_z, ts.projections, ts.entropy_outflow],
     ))
     return files
 

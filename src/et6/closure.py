@@ -214,18 +214,33 @@ def equilibrium_distribution_value(C, I, rho: float, T: float, spec: GasSpec):
     return np.exp(log_pref - (0.5 * spec.m * c2 + I) / kT)
 
 
-def flux_rows(F_i, G_ll, rho_v2, ppi, v_k, k: int):
-    """Flux along axis k of (F, F_i, F_ll, G_ll), on floats or arrays:
+def flux_rows(F_i, G_ll, rho_v2, ppi, v_k, k: int) -> np.ndarray:
+    """Flux along axis k of (F, F_i, F_ll, G_ll), on floats or arrays, as
+    one array of rows, shape (3 + len(F_i), ...):
 
         F_k,  F_i v_k + (p + Pi) delta_ik,  (5 (p + Pi) + rho v^2) v_k,
         (G_ll + 2 (p + Pi)) v_k
 
-    with rho_v2 = rho v^2 and ppi = p + Pi.  closed_fluxes applies it along
-    x, y and z, the solver along x.  No checks.
+    with F_i = (F_x, F_y, F_z), rho_v2 = rho v^2 and ppi = p + Pi.  The
+    solver may pass F_i = (F_x,) alone, and gets the four rows of
+    (F, F_x, F_ll, G_ll).  The rows are computed in place in the array
+    returned.  closed_fluxes applies it along x, y and z, the solver along
+    x.  No checks.
     """
-    momentum = [F_i[0] * v_k, F_i[1] * v_k, F_i[2] * v_k]
-    momentum[k] = momentum[k] + ppi
-    return (F_i[k], *momentum, (5.0 * ppi + rho_v2) * v_k, (G_ll + 2.0 * ppi) * v_k)
+    F_i = np.asarray(F_i)
+    rows = np.empty((len(F_i) + 3, *F_i.shape[1:]))
+    # `[i, ...]` is a view even on a 1-D array, so every row takes out=
+    mass, momentum, trace, energy = rows[0, ...], rows[1:-2], rows[-2, ...], rows[-1, ...]
+    np.copyto(mass, F_i[k])
+    np.multiply(F_i, v_k, out=momentum)
+    np.add(momentum[k, ...], ppi, out=momentum[k, ...])
+    np.multiply(ppi, 5.0, out=trace)
+    trace += rho_v2
+    trace *= v_k
+    np.multiply(ppi, 2.0, out=energy)
+    energy += G_ll
+    energy *= v_k
+    return rows
 
 
 def closed_fluxes(s: State6, spec: GasSpec) -> FluxSet:
@@ -241,10 +256,10 @@ def closed_fluxes(s: State6, spec: GasSpec) -> FluxSet:
     require_admissible(s, spec)
     p = s.pressure(spec)
     v = s.v.tolist()
-    v2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    G_ll = energy_moment(s.rho, v2, p, spec.D)
+    rho_v2 = s.rho * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    G_ll = energy_moment(rho_v2, p, spec.D)
     F_i = [s.rho * v_a for v_a in v]
-    columns = np.array([flux_rows(F_i, G_ll, s.rho * v2, p + s.Pi, v[k], k) for k in range(3)])
+    columns = np.array([flux_rows(F_i, G_ll, rho_v2, p + s.Pi, v[k], k) for k in range(3)])
     # row k holds (rho v_i) v_k + ppi delta_ik, column k of F_ik; the mirror
     # entry (rho v_k) v_i differs by round-off, so copy one triangle over
     F_ik = columns[:, 1:4]

@@ -185,31 +185,38 @@ def window_bounds(p, D: float):
     return -p, (D - 3.0) / 3.0 * p
 
 
-def momentum_flux_trace(rho, v2, p, Pi):
-    """F_ll = rho v^2 + 3 (p + Pi), on floats or arrays; dynamic_pressure
-    inverts it.  With F = rho, F_i = rho v_i and energy_moment this is the
-    moment map of the six fields.  No checks."""
-    return rho * v2 + 3.0 * (p + Pi)
+def momentum_flux_trace(rho_v2, p, Pi):
+    """F_ll = rho v^2 + 3 (p + Pi), on floats or arrays, given rho_v2 =
+    rho v^2; dynamic_pressure inverts it.  With F = rho, F_i = rho v_i and
+    energy_moment this is the moment map of the six fields.  No checks."""
+    return rho_v2 + 3.0 * (p + Pi)
 
 
-def energy_moment(rho, v2, p, D: float):
-    """G_ll = rho v^2 + D p, on floats or arrays; velocity_pressure inverts
-    it.  No checks."""
-    return rho * v2 + D * p
+def energy_moment(rho_v2, p, D: float):
+    """G_ll = rho v^2 + D p, on floats or arrays, given rho_v2 = rho v^2;
+    velocity_pressure inverts it.  No checks."""
+    return rho_v2 + D * p
 
 
 def velocity_pressure(F, F_i, G_ll, D: float):
-    """(v_x, v_y, v_z, v^2, p) of F, F_i = (F_x, F_y, F_z) and G_ll, on floats
-    or arrays: the inverse moment map but for Pi (see dynamic_pressure), all
-    the five-field subsystem needs.  No checks: callers guard F > 0, p > 0."""
-    vx, vy, vz = (f / F for f in F_i)
-    v2 = vx * vx + vy * vy + vz * vz
-    return vx, vy, vz, v2, (G_ll - F * v2) / D
+    """(v, v^2, rho v^2, p) of F, the array F_i of momentum components and
+    G_ll (scalars, or arrays with F_i one axis longer): the inverse moment
+    map but for Pi (see dynamic_pressure), all the five-field subsystem
+    needs.  F_i is (F_x, F_y, F_z), or (F_x,) alone where the others are 0,
+    which gives the same v^2 to the last bit.  v = F_i / F keeps F_i's
+    shape, and rho v^2 = F v^2 is formed once for every caller.  No checks:
+    callers guard F > 0, p > 0."""
+    v = F_i / F
+    vv = v * v
+    v2 = sum(vv[1:], vv[0])
+    rho_v2 = F * v2
+    return v, v2, rho_v2, (G_ll - rho_v2) / D
 
 
-def dynamic_pressure(F_ll, rho, v2, p):
-    """Pi = (F_ll - rho v^2) / 3 - p, on floats or arrays."""
-    return (F_ll - rho * v2) / 3.0 - p
+def dynamic_pressure(F_ll, rho_v2, p):
+    """Pi = (F_ll - rho v^2) / 3 - p, on floats or arrays, given rho_v2 =
+    rho v^2."""
+    return (F_ll - rho_v2) / 3.0 - p
 
 
 def admissibility(s: State6, spec: GasSpec) -> AdmissibilityReport:
@@ -249,9 +256,9 @@ def conserved_from_primitive(s: State6, spec: GasSpec) -> Conserved6:
     """Map (rho, v, T, Pi) to the densities (F, F_i, F_ll, G_ll)."""
     p = s.pressure(spec)
     vx, vy, vz = s.v.tolist()
-    v2 = vx * vx + vy * vy + vz * vz
-    return Conserved6(F=s.rho, F_i=s.rho * s.v, F_ll=momentum_flux_trace(s.rho, v2, p, s.Pi),
-                      G_ll=energy_moment(s.rho, v2, p, spec.D))
+    rho_v2 = s.rho * (vx * vx + vy * vy + vz * vz)
+    return Conserved6(F=s.rho, F_i=s.rho * s.v, F_ll=momentum_flux_trace(rho_v2, p, s.Pi),
+                      G_ll=energy_moment(rho_v2, p, spec.D))
 
 
 def primitive_from_conserved(u: Conserved6, spec: GasSpec) -> State6:
@@ -263,10 +270,11 @@ def primitive_from_conserved(u: Conserved6, spec: GasSpec) -> State6:
     rho = float(u.F)
     if not rho > 0:
         raise ReconstructionError(f"non-positive density F = {rho}")
-    vx, vy, vz, v2, p = velocity_pressure(rho, u.F_i.tolist(), float(u.G_ll), spec.D)
+    v, _, rho_v2, p = velocity_pressure(rho, u.F_i, float(u.G_ll), spec.D)
+    rho_v2, p = float(rho_v2), float(p)
     if not p > 0:
         raise ReconstructionError(f"non-positive internal energy rho*eps = {0.5 * spec.D * p}")
-    Pi = dynamic_pressure(float(u.F_ll), rho, v2, p)
-    s = State6(rho=rho, v=(vx, vy, vz), T=p / (spec.gas_constant * rho), Pi=Pi)
+    Pi = dynamic_pressure(float(u.F_ll), rho_v2, p)
+    s = State6(rho=rho, v=v, T=p / (spec.gas_constant * rho), Pi=Pi)
     require_admissible(s, spec)
     return s

@@ -202,6 +202,13 @@ def test_run_cli_solver_error_exits_one(tmp_path, capsys):
     assert err == ["solver error: initial Pi/p outside the window: -1.98225 at index 0"]
 
 
+def test_negative_wavelength_is_a_config_error(tmp_path, capsys):
+    cfg_file = write(tmp_path / "wave.cfg", "[scenario]\nkind = smooth_wave\nwavelength = -0.5\n")
+    assert main(["run", "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: [scenario] wavelength = -0.5: "), err
+
+
 @pytest.mark.parametrize("command, text, key", [
     ("relax", "[relax]\nz0 = 5\n", "[relax] z0 = 5.0"),
     ("relax", "[gas]\nD = 3.2\n", "[relax] z0 = 0.3"),    # above (D-3)/3 = 1/15

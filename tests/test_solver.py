@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from et6 import solver as solver_module
+from et6.eigen import et6_sound_speed
 from et6.gas import GasSpec
 from et6.solver import (
     SIX_FIELD,
@@ -128,6 +129,66 @@ def test_rusanov_step_on_cell_below_window_raises_on_nan_face_speed():
     with pytest.raises(SolverError, match="non-finite wave speed nan at the face left of cell"), \
             pytest.warns(RuntimeWarning, match="invalid value encountered in sqrt"):
         hyperbolic_step(U, 1e-3, holding(U, spec), SIX_FIELD)
+
+
+def test_zeroed_slope_count_includes_first_order_fallback_cells():
+    # Pi at the upper window edge in cell 8 sends a face of it outside the
+    # window, and max_speed below the fastest cells makes other faces outrun
+    # it: the count holds every slope of both kinds of fallback cell beside
+    # those minmod zeroes, counted here from the one-sided slopes
+    spec = GasSpec(D=5.0)
+    N = 24
+    j = np.arange(N)
+    rho = 1.0 + 0.2 * np.sin(0.7 * j)
+    p = 1.0 + 0.5 * j / N
+    vx = 0.1 * np.cos(0.5 * j)
+    Pi = np.where(j == 8, 0.999 * spec.z_upper, 0.0) * p
+    U = np.zeros((6, N))
+    U[0] = rho
+    U[1] = rho * vx
+    U[4] = rho * vx**2 + 3.0 * (p + Pi)
+    U[5] = rho * vx**2 + spec.D * p
+    sc = holding(U, spec, scheme="muscl", boundary="outflow")
+    cell_speed = np.abs(vx) + et6_sound_speed(rho, p, Pi)
+    max_speed = float(np.quantile(cell_speed, 0.8))
+    _, _, _, count = solver_module._reconstruct(U, sc, SIX_FIELD, max_speed)
+
+    Up = np.concatenate([U[:, :1], U[:, :1], U, U[:, -1:], U[:, -1:]], axis=1)
+    bwd, fwd = Up[:, 1:-1] - Up[:, :-2], Up[:, 2:] - Up[:, 1:-1]
+    cells = Up[:, 1:-1]
+    half = 0.5 * np.where(bwd * fwd > 0.0, np.sign(bwd) * np.minimum(abs(bwd), abs(fwd)), 0.0)
+    edges = np.stack([cells + half, cells - half], axis=1)
+    F, F_x, F_ll, G_ll = edges[0], edges[1], edges[4], edges[5]
+    outside = ~((F > 0.0) & (F * F_ll > F_x**2) & (G_ll > F_ll)).all(axis=0)
+    assert np.flatnonzero(outside).tolist() == [9]      # cell 8, after the ghost
+    edges[:, :, outside] = cells[:, None, outside]
+    w = primitive_fields(edges, spec)
+    fast = (np.abs(w["vx"]) + et6_sound_speed(w["rho"], w["p"], w["Pi"]) > max_speed).any(axis=0)
+    assert (fast & ~outside).any() and not fast.all()
+    zeroed = (bwd * fwd <= 0.0) & ((bwd != 0.0) | (fwd != 0.0))
+    zeroed[:, outside | fast] = True
+    assert count == np.count_nonzero(zeroed)
+
+
+@pytest.mark.parametrize("scheme", ["rusanov", "muscl"])
+def test_step_without_zero_transverse_rows_matches_the_full_layout(scheme):
+    # the kernel marches (F, F_x, F_ll, G_ll) while F_y = F_z = 0; a step
+    # with faces outrunning max_speed (first-order cells) gives the same
+    # bits, primitives and zeroed-slope count as the six-row step
+    spec = GasSpec(D=5.0)
+    sc = Scenario(kind="riemann", spec=spec, N=48, boundary="outflow", scheme=scheme,
+                  pi_left=-0.9, pi_right=0.06, v_left=0.5)
+    U = initial_grid(sc)
+    speed = max_wave_speed(primitive_fields(U, spec), spec, SIX_FIELD)
+    dt = 0.2 * sc.dx / speed
+    full = hyperbolic_step(U, dt, sc, SIX_FIELD, 0.6 * speed)
+    reduced = hyperbolic_step(np.delete(U, (2, 3), axis=0), dt, sc, SIX_FIELD, 0.6 * speed)
+    assert not full.U[2:4].any()
+    assert np.delete(full.U, (2, 3), axis=0).tobytes() == reduced.U.tobytes()
+    assert reduced.clipped == full.clipped and (scheme == "rusanov" or full.clipped > 0)
+    assert reduced.entropy_outflow == full.entropy_outflow
+    for key, value in reduced.w.items():
+        assert value.tobytes() == full.w[key].tobytes(), key
 
 
 def test_muscl_face_faster_than_the_step_speed_falls_back():
@@ -412,6 +473,18 @@ def test_cfl_bound_covers_pi_relaxing_toward_zero():
 def test_ns_limit_diagnostic_formula():
     spec = GasSpec(D=5.0, tau=1.0)
     assert bulk_viscosity(1.0, spec) == pytest.approx(4.0 / 15.0, rel=1e-15)
+
+
+def test_ns_limit_diagnostic_needs_interior_cells_at_non_periodic_ends():
+    # N <= 2 * NS_BOUNDARY_MARGIN leaves no cell between the left-out ends
+    sc = Scenario(kind="smooth_wave", N=16, boundary="outflow", t_end=0.05)
+    with pytest.raises(SolverError, match=r"2 \* NS_BOUNDARY_MARGIN = 16 .*got N = 16"):
+        ns_limit_diagnostic(run_scenario(sc), sc)
+
+
+def test_negative_wavelength_is_rejected():
+    with pytest.raises(SolverError, match="wavelength must be nonnegative"):
+        Scenario(wavelength=-0.5)
 
 
 def test_ns_limit_smooth_acoustic_run():
