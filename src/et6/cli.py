@@ -20,9 +20,10 @@ resolution: --output-dir flag, then the config [output] directory, then
 $ET6_OUTPUT_DIR, then ./et6_out.
 
 Each verdict is `measured <= bound`, and the bounds below are constants,
-not config keys: a configuration cannot loosen a check.  The oracle's twin
-tolerance (oracle.ADAPTIVE_TOL) and the eigenstructure bounds (eigen.IMAG_TOL,
-GRADIENT_TOL and SYMMETRY_TOL) live beside the code that applies them.
+not config keys: a configuration cannot loosen a check.  The oracle's bound
+on each Gauss value against its closed-form twin (oracle.ADAPTIVE_TOL) and
+the eigenstructure bounds (eigen.IMAG_TOL, GRADIENT_TOL and SYMMETRY_TOL)
+live beside the code that applies them.
 """
 
 from __future__ import annotations

@@ -19,20 +19,18 @@ to degree 2n - 1, which covers every polynomial weight used here, so the
 orders are fixed (64 Hermite, 128 Laguerre nodes: rule gh64xgl128) and no
 other order could change a value beyond round-off.
 
-Beside the Gauss table each state builds a twin table from adaptive
-integrals (QUADPACK) on the rules' unit scale: M_i = int x^i exp(-x^2/2) dx,
-mapped by the binomial expansion S_a[k] = s sum_i C(k, i) s^i v_a^(k-i) M_i,
-and int x^(alpha+j) e^-x dx, scaled by zeta^-(alpha+1+j).  Each quantity is
-compared once with the same sum over the twin table, within ADAPTIVE_TOL,
-and any disagreement raises OracleError, as does a twin that quad reports
-short of its tolerance (with quad's error estimate; no IntegrationWarning
-reaches stderr).  In exact arithmetic the comparison holds for every state
-iff each Gauss sum of x^i (and of x^(alpha+j)) equals its twin, so the twins
-check the rules, while the closed forms check the affine maps.  A twin
-depends on (i, tol) or (alpha, j, tol) only, tol being the ADAPTIVE_TOL in
-force, so all states share the Hermite twins, and all states of one D the
-Laguerre twins: a default `et6 check` computes 4 Hermite and 28 Laguerre
-integrals.
+Beside the Gauss table each state builds a twin table from the closed-form
+moments of the rules' unit scale: M_i = int x^i exp(-x^2/2) dx =
+sqrt(2 pi) (i-1)!! (0 for odd i), mapped by the binomial expansion
+S_a[k] = s sum_i C(k, i) s^i v_a^(k-i) M_i, and int x^(alpha+j) e^-x dx =
+Gamma(alpha+1+j), scaled by zeta^-(alpha+1+j) in log space so that no factor
+overflows.  Each quantity is compared once with the same sum over the twin
+table, within ADAPTIVE_TOL, and any disagreement raises OracleError.  In
+exact arithmetic the comparison holds for every state iff each Gauss sum of
+x^i (and of x^(alpha+j)) equals its closed form, so the twins check the
+rules exactly (Golub & Welsch 1969), while the closed forms of the closure
+check the affine maps.  Adaptive quadrature (QUADPACK) is left to the
+optimality probe, whose radial moments have no elementary closed form.
 
 The oracle measures and its callers judge: its one pass bound is
 ADAPTIVE_TOL, on the agreement of each Gauss value with its twin.
@@ -55,7 +53,7 @@ REL_ERR_FLOOR = 1e-300
 HERMITE_ORDER = 64
 LAGUERRE_ORDER = 128
 RULE = f"gh{HERMITE_ORDER}xgl{LAGUERRE_ORDER}"
-ADAPTIVE_TOL = 1e-10   # agreement of each Gauss value with its adaptive twin
+ADAPTIVE_TOL = 1e-10   # agreement of each Gauss value with its twin; the probe's quad cap
 
 
 class OracleError(RuntimeError):
@@ -138,24 +136,9 @@ def _adaptive(rule: str, f, a: float, b: float, **options) -> float:
     return value
 
 
-@lru_cache(maxsize=64)
-def _hermite_twin(i: int, tol: float) -> float:
-    """M_i = int x^i exp(-x^2/2) dx over R by adaptive quadrature."""
-    return _adaptive(f"int x^{i} exp(-x^2/2) dx", lambda x: x**i * math.exp(-0.5 * x * x),
-                     -np.inf, np.inf, epsabs=tol * math.sqrt(2.0 * math.pi), epsrel=tol)
-
-
-@lru_cache(maxsize=1024)
-def _laguerre_twin(alpha: float, j: int, tol: float) -> float:
-    """int x^(alpha+j) e^-x dx over [0, inf) by adaptive quadrature."""
-    # split at 1: algebraic endpoint weight on the inner part (alpha may be
-    # negative), plain decaying tail outside
-    rule = f"int x^({alpha:.6g}+{j}) e^-x dx"
-    inner = _adaptive(rule + " over [0, 1]", lambda x: x**j * math.exp(-x), 0.0, 1.0,
-                      weight="alg", wvar=(alpha, 0.0), epsabs=tol, epsrel=tol)
-    outer = _adaptive(rule + " over [1, inf)", lambda x: x ** (alpha + j) * math.exp(-x),
-                      1.0, np.inf, epsabs=tol, epsrel=tol)
-    return inner + outer
+def _hermite_moment(i: int) -> float:
+    """M_i = int x^i exp(-x^2/2) dx over R = sqrt(2 pi) (i-1)!!, 0 for odd i."""
+    return 0.0 if i % 2 else math.sqrt(2.0 * math.pi) * math.prod(range(i - 1, 0, -2))
 
 
 class _Table:
@@ -168,12 +151,11 @@ class _Table:
 
     Every moment is Omega times a sum of products S_x[kx] S_y[ky] S_z[kz]
     L[j].  The table holds the powers that the given terms use, by the
-    Gauss rules (S, L) and by the adaptive twins (S_twin, L_twin).
+    Gauss rules (S, L) and by the closed-form twins (S_twin, L_twin).
     """
 
     def __init__(self, s: State6, spec: GasSpec, v, terms: list[Term]):
         self.mul = multipliers_from_state(s, spec)
-        self.tol = ADAPTIVE_TOL
         v, alpha, zeta = np.asarray(v, dtype=float), spec.alpha, self.mul.zeta
         k = np.arange(max(max(powers) for _, powers, _ in terms) + 1)
         j = np.arange(max(j for _, _, j in terms) + 1)
@@ -185,10 +167,10 @@ class _Table:
         # (s x + v_a)^k = sum_i C(k, i) v_a^(k-i) s^i x^i, with C(k, i) = 0 for i > k
         binomial = np.array([[math.comb(n, i) for i in k] for n in k], dtype=float)
         affine = binomial * v[:, None, None] ** np.maximum(k[:, None] - k, 0)
-        unit = np.array([_hermite_twin(int(i), self.tol) for i in k])
+        unit = np.array([_hermite_moment(int(i)) for i in k])
         self.S_twin = scale * affine @ (scale**k * unit)
-        self.L_twin = (np.array([_laguerre_twin(alpha, int(i), self.tol) for i in j])
-                       * zeta ** -(alpha + 1.0 + j))
+        a = alpha + 1.0 + j
+        self.L_twin = np.exp([math.lgamma(n) for n in a] - a * math.log(zeta))
 
     def _sum(self, S: np.ndarray, L: np.ndarray, terms: list[Term]) -> float:
         return self.mul.omega * float(sum(
@@ -197,11 +179,11 @@ class _Table:
     def validated(self, terms: list[Term]) -> float:
         """Omega times the sum of the terms, by the Gauss rules; OracleError
         unless the twin table agrees (a NaN on either side fails too)."""
-        tol = self.tol
+        tol = ADAPTIVE_TOL
         value = self._sum(self.S, self.L, terms)
         reference = self._sum(self.S_twin, self.L_twin, terms)
         if not abs(value - reference) <= tol * max(abs(value), abs(reference), 1.0):
-            raise OracleError(f"{RULE} gives {value!r}, the adaptive rule "
+            raise OracleError(f"{RULE} gives {value!r}, the closed-form moments "
                               f"{reference!r}: they differ by more than {tol:g}")
         return value
 
@@ -299,7 +281,7 @@ def _radial_moment(k: int, xi: float, beta: float, tol: float) -> float:
     Reduced to the radial integral 4 pi int r^(2k+2) exp(-xi r^2 - beta r^4) dr.
     For beta > 0 the integral exists for any real xi; negative xi arises when
     the quartic suppression must be compensated to meet the trace constraint.
-    A quad failure is an OracleError, as for the twins.
+    A quad failure is an OracleError.
     """
     val = _adaptive(f"int r^{2 * k + 2} exp({-xi:.6g} r^2 {-beta:+.6g} r^4) dr",
                     lambda r: r ** (2 * k + 2) * math.exp(-xi * r * r - beta * r**4),

@@ -237,6 +237,9 @@ class Scenario:
             raise SolverError(f"need at least 4 cells, got {self.N}")
         if not self.x_right > self.x_left:
             raise SolverError(f"empty domain [{self.x_left}, {self.x_right}]")
+        if self.kind == "riemann" and not self.x_left < self.x_split < self.x_right:
+            raise SolverError(f"split point {self.x_split} outside the domain "
+                              f"({self.x_left}, {self.x_right})")
         if not 0.0 < self.cfl < 1.0:
             raise SolverError(f"CFL must lie in (0, 1), got {self.cfl}")
         if not self.t_end > 0.0:
@@ -280,7 +283,6 @@ class TimeSeries:
     total_F: list[float] = field(default_factory=list)
     total_Fx: list[float] = field(default_factory=list)
     total_Gll: list[float] = field(default_factory=list)
-    total_Fll: list[float] = field(default_factory=list)
     total_entropy: list[float] = field(default_factory=list)
     max_abs_z: list[float] = field(default_factory=list)
     # always 0: the scheme keeps the window by construction; the column
@@ -536,8 +538,6 @@ def _record_diag(ts: TimeSeries, t: float, U: np.ndarray, w: dict[str, np.ndarra
     ts.total_F.append(float(total(U[0])) * sc.dx)
     ts.total_Fx.append(float(total(U[1])) * sc.dx)
     ts.total_Gll.append(float(total(U[-1])) * sc.dx)
-    F_ll = momentum_flux_trace(w["rho_v2"], w["p"], w["Pi"])
-    ts.total_Fll.append(float(total(F_ll)) * sc.dx)
     ts.total_entropy.append(float(total(h)) * sc.dx)
     ts.max_abs_z.append(float(np.maximum.reduce(np.abs(z))))
     ts.projections.append(0)

@@ -209,6 +209,15 @@ def test_negative_wavelength_is_a_config_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("config error: [scenario] wavelength = -0.5: "), err
 
 
+def test_riemann_split_outside_the_domain_is_a_config_error(tmp_path, capsys):
+    # it used to run one uniform state, the left one, and exit 0
+    cfg_file = write(tmp_path / "split.cfg", "[scenario]\nkind = riemann\nx_split = 1.5\n")
+    assert main(["run", "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: [scenario] x_split = 1.5: "), err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, text, key", [
     ("relax", "[relax]\nz0 = 5\n", "[relax] z0 = 5.0"),
     ("relax", "[gas]\nD = 3.2\n", "[relax] z0 = 0.3"),    # above (D-3)/3 = 1/15
@@ -239,16 +248,18 @@ def test_check_cli_oracle_error_exits_one(tmp_path, capsys, monkeypatch):
 
 
 def test_check_cli_twin_missing_its_tolerance_is_one_line(tmp_path, capsys, monkeypatch):
-    # quad cannot certify 1e-14: its error estimate ends the check in one
-    # line, with no IntegrationWarning above it
+    # scipy's 128-node Laguerre rule is off by 1.6e-14 at D = 5: at a bound
+    # of 1e-14 the exact moments end the check in one line, before any PASS
     from et6 import oracle
 
     monkeypatch.setattr(oracle, "ADAPTIVE_TOL", 1e-14)
     cfg_file = write(tmp_path / "tight.cfg", "[check]\ngrid_z_count = 2\ngrid_d_values = 5\n")
     assert main(["check", "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("oracle error: adaptive rule int "), err
-    assert "error estimate" in err[0]
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("oracle error: gh64xgl128 gives "), err
+    assert "the closed-form moments" in err[0]
+    assert "[PASS]" not in captured.out
 
 
 def test_sweep_labels_keep_distinct_d_values_apart(tmp_path, capsys):

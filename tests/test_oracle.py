@@ -1,3 +1,5 @@
+import math
+import sys
 import types
 import warnings
 
@@ -83,76 +85,72 @@ def test_gauss_agrees_with_adaptive_fallback(d5):
     assert all(r.rel_err <= 1e-8 for r in reports)
 
 
+def _in_probe() -> bool:
+    """Whether mep_optimality_probe is on the call stack."""
+    frame = sys._getframe()
+    while frame is not None and frame.f_code.co_name != "mep_optimality_probe":
+        frame = frame.f_back
+    return frame is not None
+
+
 @pytest.fixture
 def quad_calls(monkeypatch):
-    """Record every adaptive quad call, starting from empty twin caches."""
+    """Record every adaptive quad call: whether the probe made it."""
     from et6 import oracle
 
-    oracle._hermite_twin.cache_clear()
-    oracle._laguerre_twin.cache_clear()
     calls = []
     quad_fn = oracle.integrate.quad
     monkeypatch.setattr(oracle, "integrate", types.SimpleNamespace(
-        quad=lambda *args, **kwargs: calls.append(1) or quad_fn(*args, **kwargs)))
+        quad=lambda *args, **kwargs: calls.append(_in_probe()) or quad_fn(*args, **kwargs)))
     return calls
 
 
-def test_validation_computes_each_adaptive_twin_once(d5, quad_calls):
-    s = State6(rho=0.8, v=[0.2, -0.1, 0.3], T=1.4, Pi=0.3)
-    oracle_flux_check(s, d5)
-    # the unit-scale M_0..M_3, shared by the three axes, and L[0] and L[1]
-    # in two pieces each
-    assert 0 < len(quad_calls) <= 4 + 2 * 2
-
-
-def test_checks_of_one_state_share_their_adaptive_twins(d5, quad_calls):
-    # M_0..M_3 serve the lab frame and the peculiar frame (entropy) alike,
-    # with L[0] and L[1] in two pieces each: 8 integrands for all three checks
-    s = State6(rho=0.8, v=[0.2, -0.1, 0.3], T=1.4, Pi=0.3)
-    oracle_constraint_check(s, d5)
-    oracle_flux_check(s, d5)
-    oracle_entropy(s, d5)
-    assert 0 < len(quad_calls) <= 8
-
-
-def test_states_share_their_hermite_twins(d5, quad_calls):
-    # different xi (T) and shifts (v), one set of unit-scale twins M_0..M_3
+@pytest.mark.parametrize("D", [3.5, 5.0, 12.0])
+def test_gauss_rules_match_closed_form_moments(D):
+    # the gate's exact references: each Gauss sum of x^i and of x^(alpha+j)
+    # on the rules' unit scale, within the gate's own bound
     from et6 import oracle
 
-    for s in (State6(rho=0.8, v=[0.2, -0.1, 0.3], T=1.4, Pi=0.3),
-              State6(rho=3.0, v=[-1.5, 0.0, 2.0], T=0.2, Pi=-0.1),
-              State6(rho=1.0, v=0.0, T=5.0, Pi=0.5)):
-        oracle_constraint_check(s, d5)
-        oracle_flux_check(s, d5)
-        oracle_entropy(s, d5)
-    assert oracle._hermite_twin.cache_info().misses <= 4
+    x, wx = oracle._hermite_rule()
+    for i in range(8):
+        # (i-1)!! = i! / (2^(i/2) (i/2)!) for even i
+        moment = (math.sqrt(2.0 * math.pi) * math.factorial(i)
+                  / (2 ** (i // 2) * math.factorial(i // 2)) if i % 2 == 0 else 0.0)
+        assert oracle._hermite_moment(i) == pytest.approx(moment, rel=1e-15, abs=0.0), i
+        assert abs(wx @ x**i - moment) <= oracle.ADAPTIVE_TOL * max(moment, 1.0), i
+    alpha = GasSpec(D=D).alpha
+    y, wy = oracle._laguerre_rule(alpha)
+    for j in range(4):
+        assert rel_err(wy @ y**j, math.gamma(alpha + 1.0 + j)) <= oracle.ADAPTIVE_TOL, j
 
 
 def test_validation_disagreement_raises_at_once(quad_calls, monkeypatch):
-    # a tolerance below round-off cannot be met: the first adaptive twin
-    # reports it, naming its integrand, value and error estimate, without
-    # trying another order and without an IntegrationWarning
+    # scipy's 128-node Laguerre rule is off by 8.4e-14 at D = 3.5: a bound
+    # of 1e-14 sees it against the exact moments on the first quantity that
+    # reads L[1] (G_ll), without an adaptive integral
     from et6 import oracle
 
-    monkeypatch.setattr(oracle, "ADAPTIVE_TOL", 1e-16)
-    s = State6(rho=1.0, v=[0.4, -0.25, 0.15], T=1.0, Pi=0.1)
-    with pytest.raises(OracleError, match=r"^adaptive rule int .* gives \S+ with error "
-                                          r"estimate \S+: The occurrence of roundoff"):
-        oracle_flux_check(s, GasSpec(D=3.5))
-    # the first twin of the table, M_0
-    assert len(quad_calls) == 1
+    monkeypatch.setattr(oracle, "ADAPTIVE_TOL", 1e-14)
+    s = State6(rho=1.0, v=[0.4, -0.25, 0.15], T=1.0, Pi=-0.9)
+    with pytest.raises(OracleError, match=r"^gh64xgl128 gives \S+, the closed-form moments "
+                                          r"\S+: they differ by more than 1e-14$"):
+        oracle_constraint_check(s, GasSpec(D=3.5))
+    assert quad_calls == []
 
 
 def test_gauss_value_off_its_twin_raises_naming_the_rule(monkeypatch):
-    # a twin that converged but disagrees with the Gauss value: the error
-    # names the Gauss rule and both values
+    # the twins check the Laguerre rule itself: its largest weight 1e-8 off
+    # moves every moment that reads L by far more than ADAPTIVE_TOL; the
+    # error names the Gauss rule and both values
     from et6 import oracle
 
-    twin = oracle._laguerre_twin.__wrapped__
-    monkeypatch.setattr(oracle, "_laguerre_twin",
-                        lambda alpha, j, tol: twin(alpha, j, tol) * (1.0 + 1e-8))
+    alpha = GasSpec(D=3.5).alpha
+    y, w = oracle._laguerre_rule(alpha)
+    w = w.copy()
+    w[np.argmax(w)] *= 1.0 + 1e-8
+    monkeypatch.setattr(oracle, "_laguerre_rule", lambda a: (y, w))
     s = State6(rho=1.0, v=[0.4, -0.25, 0.15], T=1.0, Pi=0.1)
-    with pytest.raises(OracleError, match=r"^gh64xgl128 gives .* the adaptive rule"):
+    with pytest.raises(OracleError, match=r"^gh64xgl128 gives .* the closed-form moments"):
         oracle_flux_check(s, GasSpec(D=3.5))
 
 
@@ -166,18 +164,8 @@ def test_hermite_weight_off_its_twins_raises_naming_the_rule(monkeypatch):
     w[np.argmax(w)] *= 1.0 + 1e-8
     monkeypatch.setattr(oracle, "_hermite_rule", lambda: (x, w))
     s = State6(rho=1.0, v=[0.4, -0.25, 0.15], T=1.0, Pi=0.1)
-    with pytest.raises(OracleError, match=r"^gh64xgl128 gives .* the adaptive rule"):
+    with pytest.raises(OracleError, match=r"^gh64xgl128 gives .* the closed-form moments"):
         oracle_flux_check(s, GasSpec(D=3.5))
-
-
-def test_states_of_equal_d_share_their_laguerre_twins(d5, quad_calls):
-    from et6 import oracle
-
-    for s in (State6(rho=0.8, v=[0.2, -0.1, 0.3], T=1.4, Pi=0.3),
-              State6(rho=3.0, v=0.0, T=0.2, Pi=-0.1)):
-        oracle_constraint_check(s, d5)
-    # L[0] and L[1], made once for both states
-    assert oracle._laguerre_twin.cache_info().misses == 2
 
 
 def test_entropy_quadrature_equilibrium(d5):
@@ -241,12 +229,12 @@ def test_probe_solves_each_trial_in_few_quad_calls(d5, quad_calls):
 
 
 def test_default_check_computes_each_twin_once(tmp_path, quad_calls):
-    # 4 Hermite twins, 2 Laguerre twins in two pieces for each of the 7 D
-    # values, and the probe's 53 radial moments
+    # the twins are closed forms: the probe's 53 radial moments are the
+    # only adaptive integrals of a default check
     from et6.cli import main
 
     assert main(["check", "--output-dir", str(tmp_path)]) == 0
-    assert len(quad_calls) <= 4 + 7 * 2 * 2 + 53 <= 85
+    assert 0 < len(quad_calls) <= 53 and all(quad_calls)
 
 
 def test_probe_quad_failure_is_an_oracle_error(d5, monkeypatch):

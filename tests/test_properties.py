@@ -154,7 +154,7 @@ def oracle_states(draw):
 @given(oracle_states())
 def test_validated_oracle_checks_are_finite_and_pass(drawn):
     # validation raises OracleError unless every Gauss value agrees with its
-    # adaptive twin; each must also match its closed form at the `et6 check`
+    # closed-form twin; each must also match its closed form at the `et6 check`
     # tolerances
     spec, s = drawn
     for reports, tol in ((oracle_constraint_check(s, spec), MOMENT_TOL),

@@ -355,15 +355,23 @@ def test_periodic_conservation_thousand_steps():
         assert np.max(np.abs(arr - arr[0])) <= 1e-13 * scale
 
 
+def _trace_moment_totals(ts, sc):
+    """Total F_ll = rho v^2 + 3 (p + Pi) of each snapshot."""
+    return np.array([np.sum(s["rho"] * s["vx"] ** 2 + 3.0 * (s["p"] + s["Pi"])) * sc.dx
+                     for s in ts.snapshots])
+
+
 def test_trace_moment_obeys_discrete_production_balance():
     # d(total F_ll)/dt = total P_ll; with the exact relaxation substep the
     # discrete balance is sum Delta F_ll = 3 (p + Pi)(e^-dt/tau - 1) summed
     spec = GasSpec(D=5.0, tau=0.05)
-    sc = Scenario(kind="uniform_relaxation", spec=spec, N=50, t_end=0.2, z0=0.3)
+    sc = Scenario(kind="uniform_relaxation", spec=spec, N=50, t_end=0.2, z0=0.3,
+                  output_cadence=0.01)
     ts = run_scenario(sc)
+    assert len(ts.snapshots) >= 20
     # no gradients: F_ll(t) - F_ll(0) = 3 (Pi(t) - Pi(0)) * volume
-    f_ll = np.array(ts.total_Fll)
-    t = np.array(ts.diag_t)
+    f_ll = _trace_moment_totals(ts, sc)
+    t = np.array(ts.snapshot_times)
     exact = f_ll[0] + 3.0 * 0.3 * (np.exp(-t / 0.05) - 1.0)
     np.testing.assert_allclose(f_ll, exact, rtol=1e-12)
 
@@ -373,9 +381,11 @@ def test_transport_alone_conserves_trace_moment():
     # update must conserve total F_ll to round-off, so the only source of
     # total F_ll change in a real run is the relaxation substep
     spec = GasSpec(D=5.0, tau=1e12)
-    sc = Scenario(kind="smooth_wave", spec=spec, N=100, t_end=1.0, amplitude=1e-2)
+    sc = Scenario(kind="smooth_wave", spec=spec, N=100, t_end=1.0, amplitude=1e-2,
+                  output_cadence=0.05)
     ts = run_scenario(sc)
-    arr = np.array(ts.total_Fll)
+    assert len(ts.snapshots) >= 20
+    arr = _trace_moment_totals(ts, sc)
     assert np.max(np.abs(arr - arr[0])) <= 1e-13 * abs(arr[0])
 
 
@@ -485,6 +495,14 @@ def test_ns_limit_diagnostic_needs_interior_cells_at_non_periodic_ends():
 def test_negative_wavelength_is_rejected():
     with pytest.raises(SolverError, match="wavelength must be nonnegative"):
         Scenario(wavelength=-0.5)
+
+
+@pytest.mark.parametrize("x_split", [1.5, -0.2, 0.0, 1.0])
+def test_riemann_split_outside_the_domain_is_rejected(x_split):
+    # a split at or beyond an end would run one uniform state
+    with pytest.raises(SolverError, match="split point .* outside the domain"):
+        Scenario(kind="riemann", x_split=x_split)
+    Scenario(kind="smooth_wave", x_split=x_split)   # read by riemann runs only
 
 
 def test_ns_limit_smooth_acoustic_run():
