@@ -19,6 +19,10 @@ to degree 2n - 1, which covers every polynomial weight used here, so the
 orders are fixed (64 Hermite, 128 Laguerre nodes: rule gh64xgl128) and no
 other order could change a value beyond round-off.
 
+Both rules come from their Jacobi matrices (Golub & Welsch 1969): the
+nodes are the eigenvalues, and each weight is the measure's mass times the
+squared first component of its node's unit eigenvector.
+
 Beside the Gauss table each state builds a twin table from the closed-form
 moments of the rules' unit scale: M_i = int x^i exp(-x^2/2) dx =
 sqrt(2 pi) (i-1)!! (0 for odd i), mapped by the binomial expansion
@@ -28,23 +32,26 @@ overflows.  Each quantity is compared once with the same sum over the twin
 table, within ADAPTIVE_TOL, and any disagreement raises OracleError.  In
 exact arithmetic the comparison holds for every state iff each Gauss sum of
 x^i (and of x^(alpha+j)) equals its closed form, so the twins check the
-rules exactly (Golub & Welsch 1969), while the closed forms of the closure
-check the affine maps.  Adaptive quadrature (QUADPACK) is left to the
-optimality probe, whose radial moments have no elementary closed form.
+rules exactly, while the closed forms of the closure check the affine maps.
+
+The optimality probe's radial moments have no elementary closed form once
+the quartic term is on.  Their integrands are even and entire, so the
+trapezoid rule converges exponentially on them (Trefethen & Weideman 2014),
+and a value is accepted only where two levels of it agree.
 
 The oracle measures and its callers judge: its one pass bound is
-ADAPTIVE_TOL, on the agreement of each Gauss value with its twin.
+ADAPTIVE_TOL, on the agreement of each Gauss value with its twin and of
+the two trapezoid levels.
 """
 
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.special import roots_genlaguerre, roots_hermitenorm
 
 from .closure import closed_fluxes, entropy_parts, multipliers_from_state
 from .gas import GasSpec, State6, conserved_from_primitive, eos_evaluate
@@ -53,7 +60,10 @@ REL_ERR_FLOOR = 1e-300
 HERMITE_ORDER = 64
 LAGUERRE_ORDER = 128
 RULE = f"gh{HERMITE_ORDER}xgl{LAGUERRE_ORDER}"
-ADAPTIVE_TOL = 1e-10   # agreement of each Gauss value with its twin; the probe's quad cap
+ADAPTIVE_TOL = 1e-10   # agreement of each Gauss value with its twin; the probe's cap
+TRAPEZOID_NODES = 128  # the probe's coarse level; its fine level has twice as many
+TAIL_DROP = 60.0       # the probe integrates until the log-integrand is this far below its peak
+NEWTON_STEPS = 100     # the probe's cap on the steps of each Newton solve
 
 
 class OracleError(RuntimeError):
@@ -101,39 +111,54 @@ def _energy(spec: GasSpec, *axes: int) -> list[Term]:
     return _speed2(*axes) + [(2.0 / spec.m, _powers(*axes), 1)]
 
 
-def _finite(rule, *args):
-    """scipy's nodes and weights of a Gauss rule, which must be finite."""
+def _gauss_rule(diagonal, off_diagonal, mu0: float):
+    """Nodes and weights of the Gauss rule whose orthonormal polynomials have
+    the given Jacobi matrix, for a measure of mass mu0 (Golub & Welsch 1969).
+
+    The weights are mu0 times the squared first eigenvector components.
+    mu0 / sum_k p_k(x)^2 by the three-term recurrence costs a little less,
+    but its round-off grows along the 128 Laguerre steps and puts the
+    zeroth moment up to 3.8e-14 off Gamma(alpha + 1), against 1.5e-15 here.
+    A weight far below eps mu0 carries only that absolute accuracy.
+    OracleError unless every node and weight is finite.
+    """
+    jacobi = np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
     with np.errstate(all="ignore"):
-        nodes, weights = rule(*args)
+        weights = mu0 * vectors[0] ** 2
     if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
-        raise OracleError(f"scipy returned non-finite nodes or weights: {rule.__name__}{args}")
+        raise OracleError(f"Gauss rule of order {len(diagonal)} with mass {mu0!r} "
+                          f"has non-finite nodes or weights")
     return nodes, weights
 
 
 @lru_cache(maxsize=1)
 def _hermite_rule():
-    return _finite(roots_hermitenorm, HERMITE_ORDER)
+    """Weight exp(-x^2/2) on R: recurrence He_{n+1} = x He_n - n He_{n-1}.
+
+    The rule is even, and is made so exactly: odd moments then vanish to
+    round-off of their own terms, not of the eigensolver.
+    """
+    n = np.arange(1.0, HERMITE_ORDER)
+    x, w = _gauss_rule(np.zeros(HERMITE_ORDER), np.sqrt(n), math.sqrt(2.0 * math.pi))
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
 
 @lru_cache(maxsize=64)
 def _laguerre_rule(alpha: float):
-    return _finite(roots_genlaguerre, LAGUERRE_ORDER, alpha)
+    """Weight x^alpha e^-x on [0, inf), of mass Gamma(alpha + 1) (inf once
+    that overflows): recurrence (n + 1) L_{n+1} = (2n + alpha + 1 - x) L_n
+    - (n + alpha) L_{n-1}."""
+    n = np.arange(float(LAGUERRE_ORDER))
+    with np.errstate(over="ignore"):
+        mu0 = float(np.exp(math.lgamma(alpha + 1.0)))
+    return _gauss_rule(2.0 * n + alpha + 1.0, np.sqrt(n[1:] * (n[1:] + alpha)), mu0)
 
 
 def _laguerre_integrals(alpha: float, zeta: float, power: int) -> np.ndarray:
     """L[j] = int I^(alpha+j) exp(-zeta I) dI for j = 0..power, by the Laguerre rule."""
     y, wy = _laguerre_rule(alpha)
     return (wy * zeta ** (-(alpha + 1.0))) @ (y / zeta)[:, None] ** np.arange(power + 1)
-
-
-def _adaptive(rule: str, f, a: float, b: float, **options) -> float:
-    """integrate.quad of f over [a, b]; OracleError naming the rule, the
-    value and quad's error estimate where quad reports a failure."""
-    value, error, _, *failure = integrate.quad(f, a, b, full_output=1, **options)
-    if failure:
-        raise OracleError(f"adaptive rule {rule} gives {value!r} with error estimate "
-                          f"{error:.3g}: {' '.join(failure[0].split())}")
-    return value
 
 
 def _hermite_moment(i: int) -> float:
@@ -275,60 +300,110 @@ class ProbeReport:
         return any(not p.converged for p in self.points)
 
 
-def _radial_moment(k: int, xi: float, beta: float, tol: float) -> float:
-    """M_k = int_R3 (C^2)^k exp(-xi C^2 - beta C^4) dC.
+def _tail_end(xi: float, beta: float, power: int) -> float:
+    """R > 0 where ln(r^power exp(-xi r^2 - beta r^4)) is TAIL_DROP below its peak.
 
-    Reduced to the radial integral 4 pi int r^(2k+2) exp(-xi r^2 - beta r^4) dr.
-    For beta > 0 the integral exists for any real xi; negative xi arises when
-    the quartic suppression must be compensated to meet the trace constraint.
-    A quad failure is an OracleError.
+    In u = r^2 the log-integrand g(u) = (power/2) ln u - xi u - beta u^2 is
+    concave, with its peak at u* = (-xi + sqrt(xi^2 + 4 beta power)) / (4 beta)
+    and g'' <= -2 beta, so u* + sqrt(TAIL_DROP / beta) lies beyond the level,
+    and Newton's method from there decreases monotonically onto it.
     """
-    val = _adaptive(f"int r^{2 * k + 2} exp({-xi:.6g} r^2 {-beta:+.6g} r^4) dr",
-                    lambda r: r ** (2 * k + 2) * math.exp(-xi * r * r - beta * r**4),
-                    0.0, np.inf, epsabs=tol, epsrel=tol)
-    return 4.0 * math.pi * val
+    root = math.sqrt(xi * xi + 4.0 * beta * power)
+    # the two forms of u*, each free of cancellation on its side of xi = 0
+    peak = power / (xi + root) if xi > 0.0 else (root - xi) / (4.0 * beta)
+
+    def g(u: float) -> float:
+        return 0.5 * power * math.log(u) - xi * u - beta * u * u
+
+    level = g(peak) - TAIL_DROP
+    u = peak + math.sqrt(TAIL_DROP / beta)
+    for _ in range(NEWTON_STEPS):
+        step = (g(u) - level) / (0.5 * power / u - xi - 2.0 * beta * u)
+        u -= step
+        if step <= 1e-9 * u:
+            break
+    return math.sqrt(u)
 
 
-def _solve_trial_xi(target_ratio: float, beta: float, xi0: float, moment) -> tuple[float, bool]:
-    """Solve M1(xi)/M0(xi) = target_ratio for xi, given that xi0 solves it
-    at beta = 0, with M_k = moment(k, xi, beta).
+def _radial_moments(xi: float, beta: float) -> tuple[float, float, float]:
+    """(M0, M1, M2), M_k = int_R3 (C^2)^k exp(-xi C^2 - beta C^4) dC.
 
-    The ratio is strictly decreasing in xi and beta, so for beta > 0 the
-    root lies below xi0: a bracket is widened downward by doubling steps,
-    then Brent's method runs inside it.
+    M_k = 4 pi int r^(2k+2) exp(-xi r^2 - beta r^4) dr over r >= 0.  For
+    beta > 0 it exists for any real xi; negative xi arises when the quartic
+    suppression must be compensated to meet the trace constraint.  At
+    beta = 0 it is 2 pi Gamma(k + 3/2) xi^-(k + 3/2).  Otherwise the three
+    share one trapezoid rule on [0, R], R from _tail_end, with
+    2 TRAPEZOID_NODES panels.  Each value is accepted only within
+    min(ADAPTIVE_TOL, 1e-12) of the rule with half the panels; any other
+    value (a NaN or an overflow included) is an OracleError.
     """
     if beta == 0.0:
-        return xi0, True
+        return tuple(2.0 * math.pi * math.gamma(k + 1.5) * xi ** -(k + 1.5) for k in range(3))
+    tol = min(ADAPTIVE_TOL, 1e-12)
+    # r^6, the integrand of M2, reaches furthest
+    r, h = np.linspace(0.0, _tail_end(xi, beta, 6), 2 * TRAPEZOID_NODES + 1, retstep=True)
+    r2 = r * r
+    with np.errstate(all="ignore"):
+        f = r2 ** np.arange(1, 4)[:, None] * np.exp(-xi * r2 - beta * r2 * r2)
+        # f vanishes at r = 0
+        fine = h * (f.sum(axis=1) - 0.5 * f[:, -1])
+        coarse = 2.0 * h * (f[:, ::2].sum(axis=1) - 0.5 * f[:, -1])
+        gap = (np.abs(fine - coarse) / np.abs(fine)).tolist()
+    for i, value in enumerate(fine.tolist()):
+        if not gap[i] <= tol:
+            raise OracleError(
+                f"trapezoid rule on int r^{2 * i + 2} exp({-xi:.6g} r^2 {-beta:+.6g} r^4) dr "
+                f"gives {value!r}, {gap[i]:.3g} relative from its "
+                f"{TRAPEZOID_NODES}-panel value (bound {tol:g})")
+    return tuple((4.0 * math.pi * fine).tolist())
 
-    def resid(xi: float) -> float:
-        return moment(1, xi, beta) / moment(0, xi, beta) - target_ratio
 
-    scale = max(abs(xi0), 1e-3)
-    hi, step = xi0, scale
-    for _ in range(200):
-        lo = hi - step
-        if resid(lo) > 0.0:
-            break
-        hi, step = lo, 2.0 * step
-    else:
-        return xi0, False
-    xi, result = optimize.brentq(resid, lo, hi, xtol=1e-14 * scale, full_output=True,
-                                 disp=False)
-    return xi, result.converged
+# The probe's quadrature, looked up at each call so that a tracer can wrap
+# integrate.quad (bench/spans.py counts its calls).
+integrate = types.SimpleNamespace(quad=_radial_moments)
+
+
+def _solve_trial_xi(target_ratio: float, beta: float, xi0: float):
+    """xi with M1(xi)/M0(xi) = target_ratio, the moments (M0, M1, M2) there,
+    and whether Newton's method converged, starting from xi0, which solves
+    it at beta = 0.
+
+    dM_k/dxi = -M_(k+1), so the residual M1/M0 - target has the exact
+    derivative -(M0 M2 - M1^2) / M0^2 < 0.  The residual is positive below
+    the root and negative above it; each evaluation narrows that bracket, and
+    a step that leaves it is replaced by bisection.  Converged once a step
+    is at most 1e-14 max(|xi0|, 1e-3); the moments returned are those of the
+    xi returned.
+    """
+    xtol = 1e-14 * max(abs(xi0), 1e-3)
+    lo, hi, xi_next = -math.inf, math.inf, xi0
+    for _ in range(NEWTON_STEPS):
+        xi = xi_next
+        moments = m0, m1, m2 = integrate.quad(xi, beta)
+        resid = m1 / m0 - target_ratio
+        if resid > 0.0:
+            lo = xi
+        else:
+            hi = xi
+        step = resid * m0 * m0 / (m0 * m2 - m1 * m1)
+        if abs(step) <= xtol:
+            return xi, moments, True
+        xi_next = xi + step
+        if not lo < xi_next < hi:
+            xi_next = 0.5 * (lo + hi)
+    return xi, moments, False
 
 
 def mep_optimality_probe(s: State6, spec: GasSpec, trial_amplitudes) -> ProbeReport:
     """Probe entropy optimality against a quartic-perturbed trial family.
 
     For each beta >= 0 the three constraint equations (rho, trace pressure,
-    energy) are re-solved for (Omega', xi', zeta') by Brent's method on xi'
+    energy) are re-solved for (Omega', xi', zeta') by Newton's method on xi'
     using quadrature moments, and the trial entropy is compared with the
-    closure entropy.  beta = 0 must recover the closure.  Each radial
-    moment is integrated once per call: Brent's method revisits its bracket
-    ends, and the entropy reuses the moments of the solution.
+    closure entropy.  beta = 0 must recover the closure.  Each Newton step
+    takes one set of radial moments, and the entropy reuses the set of the
+    solution.
     """
-    tol = min(ADAPTIVE_TOL, 1e-12)
-    moment = lru_cache(maxsize=None)(lambda k, xi, beta: _radial_moment(k, xi, beta, tol))
     p, eps = eos_evaluate(s.rho, s.T, spec)
     ppi = p + s.Pi
     alpha = spec.alpha
@@ -345,8 +420,7 @@ def mep_optimality_probe(s: State6, spec: GasSpec, trial_amplitudes) -> ProbeRep
         beta = float(beta)
         if beta < 0:
             raise ValueError("trial amplitude beta must be nonnegative")
-        xi_trial, converged = _solve_trial_xi(target_ratio, beta, mul.xi, moment)
-        m0, m1, m2 = (moment(k, xi_trial, beta) for k in range(3))
+        xi_trial, (m0, m1, m2), converged = _solve_trial_xi(target_ratio, beta, mul.xi)
         omega_trial = s.rho / (spec.m * m0 * l0)
         log_omega_trial = math.log(omega_trial)
         number = s.rho / spec.m

@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -234,25 +237,30 @@ def test_initial_pi_outside_the_window_is_a_config_error(tmp_path, capsys, comma
 
 
 def test_check_cli_oracle_error_exits_one(tmp_path, capsys, monkeypatch):
-    # NaN Laguerre nodes from scipy: one line, no traceback, no PASS
+    # Gauss rules of infinite mass, as past Gamma's overflow: one line, no
+    # traceback, no PASS
     from et6 import oracle
 
+    gauss_rule = oracle._gauss_rule
     oracle._laguerre_rule.cache_clear()
-    monkeypatch.setattr(oracle, "roots_genlaguerre", lambda n, alpha: ([math.nan] * n, [1.0] * n))
+    monkeypatch.setattr(oracle, "_gauss_rule", lambda diagonal, off_diagonal, mu0:
+                        gauss_rule(diagonal, off_diagonal, math.inf))
     cfg_file = write(tmp_path / "nan.cfg", "[check]\ngrid_z_count = 2\ngrid_d_values = 5\n")
     assert main(["check", "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("oracle error: scipy returned non-finite"), err
+    assert len(err) == 1 and err[0].startswith("oracle error: Gauss rule of order "), err
+    assert err[0].endswith(" with mass inf has non-finite nodes or weights"), err
     assert "[PASS]" not in captured.out
 
 
 def test_check_cli_twin_missing_its_tolerance_is_one_line(tmp_path, capsys, monkeypatch):
-    # scipy's 128-node Laguerre rule is off by 1.6e-14 at D = 5: at a bound
-    # of 1e-14 the exact moments end the check in one line, before any PASS
+    # the rules' round-off puts values up to 2.7e-15 off their twins at D = 5:
+    # at a bound of 1e-16 the exact moments end the check in one line, before
+    # any PASS
     from et6 import oracle
 
-    monkeypatch.setattr(oracle, "ADAPTIVE_TOL", 1e-14)
+    monkeypatch.setattr(oracle, "ADAPTIVE_TOL", 1e-16)
     cfg_file = write(tmp_path / "tight.cfg", "[check]\ngrid_z_count = 2\ngrid_d_values = 5\n")
     assert main(["check", "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
@@ -510,3 +518,27 @@ def test_output_dir_flag_overrides_config(tmp_path):
     assert main(["relax", "--config", cfg_file, "--output-dir", str(tmp_path / "flag")]) == 0
     assert (tmp_path / "flag" / "relax.csv").exists()
     assert not (tmp_path / "from_cfg").exists()
+
+
+NO_SCIPY_RUN = """
+import sys, tempfile
+from et6.cli import main
+
+with tempfile.TemporaryDirectory() as out:
+    codes = [main([command, "--quick", "--output-dir", out])
+             for command in ("check", "eigen", "relax", "nslimit", "sweep")]
+    codes.append(main(["run", "--quick", "--N", "32", "--t-end", "0.05", "--output-dir", out]))
+print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_command_imports_scipy():
+    # numpy is the one runtime dependency: every command, in one fresh
+    # interpreter, leaves no scipy module loaded
+    path = filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                         os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", NO_SCIPY_RUN],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []", done.stdout

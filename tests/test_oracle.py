@@ -95,7 +95,8 @@ def _in_probe() -> bool:
 
 @pytest.fixture
 def quad_calls(monkeypatch):
-    """Record every adaptive quad call: whether the probe made it."""
+    """Record every call of oracle.integrate.quad (one set of radial
+    moments): whether the probe made it."""
     from et6 import oracle
 
     calls = []
@@ -125,15 +126,14 @@ def test_gauss_rules_match_closed_form_moments(D):
 
 
 def test_validation_disagreement_raises_at_once(quad_calls, monkeypatch):
-    # scipy's 128-node Laguerre rule is off by 8.4e-14 at D = 3.5: a bound
-    # of 1e-14 sees it against the exact moments on the first quantity that
-    # reads L[1] (G_ll), without an adaptive integral
+    # the rules' round-off puts F 1.3e-15 off its closed form at D = 3.5: a
+    # bound of 1e-16 sees it on the first quantity, without a probe integral
     from et6 import oracle
 
-    monkeypatch.setattr(oracle, "ADAPTIVE_TOL", 1e-14)
+    monkeypatch.setattr(oracle, "ADAPTIVE_TOL", 1e-16)
     s = State6(rho=1.0, v=[0.4, -0.25, 0.15], T=1.0, Pi=-0.9)
     with pytest.raises(OracleError, match=r"^gh64xgl128 gives \S+, the closed-form moments "
-                                          r"\S+: they differ by more than 1e-14$"):
+                                          r"\S+: they differ by more than 1e-16$"):
         oracle_constraint_check(s, GasSpec(D=3.5))
     assert quad_calls == []
 
@@ -218,37 +218,87 @@ def test_probe_sweep_monotone(d5):
 
 
 def test_probe_solves_each_trial_in_few_quad_calls(d5, quad_calls):
-    # `et6 check`'s probe: a downward bracket and Brent's method on M1/M0,
-    # two integrals per new residual, and M2 only at each solution; a
-    # bracket end that Brent's method revisits, or M0 and M1 at the
-    # solution, are not integrated again
+    # `et6 check`'s probe: Newton's method on M1/M0 takes one set of
+    # (M0, M1, M2) per step, and the entropy reuses the solution's set:
+    # 5, 6 and 7 sets for these betas
     s = State6(rho=1.0, v=0.0, T=1.0, Pi=0.3)
     report = mep_optimality_probe(s, d5, trial_amplitudes=[0.001, 0.01, 0.05])
     assert all(p.converged for p in report.points)
-    assert len(quad_calls) <= 53
+    assert len(quad_calls) <= 18
 
 
 def test_default_check_computes_each_twin_once(tmp_path, quad_calls):
-    # the twins are closed forms: the probe's 53 radial moments are the
-    # only adaptive integrals of a default check
+    # the twins are closed forms: the probe's 18 sets of radial moments are
+    # the only integrals of a default check outside the Gauss rules
     from et6.cli import main
 
     assert main(["check", "--output-dir", str(tmp_path)]) == 0
-    assert 0 < len(quad_calls) <= 53 and all(quad_calls)
+    assert 0 < len(quad_calls) <= 18 and all(quad_calls)
 
 
 def test_probe_quad_failure_is_an_oracle_error(d5, monkeypatch):
-    # quad cannot certify 1e-16 on the radial moments: one OracleError that
-    # names the integrand and quad's error estimate, not warnings and a trial
-    # reported as converged
+    # the two trapezoid levels cannot agree to 1e-16 on the radial moments:
+    # one OracleError that names the integrand, the value and the gap, not
+    # warnings and a trial reported as converged
     from et6 import oracle
 
     monkeypatch.setattr(oracle, "ADAPTIVE_TOL", 1e-16)
     s = State6(rho=1.0, v=0.0, T=1.0, Pi=0.3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(OracleError, match=r"^adaptive rule int r\^\d+ exp\(.*\) dr gives "
-                                              r"\S+ with error estimate \S+: "):
+        with pytest.raises(OracleError, match=r"^trapezoid rule on int r\^\d+ exp\(.*\) dr gives "
+                                              r"\S+, \S+ relative from its 128-panel value "
+                                              r"\(bound 1e-16\)$"):
             mep_optimality_probe(s, d5, trial_amplitudes=[0.01])
     assert caught == []
 
+
+def test_rule_of_infinite_mass_is_an_oracle_error():
+    # Gamma(alpha + 1) overflows past alpha = 171: one OracleError, no warning
+    from et6 import oracle
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OracleError, match=r"^Gauss rule of order 128 with mass inf "
+                                              r"has non-finite nodes or weights$"):
+            oracle._laguerre_rule(200.0)
+        with pytest.raises(OracleError, match=r"^Gauss rule of order 2 with mass 1.0 "
+                                              r"has non-finite nodes or weights$"):
+            oracle._gauss_rule([0.0, math.nan], [1.0], 1.0)
+    assert caught == []
+
+
+@pytest.mark.parametrize("xi, beta", [(1.5, 0.01), (0.2, 0.5), (-0.8, 0.3)])
+def test_probe_range_ends_where_the_integrand_has_fallen(xi, beta):
+    # the trapezoid range ends where the log of r^6 exp(-xi r^2 - beta r^4)
+    # is TAIL_DROP below its peak, on the far side of the peak
+    from et6 import oracle
+
+    r = oracle._tail_end(xi, beta, 6)
+    grid = np.linspace(1e-3, r, 100_001)
+    log_f = 6.0 * np.log(grid) - xi * grid**2 - beta * grid**4
+    assert np.argmax(log_f) < len(grid) - 1
+    assert log_f[-1] == pytest.approx(log_f.max() - oracle.TAIL_DROP, abs=1e-6)
+
+
+def test_radial_moments_at_beta_zero_are_closed_forms():
+    from et6 import oracle
+
+    xi = 0.7
+    m0, m1, m2 = oracle._radial_moments(xi, 0.0)
+    assert m0 == pytest.approx(math.pi**1.5 * xi**-1.5, rel=1e-15)
+    assert m1 == pytest.approx(1.5 * m0 / xi, rel=1e-15)
+    assert m2 == pytest.approx(3.75 * m0 / xi**2, rel=1e-15)
+
+
+
+def test_probe_newton_cap_reports_an_unconverged_trial(d5, monkeypatch):
+    # one Newton step cannot meet the step bound at beta > 0: the trial is
+    # reported as not converged, and beta = 0 still recovers the closure
+    from et6 import oracle
+
+    monkeypatch.setattr(oracle, "NEWTON_STEPS", 1)
+    s = State6(rho=1.0, v=0.0, T=1.0, Pi=0.3)
+    report = mep_optimality_probe(s, d5, trial_amplitudes=[0.0, 0.01])
+    assert [p.converged for p in report.points] == [True, False]
+    assert report.inconclusive
