@@ -50,6 +50,7 @@ from .eigen import (
 )
 from .gas import State6, conserved_from_primitive
 from .oracle import (
+    RULE,
     OracleError,
     mep_optimality_probe,
     oracle_constraint_check,
@@ -161,7 +162,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path) -> bool:
             e_h = rel_err(h_quad, parts.h)
             errors["entropy quadrature"].append(e_h)
             errors["entropy decomposition"].append(rel_err(parts.h, parts.h_E + s.rho * parts.k))
-            rows.append(["entropy" + tag, parts.h, h_quad, e_h, "gauss"])
+            rows.append(["entropy" + tag, parts.h, h_quad, e_h, RULE])
     ok = True
     for name, tol in tols.items():
         # np.max keeps a NaN, which then fails `<=`; the builtin max may drop it
@@ -180,8 +181,10 @@ def cmd_check(cfg: RunConfig, out_dir: Path) -> bool:
     ok &= _status(worst_eq <= EQUILIBRIUM_REDUCTION_TOL, "equilibrium reduction",
                   f"max rel err {worst_eq:.3e} <= {EQUILIBRIUM_REDUCTION_TOL:g}")
 
-    # optimality probe (non-convergence is reported, not fatal)
-    s_probe = State6(rho=1.0, v=0.0, T=1.0, Pi=0.3 * spec.gas_constant)
+    # optimality probe (non-convergence is reported, not fatal), at Pi/p = 0.3
+    # or, where the window ends below 0.6, halfway to its upper edge
+    z_probe = min(0.3, spec.z_upper / 2.0)
+    s_probe = State6(rho=1.0, v=0.0, T=1.0, Pi=z_probe * spec.gas_constant)
     probe = mep_optimality_probe(s_probe, spec, trial_amplitudes=chk.probe_betas)
     if probe.inconclusive:
         print("[WARN] optimality probe inconclusive (trial solve did not converge)")

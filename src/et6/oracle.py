@@ -15,9 +15,11 @@ peculiar velocity), and L[j] = int I^(alpha+j) exp(-zeta I) dI, by
 generalized Gauss-Laguerre nodes (weight I^alpha e^-I) scaled by 1/zeta.
 The Laguerre weight absorbs I**alpha exactly, which keeps the integrable
 singularity at I = 0 harmless for 3 < D < 5.  An n-point rule is exact up
-to degree 2n - 1, which covers every polynomial weight used here, so the
-orders are fixed (64 Hermite, 128 Laguerre nodes: rule gh64xgl128) and no
-other order could change a value beyond round-off.
+to degree 2n - 1.  Both rules have GAUSS_ORDER = 8 nodes (rule gh8xgl8),
+exact to degree 15, and the terms summed here reach velocity power 3 on an
+axis and internal-energy power 1.  A table asked for a higher power raises
+OracleError naming the rule before it sums anything, so every value comes
+from a rule that is exact on its polynomial.
 
 Both rules come from their Jacobi matrices (Golub & Welsch 1969): the
 nodes are the eigenvalues, and each weight is the measure's mass times the
@@ -57,9 +59,8 @@ from .closure import closed_fluxes, entropy_parts, multipliers_from_state
 from .gas import GasSpec, State6, conserved_from_primitive, eos_evaluate
 
 REL_ERR_FLOOR = 1e-300
-HERMITE_ORDER = 64
-LAGUERRE_ORDER = 128
-RULE = f"gh{HERMITE_ORDER}xgl{LAGUERRE_ORDER}"
+GAUSS_ORDER = 8        # nodes of each rule: exact to degree 2 GAUSS_ORDER - 1
+RULE = f"gh{GAUSS_ORDER}xgl{GAUSS_ORDER}"
 ADAPTIVE_TOL = 1e-10   # agreement of each Gauss value with its twin; the probe's cap
 TRAPEZOID_NODES = 128  # the probe's coarse level; its fine level has twice as many
 TAIL_DROP = 60.0       # the probe integrates until the log-integrand is this far below its peak
@@ -116,10 +117,6 @@ def _gauss_rule(diagonal, off_diagonal, mu0: float):
     the given Jacobi matrix, for a measure of mass mu0 (Golub & Welsch 1969).
 
     The weights are mu0 times the squared first eigenvector components.
-    mu0 / sum_k p_k(x)^2 by the three-term recurrence costs a little less,
-    but its round-off grows along the 128 Laguerre steps and puts the
-    zeroth moment up to 3.8e-14 off Gamma(alpha + 1), against 1.5e-15 here.
-    A weight far below eps mu0 carries only that absolute accuracy.
     OracleError unless every node and weight is finite.
     """
     jacobi = np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
@@ -139,8 +136,8 @@ def _hermite_rule():
     The rule is even, and is made so exactly: odd moments then vanish to
     round-off of their own terms, not of the eigensolver.
     """
-    n = np.arange(1.0, HERMITE_ORDER)
-    x, w = _gauss_rule(np.zeros(HERMITE_ORDER), np.sqrt(n), math.sqrt(2.0 * math.pi))
+    n = np.arange(1.0, GAUSS_ORDER)
+    x, w = _gauss_rule(np.zeros(GAUSS_ORDER), np.sqrt(n), math.sqrt(2.0 * math.pi))
     return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
 
@@ -149,7 +146,7 @@ def _laguerre_rule(alpha: float):
     """Weight x^alpha e^-x on [0, inf), of mass Gamma(alpha + 1) (inf once
     that overflows): recurrence (n + 1) L_{n+1} = (2n + alpha + 1 - x) L_n
     - (n + alpha) L_{n-1}."""
-    n = np.arange(float(LAGUERRE_ORDER))
+    n = np.arange(float(GAUSS_ORDER))
     with np.errstate(over="ignore"):
         mu0 = float(np.exp(math.lgamma(alpha + 1.0)))
     return _gauss_rule(2.0 * n + alpha + 1.0, np.sqrt(n[1:] * (n[1:] + alpha)), mu0)
@@ -177,13 +174,20 @@ class _Table:
     Every moment is Omega times a sum of products S_x[kx] S_y[ky] S_z[kz]
     L[j].  The table holds the powers that the given terms use, by the
     Gauss rules (S, L) and by the closed-form twins (S_twin, L_twin).
+    OracleError if a power exceeds 2 GAUSS_ORDER - 1, where the rules stop
+    being exact.
     """
 
     def __init__(self, s: State6, spec: GasSpec, v, terms: list[Term]):
+        k_max = max(max(powers) for _, powers, _ in terms)
+        j_max = max(j for _, _, j in terms)
+        degree = 2 * GAUSS_ORDER - 1
+        if max(k_max, j_max) > degree:
+            raise OracleError(f"{RULE} is exact to degree {degree}, but the terms reach "
+                              f"velocity power {k_max} and internal-energy power {j_max}")
         self.mul = multipliers_from_state(s, spec)
         v, alpha, zeta = np.asarray(v, dtype=float), spec.alpha, self.mul.zeta
-        k = np.arange(max(max(powers) for _, powers, _ in terms) + 1)
-        j = np.arange(max(j for _, _, j in terms) + 1)
+        k, j = np.arange(k_max + 1), np.arange(j_max + 1)
         x, wx = _hermite_rule()
         scale = 1.0 / math.sqrt(2.0 * self.mul.xi)
         nodes = x * scale + v[:, None]

@@ -138,6 +138,21 @@ def test_check_cli_quick_passes(tmp_path):
         rows = list(csv.reader(handle))
     assert rows[0] == ["quantity", "closed_form", "quadrature", "rel_err", "rule"]
     assert len(rows) > 10 and all(len(row) == 5 for row in rows)
+    # every Gauss value, the entropy's included, names the rule it came from
+    from et6 import oracle
+
+    assert {row[4] for row in rows[1:] if not row[0].startswith("probe_")} == {oracle.RULE}
+
+
+def test_check_cli_probes_inside_a_narrow_window(tmp_path, capsys):
+    # at D = 3.5 the window ends at Pi/p = 1/6, below the probe's 0.3: the
+    # probe moves halfway to the edge instead of leaving the window
+    code = main(["check", "--quick", "--D", "3.5", "--output-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert "[PASS] entropy optimality probe" in capsys.readouterr().out
+    with (tmp_path / "out" / "oracle_report.csv").open(newline="", encoding="utf-8") as handle:
+        probe = [row[0] for row in csv.reader(handle) if row[0].startswith("probe_")]
+    assert probe == ["probe_entropy[beta=0.001]"]
 
 
 def test_sweep_cli_quick_passes(tmp_path):
@@ -255,7 +270,7 @@ def test_check_cli_oracle_error_exits_one(tmp_path, capsys, monkeypatch):
 
 
 def test_check_cli_twin_missing_its_tolerance_is_one_line(tmp_path, capsys, monkeypatch):
-    # the rules' round-off puts values up to 2.7e-15 off their twins at D = 5:
+    # the rules' round-off puts values up to 9.2e-16 off their twins at D = 5:
     # at a bound of 1e-16 the exact moments end the check in one line, before
     # any PASS
     from et6 import oracle
@@ -265,7 +280,7 @@ def test_check_cli_twin_missing_its_tolerance_is_one_line(tmp_path, capsys, monk
     assert main(["check", "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("oracle error: gh64xgl128 gives "), err
+    assert len(err) == 1 and err[0].startswith(f"oracle error: {oracle.RULE} gives "), err
     assert "the closed-form moments" in err[0]
     assert "[PASS]" not in captured.out
 

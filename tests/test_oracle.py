@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import types
 import warnings
@@ -109,11 +110,13 @@ def quad_calls(monkeypatch):
 @pytest.mark.parametrize("D", [3.5, 5.0, 12.0])
 def test_gauss_rules_match_closed_form_moments(D):
     # the gate's exact references: each Gauss sum of x^i and of x^(alpha+j)
-    # on the rules' unit scale, within the gate's own bound
+    # on the rules' unit scale, within the gate's own bound, up to the degree
+    # that the table's guard admits
     from et6 import oracle
 
+    degree = 2 * oracle.GAUSS_ORDER - 1
     x, wx = oracle._hermite_rule()
-    for i in range(8):
+    for i in range(degree + 1):
         # (i-1)!! = i! / (2^(i/2) (i/2)!) for even i
         moment = (math.sqrt(2.0 * math.pi) * math.factorial(i)
                   / (2 ** (i // 2) * math.factorial(i // 2)) if i % 2 == 0 else 0.0)
@@ -121,19 +124,46 @@ def test_gauss_rules_match_closed_form_moments(D):
         assert abs(wx @ x**i - moment) <= oracle.ADAPTIVE_TOL * max(moment, 1.0), i
     alpha = GasSpec(D=D).alpha
     y, wy = oracle._laguerre_rule(alpha)
-    for j in range(4):
+    for j in range(degree + 1):
         assert rel_err(wy @ y**j, math.gamma(alpha + 1.0 + j)) <= oracle.ADAPTIVE_TOL, j
 
 
+@pytest.mark.parametrize("power", ["velocity", "internal-energy"])
+def test_term_past_the_rules_degree_raises_naming_the_rule(power):
+    # an n-point rule is exact to degree 2n - 1 only: a term of power
+    # 2 GAUSS_ORDER on an axis, or in I, is an OracleError naming the rule
+    from et6 import oracle
+
+    n = 2 * oracle.GAUSS_ORDER
+    term = (1.0, (0, n, 0), 0) if power == "velocity" else (1.0, (0, 0, 0), n)
+    s = State6(rho=1.0, v=[0.4, -0.25, 0.15], T=1.0, Pi=0.1)
+    with pytest.raises(OracleError, match=rf"^{re.escape(oracle.RULE)} is exact to degree "
+                                          rf"{n - 1}, but the terms reach .*{power} power {n}"):
+        oracle._Table(s, GasSpec(D=5.0), s.v, [term])
+
+
+def test_terms_at_the_rules_degree_pass_the_twin_gate():
+    # the guard admits degree 2 GAUSS_ORDER - 1, where the rules are still exact
+    from et6 import oracle
+
+    n = 2 * oracle.GAUSS_ORDER - 1
+    terms = [(1.0, (n, 0, 0), 0), (1.0, (0, 0, n), 0), (1.0, (0, 0, 0), n)]
+    s = State6(rho=1.0, v=[0.4, -0.25, 0.15], T=1.0, Pi=0.1)
+    table = oracle._Table(s, GasSpec(D=5.0), s.v, terms)
+    for term in terms:
+        table.validated([term])
+
+
 def test_validation_disagreement_raises_at_once(quad_calls, monkeypatch):
-    # the rules' round-off puts F 1.3e-15 off its closed form at D = 3.5: a
+    # the rules' round-off puts F 2.2e-16 off its closed form at D = 3.5: a
     # bound of 1e-16 sees it on the first quantity, without a probe integral
     from et6 import oracle
 
     monkeypatch.setattr(oracle, "ADAPTIVE_TOL", 1e-16)
     s = State6(rho=1.0, v=[0.4, -0.25, 0.15], T=1.0, Pi=-0.9)
-    with pytest.raises(OracleError, match=r"^gh64xgl128 gives \S+, the closed-form moments "
-                                          r"\S+: they differ by more than 1e-16$"):
+    with pytest.raises(OracleError, match=rf"^{re.escape(oracle.RULE)} gives \S+, the "
+                                          r"closed-form moments \S+: they differ by more "
+                                          r"than 1e-16$"):
         oracle_constraint_check(s, GasSpec(D=3.5))
     assert quad_calls == []
 
@@ -150,7 +180,8 @@ def test_gauss_value_off_its_twin_raises_naming_the_rule(monkeypatch):
     w[np.argmax(w)] *= 1.0 + 1e-8
     monkeypatch.setattr(oracle, "_laguerre_rule", lambda a: (y, w))
     s = State6(rho=1.0, v=[0.4, -0.25, 0.15], T=1.0, Pi=0.1)
-    with pytest.raises(OracleError, match=r"^gh64xgl128 gives .* the closed-form moments"):
+    with pytest.raises(OracleError,
+                       match=rf"^{re.escape(oracle.RULE)} gives .* the closed-form moments"):
         oracle_flux_check(s, GasSpec(D=3.5))
 
 
@@ -164,7 +195,8 @@ def test_hermite_weight_off_its_twins_raises_naming_the_rule(monkeypatch):
     w[np.argmax(w)] *= 1.0 + 1e-8
     monkeypatch.setattr(oracle, "_hermite_rule", lambda: (x, w))
     s = State6(rho=1.0, v=[0.4, -0.25, 0.15], T=1.0, Pi=0.1)
-    with pytest.raises(OracleError, match=r"^gh64xgl128 gives .* the closed-form moments"):
+    with pytest.raises(OracleError,
+                       match=rf"^{re.escape(oracle.RULE)} gives .* the closed-form moments"):
         oracle_flux_check(s, GasSpec(D=3.5))
 
 
@@ -259,8 +291,8 @@ def test_rule_of_infinite_mass_is_an_oracle_error():
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(OracleError, match=r"^Gauss rule of order 128 with mass inf "
-                                              r"has non-finite nodes or weights$"):
+        with pytest.raises(OracleError, match=rf"^Gauss rule of order {oracle.GAUSS_ORDER} "
+                                              r"with mass inf has non-finite nodes or weights$"):
             oracle._laguerre_rule(200.0)
         with pytest.raises(OracleError, match=r"^Gauss rule of order 2 with mass 1.0 "
                                               r"has non-finite nodes or weights$"):

@@ -20,18 +20,18 @@ from et6.gas import GasSpec, State6, eos_evaluate  # noqa: E402
 
 def test_hermite_rule_matches_scipy():
     x, w = oracle._hermite_rule()
-    x_ref, w_ref = roots_hermitenorm(oracle.HERMITE_ORDER)
+    x_ref, w_ref = roots_hermitenorm(oracle.GAUSS_ORDER)
     assert np.max(np.abs(x - x_ref) / np.maximum(np.abs(x_ref), 1.0)) <= 1e-13
     assert np.max(np.abs(w - w_ref)) <= 1e-14 * math.sqrt(2.0 * math.pi)
 
 
 @pytest.mark.parametrize("D", [3.5, 4.0, 5.0, 7.0, 12.0, 40.0])
 def test_laguerre_rule_matches_scipy(D):
-    # scipy's own nodes are off by up to 6e-13 near I = 0 and its weights by
-    # 1e-13 of the mass; the numpy rule is closer to the exact moments
+    # the bounds leave room for scipy's own round-off, which grows with the
+    # order; at 8 nodes the two rules agree to 5e-15
     alpha = GasSpec(D=D).alpha
     y, w = oracle._laguerre_rule(alpha)
-    y_ref, w_ref = roots_genlaguerre(oracle.LAGUERRE_ORDER, alpha)
+    y_ref, w_ref = roots_genlaguerre(oracle.GAUSS_ORDER, alpha)
     assert np.max(np.abs(y - y_ref) / y_ref) <= 1e-11
     assert np.max(np.abs(w - w_ref)) <= 1e-12 * math.gamma(alpha + 1.0)
     for j in range(4):
