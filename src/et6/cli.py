@@ -77,27 +77,24 @@ RELAX_TOL = 1e-12                  # relax: |Pi - Pi0 exp(-t/tau)|, of the press
 NS_DEVIATION_FACTOR = 10.0         # nslimit: bound on the deviation from -nu dv/dx, per tau
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
-
-
 def _label(value: float) -> str:
     """Shortest text that reads back as the same float: distinct values of
     D get distinct labels (`:g` would print 3.000001 as 3)."""
     return np.format_float_positional(float(value), trim="-")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: list[str], columns) -> Path:
+    """Write whole columns, each formatted in one pass: integer and text
+    columns as they are, every other value by `.17g` (booleans as 1 and 0),
+    which reads back as the same float.  Callers holding rows pass
+    zip(*rows)."""
+    texts = []
+    for column in map(np.asarray, columns):
+        values = column.tolist()
+        texts.append(list(map(str, values)) if column.dtype.kind in "iuU"
+                     else [f"{v:.17g}" for v in values])
+    path.write_text("\n".join([",".join(header), *map(",".join, zip(*texts))]) + "\n",
+                    encoding="utf-8")
     return path
 
 
@@ -200,7 +197,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path) -> bool:
 
     path = _write_csv(out_dir / "oracle_report.csv",
                       ["quantity", "closed_form", "quadrature", "rel_err", "rule"],
-                      rows)
+                      zip(*rows))
     print(f"report: {path}")
     return bool(ok)
 
@@ -255,7 +252,7 @@ def cmd_eigen(cfg: RunConfig, out_dir: Path, args) -> bool:
            args.nx, args.ny, args.nz, *fan.speeds.tolist(),
            k_overall, k_marginal, conv.gradient_mismatch,
            conv.hessian_max_eigenvalue, conv.passed, conv.symmetrizer_mismatch]
-    path = _write_csv(out_dir / "eigen_report.csv", header, [row])
+    path = _write_csv(out_dir / "eigen_report.csv", header, zip(row))
     print(f"report: {path}")
     return bool(ok)
 
@@ -264,28 +261,15 @@ def cmd_eigen(cfg: RunConfig, out_dir: Path, args) -> bool:
 # run
 # ---------------------------------------------------------------------------
 
-def _write_columns(path: Path, header: list[str], columns: list) -> Path:
-    """_write_csv from whole columns, each formatted in one pass: integer
-    columns as integers and the rest by _fmt's `.17g`."""
-    texts = []
-    for column in map(np.asarray, columns):
-        values = column.tolist()
-        texts.append([str(v) for v in values] if column.dtype.kind in "iu"
-                     else [f"{v:.17g}" for v in values])
-    path.write_text("\n".join([",".join(header), *map(",".join, zip(*texts))]) + "\n",
-                    encoding="utf-8")
-    return path
-
-
 def _write_timeseries(ts, out_dir: Path, prefix: str) -> list[Path]:
     files = []
     keys = ["rho", "vx", "T", "p", "Pi", "Pi_over_p", "h", "k"]
     for idx, snap in enumerate(ts.snapshots):
-        files.append(_write_columns(
+        files.append(_write_csv(
             out_dir / f"{prefix}_snapshot_{idx:04d}.csv",
             ["x", *keys], [ts.x, *(snap[key] for key in keys)],
         ))
-    files.append(_write_columns(
+    files.append(_write_csv(
         out_dir / f"{prefix}_diagnostics.csv",
         ["t", "total_F", "total_Fx", "total_Gll", "total_entropy",
          "max_abs_Z", "projections", "entropy_outflow"],
@@ -336,7 +320,7 @@ def cmd_relax(cfg: RunConfig, out_dir: Path) -> bool:
         err = abs(measured - exact)
         worst = max(worst, err)
         rows.append([t, measured, exact, err])
-    path = _write_csv(out_dir / "relax.csv", ["t", "Pi", "Pi_exact", "abs_err"], rows)
+    path = _write_csv(out_dir / "relax.csv", ["t", "Pi", "Pi_exact", "abs_err"], zip(*rows))
     ok = _status(worst <= RELAX_TOL * p0, "exact relaxation",
                  f"max |Pi - Pi0 exp(-t/tau)| = {worst:.3e} <= {RELAX_TOL:g} * p")
     print(f"report: {path}")
@@ -352,8 +336,8 @@ def cmd_nslimit(cfg: RunConfig, out_dir: Path) -> bool:
     sc = ns.scenario(cfg.gas)
     ts = run_scenario(sc)
     rep = ns_limit_diagnostic(ts, sc, mask_fraction=ns.mask_fraction)
-    rows = [[x, rep.pi[j], rep.target[j]] for j, x in enumerate(rep.x)]
-    path = _write_csv(out_dir / "nslimit.csv", ["x", "Pi", "minus_nu_dvdx"], rows)
+    path = _write_csv(out_dir / "nslimit.csv", ["x", "Pi", "minus_nu_dvdx"],
+                      [rep.x, rep.pi, rep.target])
     bound = NS_DEVIATION_FACTOR * ns.tau
     p0 = sc.spec.gas_constant  # rho0 = T0 = 1 in the stiff-limit scenario
     nu = bulk_viscosity(p0, sc.spec)
@@ -376,9 +360,9 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> bool:
 
     d_values = np.linspace(sw.d_min, sw.d_max, sw.d_count)
     points = hyperbolicity_scan(d_values, n_z=sw.z_count, coverage=sw.coverage)
-    hyp_rows = [[p.D, p.z, p.max_imag_over_scale, p.all_real] for p in points]
     _write_csv(out_dir / "sweep_hyperbolicity.csv",
-               ["D", "Z", "max_imag_over_scale", "all_real"], hyp_rows)
+               ["D", "Z", "max_imag_over_scale", "all_real"],
+               zip(*[(p.D, p.z, p.max_imag_over_scale, p.all_real) for p in points]))
     n_bad = sum(0 if p.all_real else 1 for p in points)
     hyp_ok = n_bad == 0
     ok &= _status(hyp_ok, "hyperbolicity scan",
@@ -449,7 +433,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> bool:
 
     path = _write_csv(out_dir / "sweep_report.csv",
                       ["check", "detail", "value", "threshold", "passed"],
-                      rows_summary)
+                      zip(*rows_summary))
     print(f"report: {path}")
     return bool(ok)
 

@@ -127,7 +127,7 @@ class NsLimitConfig:
     def scenario(self, gas: GasSpec) -> Scenario:
         """The stiff-limit run in the given gas, at relaxation time tau."""
         return Scenario(kind="smooth_wave", spec=replace(gas, tau=self.tau), N=self.N,
-                        x_left=0.0, x_right=self.domain_length, wavelength=self.domain_length,
+                        x_left=0.0, x_right=self.domain_length,
                         cfl=self.cfl, t_end=self.t_end, amplitude=self.amplitude,
                         scheme="muscl", limiter="minmod", pi_init="ns")
 

@@ -8,9 +8,12 @@ The flux Jacobian and the entropy Hessian H = d(main field)/du are
 assembled analytically by the chain rule through the primitive variables
 w = (rho, v, p, Pi), so the convexity check needs no finite differences:
 it compares dh/dw with the main field times du/dw, requires H to be
-negative definite and H A_n to be symmetric for each axis n.  Eigenpairs are
-computed with a general dense eigensolver.  At equilibrium the spectrum is
-(v_n x4, v_n +- sqrt(5 p / 3 rho)) independently of D.
+negative definite and H A_n to be symmetric for each axis n.  The wave fan
+is that Jacobian's eigendecomposition by a general dense eigensolver, with
+no wave-type tags; across the window its spectrum is
+(v_n x4, v_n +- sqrt(5 (p + Pi) / 3 rho)).  The coupling condition needs no
+eigensolver: its sound eigenvectors are the closed-form acceleration-wave
+jumps and its contact eigenvectors an analytic basis.
 """
 
 from __future__ import annotations
@@ -125,32 +128,25 @@ def _flux_jacobian(s: State6, n: np.ndarray, spec: GasSpec) -> np.ndarray:
 class WaveFan:
     """Eigenstructure of the flux Jacobian along a direction.
 
-    speeds ascend; right_eigenvectors columns match speeds and are
-    normalized to unit density component where possible, unit norm
-    otherwise.  tags classify each wave as contact / sound / other.
-    Eigenvectors inside the fourfold contact eigenspace are basis-arbitrary.
+    speeds ascend; right_eigenvectors are the eigensolver's unit-norm
+    columns in the same order.  Eigenvectors inside the fourfold contact
+    eigenspace are basis-arbitrary.
     """
 
     n: np.ndarray
     speeds: np.ndarray
     right_eigenvectors: np.ndarray
-    tags: tuple[str, ...]
 
 
 def wave_fan(u: Conserved6, n, spec: GasSpec) -> WaveFan:
-    """Full eigendecomposition of flux_jacobian(u, n).
+    """Full numerical eigendecomposition of flux_jacobian(u, n).
 
     Raises HyperbolicityError when an eigenvalue pair is complex beyond
     IMAG_TOL relative to the characteristic speed scale.
     """
-    return _wave_fan(primitive_from_conserved(u, spec), _unit(n), spec)
-
-
-def _wave_fan(s: State6, n: np.ndarray, spec: GasSpec) -> WaveFan:
-    p = s.pressure(spec)
+    s, n = primitive_from_conserved(u, spec), _unit(n)
     values, vectors = np.linalg.eig(_flux_jacobian(s, n, spec))
-    vn = float(np.dot(s.v, n))
-    scale = abs(vn) + et6_sound_speed(s.rho, p, s.Pi)
+    scale = abs(float(np.dot(s.v, n))) + et6_sound_speed(s.rho, s.pressure(spec), s.Pi)
     max_imag = float(np.max(np.abs(values.imag)))
     if max_imag > IMAG_TOL * scale:
         raise HyperbolicityError(
@@ -160,24 +156,7 @@ def _wave_fan(s: State6, n: np.ndarray, spec: GasSpec) -> WaveFan:
             margin=max_imag / scale,
         )
     order = np.argsort(values.real)
-    speeds = values.real[order]
-    vecs = vectors.real[:, order]
-    for j in range(6):
-        col = vecs[:, j]
-        if abs(col[0]) > 1e-9 * np.linalg.norm(col):
-            vecs[:, j] = col / col[0]
-        else:
-            vecs[:, j] = col / np.linalg.norm(col)
-    c_noneq = et6_sound_speed(s.rho, p, s.Pi)
-    tags = []
-    for lam in speeds:
-        if abs(lam - vn) <= 1e-7 * scale:
-            tags.append("contact")
-        elif abs(abs(lam - vn) - c_noneq) <= 1e-6 * scale:
-            tags.append("sound")
-        else:
-            tags.append("other")
-    return WaveFan(n=n, speeds=speeds, right_eigenvectors=vecs, tags=tuple(tags))
+    return WaveFan(n=n, speeds=values.real[order], right_eigenvectors=vectors.real[:, order])
 
 
 @dataclass(frozen=True)
@@ -185,7 +164,6 @@ class AccelerationWave:
     """Jump amplitudes carried by one acoustic branch at equilibrium."""
 
     speed: float          # U = v_n + V
-    branch: int           # +1 or -1
     delta_rho: float
     delta_v: np.ndarray
     delta_eps: float
@@ -226,7 +204,6 @@ def acceleration_wave(u_eq: Conserved6, n, delta_rho: float,
         waves.append(
             AccelerationWave(
                 speed=vn + v_char,
-                branch=branch,
                 delta_rho=delta_rho,
                 delta_v=d_v,
                 delta_eps=d_eps,
@@ -284,7 +261,8 @@ class KConditionReport:
     eigenvectors (delta v_n = 0, delta Pi = -delta p), each given a generic
     pressure jump: contact modes couple to the production through delta p
     alone, so a basis vector with delta p = 0 would sit in the production
-    kernel.  The sound eigenvectors are the numerically computed ones.
+    kernel.  The two sound eigenvectors are the closed-form
+    acceleration-wave jumps with unit density jump.
     """
 
     entries: tuple[KConditionEntry, ...]
@@ -298,7 +276,8 @@ def k_condition(u_eq: Conserved6, n, spec: GasSpec) -> KConditionReport:
     Coupling is measured by the dynamic-pressure jump delta_pi implied by the
     eigenvector; the pass threshold is |delta_pi| > 1e-10 p and a pass below
     1e-4 p is flagged marginal (the D -> 3 limit collapses the sound-branch
-    coupling).
+    coupling).  Every eigenvector is in closed form: the sound ones from
+    acceleration_wave, the contact ones from an analytic basis.
     """
     n = _unit(n)
     s = _require_equilibrium(u_eq, spec)
@@ -307,14 +286,10 @@ def k_condition(u_eq: Conserved6, n, spec: GasSpec) -> KConditionReport:
     grad = _grad_pi(s, spec)
     entries = []
 
-    fan = _wave_fan(s, n, spec)
-    for j in range(6):
-        if fan.tags[j] != "sound":
-            continue
-        d = fan.right_eigenvectors[:, j]
-        # density-normalized already where possible
-        delta_pi = float(np.dot(grad, d))
-        entries.append(_k_entry(fan.speeds[j], "sound", delta_pi, p, spec))
+    # closed-form sound eigenvectors, each with unit density jump
+    for wave in acceleration_wave(u_eq, n, 1.0, spec):
+        entries.append(_k_entry(wave.speed, "sound", float(np.dot(grad, wave.conserved_jump)),
+                                p, spec))
 
     # analytic contact basis: delta v_n = 0, delta Pi = -delta p, generic
     # delta p = p in every basis vector (see class docstring)

@@ -225,7 +225,6 @@ class Scenario:
     rho0: float = 1.0
     T0: float = 1.0
     amplitude: float = 1e-2
-    wavelength: float = 0.0          # 0: one period across the domain
     pi_init: str = "zero"            # "zero" | "ns"
     # uniform-relaxation parameters
     z0: float = 0.3
@@ -252,9 +251,6 @@ class Scenario:
             raise SolverError(f"unknown boundary policy {self.boundary!r}")
         if not self.output_cadence >= 0.0:
             raise SolverError("output cadence must be nonnegative")
-        if not self.wavelength >= 0.0:
-            raise SolverError(f"wavelength must be nonnegative (0: the domain length), "
-                              f"got {self.wavelength}")
         if self.pi_init not in ("zero", "ns"):
             raise SolverError(f"unknown initial Pi profile {self.pi_init!r}")
         for name in ("rho_left", "p_left", "rho_right", "p_right", "rho0", "T0"):
@@ -326,8 +322,7 @@ def initial_grid(sc: Scenario) -> np.ndarray:
         Pi = np.where(left, sc.pi_left, sc.pi_right)
         return _pack(rho, vx, p, Pi, spec)
     if sc.kind == "smooth_wave":
-        lam = sc.wavelength if sc.wavelength > 0 else (sc.x_right - sc.x_left)
-        kwave = 2.0 * math.pi / lam
+        kwave = 2.0 * math.pi / (sc.x_right - sc.x_left)   # one period across the domain
         p0 = spec.gas_constant * sc.rho0 * sc.T0
         gamma_eq = (spec.D + 2.0) / spec.D
         c_eq = euler_sound_speed(sc.rho0, p0, spec.D)

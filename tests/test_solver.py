@@ -492,11 +492,6 @@ def test_ns_limit_diagnostic_needs_interior_cells_at_non_periodic_ends():
         ns_limit_diagnostic(run_scenario(sc), sc)
 
 
-def test_negative_wavelength_is_rejected():
-    with pytest.raises(SolverError, match="wavelength must be nonnegative"):
-        Scenario(wavelength=-0.5)
-
-
 @pytest.mark.parametrize("x_split", [1.5, -0.2, 0.0, 1.0])
 def test_riemann_split_outside_the_domain_is_rejected(x_split):
     # a split at or beyond an end would run one uniform state
@@ -507,7 +502,7 @@ def test_riemann_split_outside_the_domain_is_rejected(x_split):
 
 def test_ns_limit_smooth_acoustic_run():
     spec = GasSpec(D=5.0, tau=1e-3)
-    sc = Scenario(kind="smooth_wave", spec=spec, N=400, x_right=8.0, wavelength=8.0,
+    sc = Scenario(kind="smooth_wave", spec=spec, N=400, x_right=8.0,
                   t_end=0.75, amplitude=1e-3, cfl=0.02, scheme="muscl",
                   limiter="minmod", pi_init="ns")
     ts = run_scenario(sc)
@@ -524,7 +519,7 @@ def test_ns_limit_monatomic_collapse():
     for D in (3.0 + 1e-6, 3.5, 5.0):
         spec = GasSpec(D=D, tau=1e-3)
         sc = Scenario(kind="smooth_wave", spec=spec, N=200, x_right=8.0,
-                      wavelength=8.0, t_end=0.4, amplitude=1e-3, cfl=0.05,
+                      t_end=0.4, amplitude=1e-3, cfl=0.05,
                       scheme="muscl", pi_init="ns")
         ts = run_scenario(sc)
         nus.append(bulk_viscosity(1.0, spec))
