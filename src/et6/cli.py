@@ -145,8 +145,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path) -> bool:
         spec = replace(cfg.gas, D=float(d_val))
         zs = np.linspace(-0.9, chk.z_span * spec.z_upper, chk.grid_z_count)
         for z in zs:
-            p0 = spec.gas_constant * 1.0 * 1.0
-            s = State6(rho=1.0, v=velocity, T=1.0, Pi=float(z) * p0)
+            s = State6(rho=1.0, v=velocity, T=1.0, Pi=float(z))   # p = 1
             tag = f"[D={_label(d_val)};Z={z:.4g}]"
             for name, reports in (("constraint moments", oracle_constraint_check(s, spec)),
                                   ("closed fluxes", oracle_flux_check(s, spec))):
@@ -181,7 +180,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path) -> bool:
     # optimality probe (non-convergence is reported, not fatal), at Pi/p = 0.3
     # or, where the window ends below 0.6, halfway to its upper edge
     z_probe = min(0.3, spec.z_upper / 2.0)
-    s_probe = State6(rho=1.0, v=0.0, T=1.0, Pi=z_probe * spec.gas_constant)
+    s_probe = State6(rho=1.0, v=0.0, T=1.0, Pi=z_probe)
     probe = mep_optimality_probe(s_probe, spec, trial_amplitudes=chk.probe_betas)
     if probe.inconclusive:
         print("[WARN] optimality probe inconclusive (trial solve did not converge)")
@@ -217,11 +216,8 @@ def cmd_eigen(cfg: RunConfig, out_dir: Path, args) -> bool:
     if not np.linalg.norm([args.nx, args.ny, args.nz]) > 0:
         raise ConfigError("--nx, --ny, --nz must give a nonzero direction")
     rho = args.rho
-    if args.p is not None:
-        temperature = args.p * spec.m / (rho * spec.kB)
-    else:
-        temperature = args.T
-    p0 = spec.gas_constant * rho * temperature
+    temperature = args.T if args.p is None else args.p / rho
+    p0 = rho * temperature
     s = State6(rho=rho, v=[args.vx, args.vy, args.vz], T=temperature, Pi=args.Z * p0)
     n = np.array([args.nx, args.ny, args.nz])
     u = conserved_from_primitive(s, spec)
@@ -310,18 +306,17 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> bool:
 def cmd_relax(cfg: RunConfig, out_dir: Path) -> bool:
     spec = cfg.gas
     z0 = cfg.relax.z0
-    ts = run_scenario(cfg.relax.scenario(spec))
-    p0 = spec.gas_constant * 1.0 * 1.0
+    ts = run_scenario(cfg.relax.scenario(spec))   # at rho = T = 1, so p = 1
     rows = []
     worst = 0.0
     for t, snap in zip(ts.snapshot_times, ts.snapshots):
-        exact = z0 * p0 * math.exp(-t / spec.tau)
+        exact = z0 * math.exp(-t / spec.tau)
         measured = float(snap["Pi"][0])
         err = abs(measured - exact)
         worst = max(worst, err)
         rows.append([t, measured, exact, err])
     path = _write_csv(out_dir / "relax.csv", ["t", "Pi", "Pi_exact", "abs_err"], zip(*rows))
-    ok = _status(worst <= RELAX_TOL * p0, "exact relaxation",
+    ok = _status(worst <= RELAX_TOL, "exact relaxation",
                  f"max |Pi - Pi0 exp(-t/tau)| = {worst:.3e} <= {RELAX_TOL:g} * p")
     print(f"report: {path}")
     return bool(ok)
@@ -339,7 +334,7 @@ def cmd_nslimit(cfg: RunConfig, out_dir: Path) -> bool:
     path = _write_csv(out_dir / "nslimit.csv", ["x", "Pi", "minus_nu_dvdx"],
                       [rep.x, rep.pi, rep.target])
     bound = NS_DEVIATION_FACTOR * ns.tau
-    p0 = sc.spec.gas_constant  # rho0 = T0 = 1 in the stiff-limit scenario
+    p0 = sc.rho0 * sc.T0
     nu = bulk_viscosity(p0, sc.spec)
     print(f"bulk viscosity nu = {nu:.6g} at p = {p0:g}, tau = {ns.tau:g}")
     ok = _status(rep.max_rel_deviation <= bound, "stiff-limit relation",
@@ -373,14 +368,13 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> bool:
     for d_val in (3.5, 4.0, 5.0, 7.0, 12.0):
         spec = replace(cfg.gas, D=float(d_val))
         for z in np.linspace(-0.97, 0.97 * spec.z_upper, sw.round_trip_points):
-            p0 = spec.gas_constant
-            s = State6(rho=1.0, v=0.0, T=1.0, Pi=float(z) * p0)
+            s = State6(rho=1.0, v=0.0, T=1.0, Pi=float(z))   # p = 1
             mul = multipliers_from_state(s, spec)
             rho, ppi, rho_eps = state_from_multipliers(mul, spec)
             worst_rt = max(worst_rt,
                            rel_err(rho, 1.0),
-                           rel_err(ppi, p0 + s.Pi),
-                           rel_err(rho_eps, 0.5 * spec.D * p0))
+                           rel_err(ppi, 1.0 + s.Pi),
+                           rel_err(rho_eps, 0.5 * spec.D))
     rt_ok = worst_rt <= ROUND_TRIP_TOL
     ok &= _status(rt_ok, "closure round trip",
                   f"max rel err {worst_rt:.3e} <= {ROUND_TRIP_TOL:g}")
@@ -396,7 +390,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> bool:
         rows_summary.append([f"k_condition_D_{_label(d_val)}", "equilibrium",
                              int(krep.overall_pass), 1, krep.overall_pass])
         fan = wave_fan(u, [1, 0, 0], spec)
-        expected = et6_sound_speed(1.0, spec.gas_constant)
+        expected = et6_sound_speed(1.0, 1.0)
         speed_err = abs(fan.speeds[-1] - expected) / expected
         sp_ok = speed_err <= SPEED_TOL
         ok &= _status(sp_ok, f"sound speed D={_label(d_val)}",
@@ -413,8 +407,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> bool:
         temperature = float(rng.uniform(0.5, 2.0))
         v = rng.uniform(-1.0, 1.0, size=3)
         z = float(rng.uniform(-0.7, 0.7 * spec.z_upper))
-        p0 = spec.gas_constant * rho * temperature
-        s = State6(rho=rho, v=v, T=temperature, Pi=z * p0)
+        s = State6(rho=rho, v=v, T=temperature, Pi=z * (rho * temperature))
         rep = convexity_check(conserved_from_primitive(s, spec), spec)
         n_fail += 0 if rep.passed else 1
     conv_ok = n_fail == 0
@@ -459,8 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, dest="output.seed",
                         help="seed for randomized sweeps")
     common.add_argument("--D", type=float, dest="gas.D", help="degrees of freedom (> 3)")
-    common.add_argument("--m", type=float, dest="gas.m", help="molecular mass")
-    common.add_argument("--kB", type=float, dest="gas.kB", help="Boltzmann constant")
     common.add_argument("--tau", type=float, dest="gas.tau", help="relaxation time")
 
     sub = parser.add_subparsers(dest="command", required=True)

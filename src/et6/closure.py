@@ -93,11 +93,11 @@ def entropy_terms(rho, p, z, spec: GasSpec):
 
     The one home of these formulas, for the point API and the solver alike:
 
-        ln Omega_E = (D/2 + 1) ln rho - (D/2) ln p - ((D-1)/2) ln m
-                     - (3/2) ln(2 pi) - ln Gamma((D-3)/2)
-        k          = (kB/2m) ln[(1+Z)^3 (1 - 3Z/(D-3))^{D-3}]
-        ln Omega   = ln Omega_E - (m/kB) k
-        h          = (kB/m) rho (D/2 - ln Omega)
+        ln Omega_E = (D/2 + 1) ln rho - (D/2) ln p - (3/2) ln(2 pi)
+                     - ln Gamma((D-3)/2)
+        k          = (1/2) ln[(1+Z)^3 (1 - 3Z/(D-3))^{D-3}]
+        ln Omega   = ln Omega_E - k
+        h          = rho (D/2 - ln Omega)
 
     All in log space, so states near the window boundaries only overflow
     once Omega itself is formed.  Outside the window arrays give NaN and
@@ -105,18 +105,16 @@ def entropy_terms(rho, p, z, spec: GasSpec):
     """
     # math is several times faster than numpy's ufuncs on single numbers
     log, log1p = (np.log, np.log1p) if isinstance(rho, np.ndarray) else (math.log, math.log1p)
-    rgas = spec.gas_constant
     dm3 = spec.D - 3.0
     log_omega_eq = (
         (0.5 * spec.D + 1.0) * log(rho)
         - 0.5 * spec.D * log(p)
-        - 0.5 * (spec.D - 1.0) * math.log(spec.m)
         - 1.5 * math.log(2.0 * math.pi)
         - math.lgamma(0.5 * dm3)
     )
-    k = 0.5 * rgas * (3.0 * log1p(z) + dm3 * log1p(-3.0 * z / dm3))
-    log_omega = log_omega_eq - k / rgas
-    h = rgas * rho * (0.5 * spec.D - log_omega)
+    k = 0.5 * (3.0 * log1p(z) + dm3 * log1p(-3.0 * z / dm3))
+    log_omega = log_omega_eq - k
+    h = rho * (0.5 * spec.D - log_omega)
     return h, k, log_omega, log_omega_eq
 
 
@@ -133,16 +131,16 @@ def multipliers_from_state(s: State6, spec: GasSpec) -> Multipliers:
     """Invert the constraint moments for (xi, zeta, Omega).
 
     xi   = (rho / 2p) / (1 + Z)
-    zeta = (rho / m p) / (1 - 3Z/(D-3))
-    Omega = rho / (m pi^{3/2} Gamma((D-3)/2)) * xi^{3/2} * zeta^{(D-3)/2}
+    zeta = (rho / p) / (1 - 3Z/(D-3))
+    Omega = rho / (pi^{3/2} Gamma((D-3)/2)) * xi^{3/2} * zeta^{(D-3)/2}
 
     with Z = Pi/p.  Positivity of all three is equivalent to admissibility;
     an inadmissible state raises naming the multiplier that would lose it.
     """
     z = require_admissible(s, spec).z
-    p = s.pressure(spec)
+    p = s.pressure()
     xi = 0.5 * s.rho / p / (1.0 + z)
-    zeta = s.rho / (spec.m * p) / (1.0 - 3.0 * z / (spec.D - 3.0))
+    zeta = s.rho / p / (1.0 - 3.0 * z / (spec.D - 3.0))
     log_omega = _guard_log_omega(z, spec, entropy_terms(s.rho, p, z, spec)[2])
     return Multipliers(xi=xi, zeta=zeta, omega=math.exp(log_omega), log_omega=log_omega)
 
@@ -155,8 +153,7 @@ def state_from_multipliers(mul: Multipliers, spec: GasSpec) -> tuple[float, floa
     """
     alpha = spec.alpha
     log_rho = (
-        math.log(spec.m)
-        + 1.5 * math.log(math.pi)
+        1.5 * math.log(math.pi)
         + math.lgamma(1.0 + alpha)
         + mul.log_omega
         - 1.5 * math.log(mul.xi)
@@ -164,7 +161,7 @@ def state_from_multipliers(mul: Multipliers, spec: GasSpec) -> tuple[float, floa
     )
     rho = math.exp(log_rho)
     p_plus_pi = 0.5 * rho / mul.xi
-    rho_eps = 0.25 * rho / mul.xi * (3.0 + 4.0 / spec.m * (1.0 + alpha) * mul.xi / mul.zeta)
+    rho_eps = 0.25 * rho / mul.xi * (3.0 + 4.0 * (1.0 + alpha) * mul.xi / mul.zeta)
     return rho, p_plus_pi, rho_eps
 
 
@@ -195,23 +192,21 @@ def equilibrium_distribution_value(C, I, rho: float, T: float, spec: GasSpec):
     """Generalized Maxwellian for a polyatomic gas in equilibrium, on floats
     or arrays (C and I as in distribution_value).
 
-    f_E = rho / (m (kB T)^{1+alpha} Gamma(1+alpha)) * (m / (2 pi kB T))^{3/2}
-          * exp(-(m C^2/2 + I) / (kB T))
+    f_E = rho / (T^{1+alpha} Gamma(1+alpha)) * (2 pi T)^{-3/2}
+          * exp(-(C^2/2 + I) / T)
 
     Written independently of the nonequilibrium closure so the Pi -> 0
     reduction can be tested against it.
     """
     c2, I = _speed2_energy(C, I)
-    kT = spec.kB * T
     alpha = spec.alpha
     log_pref = (
         math.log(rho)
-        - math.log(spec.m)
-        - (1.0 + alpha) * math.log(kT)
+        - (1.0 + alpha) * math.log(T)
         - math.lgamma(1.0 + alpha)
-        + 1.5 * (math.log(spec.m) - math.log(2.0 * math.pi * kT))
+        - 1.5 * math.log(2.0 * math.pi * T)
     )
-    return np.exp(log_pref - (0.5 * spec.m * c2 + I) / kT)
+    return np.exp(log_pref - (0.5 * c2 + I) / T)
 
 
 def flux_rows(F_i, G_ll, rho_v2, ppi, v_k, k: int) -> np.ndarray:
@@ -254,7 +249,7 @@ def closed_fluxes(s: State6, spec: GasSpec) -> FluxSet:
     value is delegated to production_bgk.
     """
     require_admissible(s, spec)
-    p = s.pressure(spec)
+    p = s.pressure()
     v = s.v.tolist()
     rho_v2 = s.rho * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
     G_ll = energy_moment(rho_v2, p, spec.D)
@@ -276,26 +271,26 @@ def production_bgk(s: State6, spec: GasSpec) -> float:
 def entropy_parts(s: State6, spec: GasSpec) -> EntropyParts:
     """Entropy density and its equilibrium/nonequilibrium decomposition.
 
-    h   = (kB/m) rho (D/2 - ln Omega)
-    h_E = (kB/m) rho (D/2 - ln Omega_E)      (Omega at Pi = 0)
-    k   = (kB/2m) ln[(1+Z)^3 (1 - 3Z/(D-3))^{D-3}]
-    g/T = (kB/m) (1 + ln Omega_E)            (chemical potential)
+    h   = rho (D/2 - ln Omega)
+    h_E = rho (D/2 - ln Omega_E)      (Omega at Pi = 0)
+    k   = (1/2) ln[(1+Z)^3 (1 - 3Z/(D-3))^{D-3}]
+    g/T = 1 + ln Omega_E              (chemical potential)
 
     k(0) = 0 is the global maximum; h = h_E + rho*k identically.
     """
     require_admissible(s, spec)
-    p = s.pressure(spec)
+    p = s.pressure()
     z = s.Pi / p
     h, k, log_omega, log_omega_eq = entropy_terms(s.rho, p, z, spec)
     _guard_log_omega(z, spec, log_omega, log_omega_eq)
-    g = s.T * spec.gas_constant * (1.0 + log_omega_eq)
+    g = s.T * (1.0 + log_omega_eq)
     return EntropyParts(h=h, h_E=h - s.rho * k, k=k, g=g)
 
 
 def main_field(s: State6, spec: GasSpec) -> MainField:
     """Lagrange multipliers of the entropy maximization, as field variables.
 
-    lam    = -g/T - (kB/m) ln(Omega/Omega_E) + v^2 / (2T (1+Z))
+    lam    = -g/T - ln(Omega/Omega_E) + v^2 / (2T (1+Z))
     lam_i  = -v_i / (T (1+Z))
     lam_ll = -(1/2T) (D/(D-3)) Z / ((1+Z)(1 - 3Z/(D-3)))
     mu_ll  =  (1/2T) / (1 - 3Z/(D-3))
@@ -304,16 +299,14 @@ def main_field(s: State6, spec: GasSpec) -> MainField:
     five-field gas dynamics with lam_ll = 0.
     """
     require_admissible(s, spec)
-    p = s.pressure(spec)
+    p = s.pressure()
     z = s.Pi / p
     parts = entropy_parts(s, spec)
-    rgas = spec.gas_constant
     one_pz = 1.0 + z
     one_mz = 1.0 - 3.0 * z / (spec.D - 3.0)
     v2 = float(np.dot(s.v, s.v))
-    # ln(Omega/Omega_E) = -(m/kB) k
-    log_ratio = -parts.k / rgas
-    lam = -parts.g / s.T - rgas * log_ratio + 0.5 * v2 / (s.T * one_pz)
+    # ln(Omega/Omega_E) = -k
+    lam = -parts.g / s.T + parts.k + 0.5 * v2 / (s.T * one_pz)
     lam_i = -s.v / (s.T * one_pz)
     mu_ll = 0.5 / (s.T * one_mz)
     lam_ll = -0.5 / s.T * (spec.D / (spec.D - 3.0)) * z / (one_pz * one_mz)

@@ -87,7 +87,7 @@ def _df_dw(s: State6, n: np.ndarray, spec: GasSpec) -> np.ndarray:
     """d flux_n / dw for w = (rho, v1, v2, v3, p, Pi).  Built row by row
     from Python floats: setting 6x6 entries one by one costs more than the
     arithmetic."""
-    p = s.pressure(spec)
+    p = s.pressure()
     rho, Pi, D = s.rho, s.Pi, spec.D
     v2 = float(np.dot(s.v, s.v))
     vn = float(np.dot(s.v, n))
@@ -146,7 +146,7 @@ def wave_fan(u: Conserved6, n, spec: GasSpec) -> WaveFan:
     """
     s, n = primitive_from_conserved(u, spec), _unit(n)
     values, vectors = np.linalg.eig(_flux_jacobian(s, n, spec))
-    scale = abs(float(np.dot(s.v, n))) + et6_sound_speed(s.rho, s.pressure(spec), s.Pi)
+    scale = abs(float(np.dot(s.v, n))) + et6_sound_speed(s.rho, s.pressure(), s.Pi)
     max_imag = float(np.max(np.abs(values.imag)))
     if max_imag > IMAG_TOL * scale:
         raise HyperbolicityError(
@@ -173,7 +173,7 @@ class AccelerationWave:
 
 def _require_equilibrium(u: Conserved6, spec: GasSpec) -> State6:
     s = primitive_from_conserved(u, spec)
-    p = s.pressure(spec)
+    p = s.pressure()
     if abs(s.Pi) > EQUILIBRIUM_TOL * p:
         raise EquilibriumRequiredError(
             f"state is not on the equilibrium manifold: Pi/p = {s.Pi / p:.3e}"
@@ -281,7 +281,7 @@ def k_condition(u_eq: Conserved6, n, spec: GasSpec) -> KConditionReport:
     """
     n = _unit(n)
     s = _require_equilibrium(u_eq, spec)
-    p = s.pressure(spec)
+    p = s.pressure()
     vn = float(np.dot(s.v, n))
     grad = _grad_pi(s, spec)
     entries = []
@@ -344,33 +344,33 @@ class ConvexityReport:
 def _entropy_derivatives(s: State6, spec: GasSpec) -> tuple[np.ndarray, np.ndarray]:
     """(dh/dw, d(main field)/dw) for w = (rho, v1, v2, v3, p, Pi).
 
-    With R = kB/m, q = p + Pi, r = p - 3 Pi/(D-3) and c0 a constant,
-        h / rho = c0 - R (D/2 + 1) ln rho + (3R/2) ln q + (R (D-3)/2) ln r
-        lam     = h / rho - R (D/2 + 1) + R rho v^2 / 2q
-        lam_i   = -R rho v_i / q,   mu_ll = R rho / 2r,   lam_ll + mu_ll = R rho / 2q
-    so dh/drho = h / rho - R (D/2 + 1), with h from entropy_parts.
+    With q = p + Pi, r = p - 3 Pi/(D-3) and c0 a constant,
+        h / rho = c0 - (D/2 + 1) ln rho + (3/2) ln q + ((D-3)/2) ln r
+        lam     = h / rho - (D/2 + 1) + rho v^2 / 2q
+        lam_i   = -rho v_i / q,   mu_ll = rho / 2r,   lam_ll + mu_ll = rho / 2q
+    so dh/drho = h / rho - (D/2 + 1), with h from entropy_parts.
     """
-    p = s.pressure(spec)
-    rho, v, D, R = s.rho, s.v, spec.D, spec.gas_constant
+    p = s.pressure()
+    rho, v, D = s.rho, s.v, spec.D
     q, r, dr_dpi = p + s.Pi, p - 3.0 * s.Pi / (D - 3.0), -3.0 / (D - 3.0)
     v2 = float(np.dot(v, v))
     h = entropy_parts(s, spec).h
     dh = np.zeros(6)
-    dh[0] = h / rho - R * (0.5 * D + 1.0)
-    dh[4] = 1.5 * R * rho / q + 0.5 * R * (D - 3.0) * rho / r
-    dh[5] = 1.5 * R * rho / q - 1.5 * R * rho / r
+    dh[0] = h / rho - (0.5 * D + 1.0)
+    dh[4] = 1.5 * rho / q + 0.5 * (D - 3.0) * rho / r
+    dh[5] = 1.5 * rho / q - 1.5 * rho / r
 
     dmf = np.zeros((6, 6))
-    dmf[0, 0] = -R * (0.5 * D + 1.0) / rho + 0.5 * R * v2 / q
-    dmf[0, 1:4] = R * rho * v / q
-    dmf[0, 4] = 1.5 * R / q + 0.5 * R * (D - 3.0) / r - 0.5 * R * rho * v2 / q**2
-    dmf[0, 5] = 1.5 * R / q + 0.5 * R * (D - 3.0) * dr_dpi / r - 0.5 * R * rho * v2 / q**2
-    dmf[1:4, 0] = -R * v / q
-    dmf[1:4, 1:4] = -R * rho / q * np.eye(3)
-    dmf[1:4, 4] = dmf[1:4, 5] = R * rho * v / q**2
-    # mu_ll, then lam_ll = R rho / 2q - mu_ll
-    dmf[5] = [0.5 * R / r, 0.0, 0.0, 0.0, -0.5 * R * rho / r**2, -0.5 * R * rho * dr_dpi / r**2]
-    dmf[4] = [0.5 * R / q, 0.0, 0.0, 0.0, -0.5 * R * rho / q**2, -0.5 * R * rho / q**2]
+    dmf[0, 0] = -(0.5 * D + 1.0) / rho + 0.5 * v2 / q
+    dmf[0, 1:4] = rho * v / q
+    dmf[0, 4] = 1.5 / q + 0.5 * (D - 3.0) / r - 0.5 * rho * v2 / q**2
+    dmf[0, 5] = 1.5 / q + 0.5 * (D - 3.0) * dr_dpi / r - 0.5 * rho * v2 / q**2
+    dmf[1:4, 0] = -v / q
+    dmf[1:4, 1:4] = -rho / q * np.eye(3)
+    dmf[1:4, 4] = dmf[1:4, 5] = rho * v / q**2
+    # mu_ll, then lam_ll = rho / 2q - mu_ll
+    dmf[5] = [0.5 / r, 0.0, 0.0, 0.0, -0.5 * rho / r**2, -0.5 * rho * dr_dpi / r**2]
+    dmf[4] = [0.5 / q, 0.0, 0.0, 0.0, -0.5 * rho / q**2, -0.5 * rho / q**2]
     dmf[4] -= dmf[5]
     return dh, dmf
 
@@ -438,11 +438,10 @@ def hyperbolicity_scan(d_values, n_z: int = 21, coverage: float = 0.99) -> list[
     for d_val in d_values:
         spec = GasSpec(D=float(d_val))
         zs = np.linspace(-coverage, coverage * spec.z_upper, n_z)
-        p = spec.gas_constant
         for z in zs:
-            s = State6(rho=1.0, v=0.0, T=1.0, Pi=z * p)
+            s = State6(rho=1.0, v=0.0, T=1.0, Pi=z)   # p = 1
             values = np.linalg.eigvals(_flux_jacobian(s, n, spec))
-            scale = et6_sound_speed(1.0, p, s.Pi)
+            scale = et6_sound_speed(1.0, 1.0, s.Pi)
             ratio = float(np.max(np.abs(values.imag))) / scale
             points.append(ScanPoint(D=float(d_val), z=float(z),
                                     max_imag_over_scale=ratio,

@@ -5,11 +5,17 @@ temperature T and the dynamic pressure Pi (the trace part of the viscous
 stress, the single dissipative field of the six-field model).  The dynamic
 pressure is only meaningful inside an open window around equilibrium,
 
-    -p < Pi < (D - 3) * p / 3,       p = (kB/m) * rho * T,
+    -p < Pi < (D - 3) * p / 3,       p = rho * T,
 
 outside of which the underlying phase-space density ceases to be integrable.
 The window, the moment map and its inverse are small functions on floats or
 numpy arrays, shared by the point API, the solver and the oracle.
+
+Units: the Boltzmann constant and the molecular mass are 1 throughout the
+package (kB = m = 1), so p = rho T and eps = (D/2) T.  They enter the
+six-field system only through kB/m in p = (kB/m) rho T, which a rescaled T
+absorbs, and through the normalization of f and an additive entropy
+constant.
 """
 
 from __future__ import annotations
@@ -53,23 +59,17 @@ class GasSpec:
     """Molecular parameters of the gas.
 
     D is the effective number of degrees of freedom fixing the caloric
-    equation of state eps = (D/2)(kB/m) T.  It is a real parameter strictly
+    equation of state eps = (D/2) T.  It is a real parameter strictly
     above 3 so that the monatomic limit D -> 3+ can be probed.  tau is the
     relaxation time of the BGK production term.
     """
 
     D: float = 5.0
-    m: float = 1.0
-    kB: float = 1.0
     tau: float = 1.0
 
     def __post_init__(self):
         if not self.D >= D_MIN:
             raise GasModelError(f"degrees of freedom D must be >= {D_MIN}, got {self.D}")
-        if not self.m > 0:
-            raise GasModelError(f"molecular mass m must be positive, got {self.m}")
-        if not self.kB > 0:
-            raise GasModelError(f"Boltzmann constant kB must be positive, got {self.kB}")
         if not self.tau > 0:
             raise GasModelError(f"relaxation time tau must be positive, got {self.tau}")
 
@@ -80,8 +80,9 @@ class GasSpec:
 
     @property
     def gas_constant(self) -> float:
-        """kB / m."""
-        return self.kB / self.m
+        """kB / m = 1 (see the module docstring).  Kept only because
+        bench/workloads.py reads it; the package does not."""
+        return 1.0
 
     @property
     def z_upper(self) -> float:
@@ -114,12 +115,13 @@ class State6:
         if not self.T > 0:
             raise GasModelError(f"temperature must be positive, got {self.T}")
 
-    def pressure(self, spec: GasSpec) -> float:
-        return spec.gas_constant * self.rho * self.T
+    def pressure(self) -> float:
+        """p = rho T."""
+        return self.rho * self.T
 
-    def z_ratio(self, spec: GasSpec) -> float:
+    def z_ratio(self) -> float:
         """Z = Pi / p, the normalized dynamic pressure."""
-        return self.Pi / self.pressure(spec)
+        return self.Pi / self.pressure()
 
 
 @dataclass(frozen=True)
@@ -168,14 +170,14 @@ class AdmissibilityReport:
 def eos_evaluate(rho: float, T: float, spec: GasSpec) -> tuple[float, float]:
     """Thermal and caloric equations of state.
 
-    Returns (p, eps) with p = (kB/m) rho T and eps = (D/2)(kB/m) T.
+    Returns (p, eps) with p = rho T and eps = (D/2) T.
     """
     if not rho > 0:
         raise GasModelError(f"density must be positive, got {rho}")
     if not T > 0:
         raise GasModelError(f"temperature must be positive, got {T}")
-    p = spec.gas_constant * rho * T
-    eps = 0.5 * spec.D * spec.gas_constant * T
+    p = rho * T
+    eps = 0.5 * spec.D * T
     return p, eps
 
 
@@ -221,7 +223,7 @@ def dynamic_pressure(F_ll, rho_v2, p):
 
 def admissibility(s: State6, spec: GasSpec) -> AdmissibilityReport:
     """Check -1 < Pi/p < (D-3)/3 and report the signed margins."""
-    z = s.z_ratio(spec)
+    z = s.z_ratio()
     lower, upper = window_bounds(1.0, spec.D)
     margin_lower, margin_upper = z - lower, upper - z
     return AdmissibilityReport(
@@ -254,7 +256,7 @@ def require_admissible(s: State6, spec: GasSpec) -> AdmissibilityReport:
 
 def conserved_from_primitive(s: State6, spec: GasSpec) -> Conserved6:
     """Map (rho, v, T, Pi) to the densities (F, F_i, F_ll, G_ll)."""
-    p = s.pressure(spec)
+    p = s.pressure()
     vx, vy, vz = s.v.tolist()
     rho_v2 = s.rho * (vx * vx + vy * vy + vz * vz)
     return Conserved6(F=s.rho, F_i=s.rho * s.v, F_ll=momentum_flux_trace(rho_v2, p, s.Pi),
@@ -275,6 +277,6 @@ def primitive_from_conserved(u: Conserved6, spec: GasSpec) -> State6:
     if not p > 0:
         raise ReconstructionError(f"non-positive internal energy rho*eps = {0.5 * spec.D * p}")
     Pi = dynamic_pressure(float(u.F_ll), rho_v2, p)
-    s = State6(rho=rho, v=v, T=p / (spec.gas_constant * rho), Pi=Pi)
+    s = State6(rho=rho, v=v, T=p / rho, Pi=Pi)
     require_admissible(s, spec)
     return s

@@ -107,9 +107,9 @@ def _speed2(*axes: int) -> list[Term]:
     return [(1.0, _powers(b, b, *axes), 0) for b in range(3)]
 
 
-def _energy(spec: GasSpec, *axes: int) -> list[Term]:
-    """(c^2 + 2 I/m) times the product of c_a over axes."""
-    return _speed2(*axes) + [(2.0 / spec.m, _powers(*axes), 1)]
+def _energy(*axes: int) -> list[Term]:
+    """(c^2 + 2 I) times the product of c_a over axes."""
+    return _speed2(*axes) + [(2.0, _powers(*axes), 1)]
 
 
 def _gauss_rule(diagonal, off_diagonal, mu0: float):
@@ -227,7 +227,7 @@ def _check(s: State6, spec: GasSpec,
     family_scale = max(abs(closed) for _, closed, _ in targets)
     reports = []
     for name, closed, terms in targets:
-        value = spec.m * table.validated(terms)
+        value = table.validated(terms)
         reports.append(OracleReport(name, closed, value,
                                     rel_err(closed, value, floor=family_scale), RULE))
     return reports
@@ -247,7 +247,7 @@ def oracle_flux_check(s: State6, spec: GasSpec) -> list[OracleReport]:
         for i in range(3) for k in range(i, 3)
     ]
     targets += [(f"F_ll{labels[k]}", fl.F_llk[k], _speed2(k)) for k in range(3)]
-    targets += [(f"G_ll{labels[k]}", fl.G_llk[k], _energy(spec, k)) for k in range(3)]
+    targets += [(f"G_ll{labels[k]}", fl.G_llk[k], _energy(k)) for k in range(3)]
     return _check(s, spec, targets)
 
 
@@ -256,12 +256,12 @@ def oracle_constraint_check(s: State6, spec: GasSpec) -> list[OracleReport]:
     u = conserved_from_primitive(s, spec)
     targets = [("F", u.F, [(1.0, _powers(), 0)])]
     targets += [(f"F_{x}", u.F_i[a], [(1.0, _powers(a), 0)]) for a, x in enumerate("xyz")]
-    targets += [("F_ll", u.F_ll, _speed2()), ("G_ll", u.G_ll, _energy(spec))]
+    targets += [("F_ll", u.F_ll, _speed2()), ("G_ll", u.G_ll, _energy())]
     return _check(s, spec, targets)
 
 
 def oracle_entropy(s: State6, spec: GasSpec) -> float:
-    """Entropy density -kB int int f ln f I^alpha dI dC by quadrature.
+    """Entropy density -int int f ln f I^alpha dI dC by quadrature.
 
     ln f is expanded as ln(Omega) - zeta I - xi C^2, which turns the
     integrand into the same polynomial-weighted family as the moments (no
@@ -270,9 +270,9 @@ def oracle_entropy(s: State6, spec: GasSpec) -> float:
     number, internal, speed2 = [(1.0, _powers(), 0)], [(1.0, _powers(), 1)], _speed2()
     table = _Table(s, spec, np.zeros(3), number + internal + speed2)
     mul = table.mul
-    return -spec.kB * (mul.log_omega * table.validated(number)
-                       - mul.zeta * table.validated(internal)
-                       - mul.xi * table.validated(speed2))
+    return -(mul.log_omega * table.validated(number)
+             - mul.zeta * table.validated(internal)
+             - mul.xi * table.validated(speed2))
 
 
 @dataclass(frozen=True)
@@ -413,7 +413,7 @@ def mep_optimality_probe(s: State6, spec: GasSpec, trial_amplitudes) -> ProbeRep
     alpha = spec.alpha
     mul = multipliers_from_state(s, spec)
     # zeta decouples from beta: fixed by the internal-energy split
-    zeta_trial = (alpha + 1.0) / (spec.m * (eps - 1.5 * ppi / s.rho))
+    zeta_trial = (alpha + 1.0) / (eps - 1.5 * ppi / s.rho)
     target_ratio = 3.0 * ppi / s.rho
 
     # Laguerre factors for the internal-energy part
@@ -425,14 +425,13 @@ def mep_optimality_probe(s: State6, spec: GasSpec, trial_amplitudes) -> ProbeRep
         if beta < 0:
             raise ValueError("trial amplitude beta must be nonnegative")
         xi_trial, (m0, m1, m2), converged = _solve_trial_xi(target_ratio, beta, mul.xi)
-        omega_trial = s.rho / (spec.m * m0 * l0)
+        omega_trial = s.rho / (m0 * l0)
         log_omega_trial = math.log(omega_trial)
-        number = s.rho / spec.m
         mean_i = omega_trial * m0 * l1
         mean_c2 = omega_trial * m1 * l0
         mean_c4 = omega_trial * m2 * l0
-        h_trial = -spec.kB * (
-            log_omega_trial * number
+        h_trial = -(
+            log_omega_trial * s.rho
             - zeta_trial * mean_i
             - xi_trial * mean_c2
             - beta * mean_c4

@@ -12,8 +12,9 @@ dt^3 S / (24 tau^2); for dt >> tau it gives Pi = tau S, which is the
 bulk-viscosity law Pi = -nu dv/dx.  So the stiff limit holds at transport
 time steps (asymptotic preservation, Jin 1999), and no implicit solve is
 needed.  The hyperbolic substep is a first-order Rusanov (local
-Lax-Friedrichs) update, optionally second-order MUSCL with a minmod limiter
-and a two-stage SSP time integration.
+Lax-Friedrichs) update, optionally second-order MUSCL, with minmod or
+unlimited central slopes (limiter "none"), and a two-stage SSP time
+integration.
 
 The admissible window -p < Pi < (D-3) p / 3 is convex in conserved
 variables.  A MUSCL cell whose faces leave it, or outrun the speed dt was
@@ -97,7 +98,7 @@ def _decode(U: np.ndarray, F_i: np.ndarray, spec: GasSpec) -> dict[str, np.ndarr
     v, v2, rho_v2, p = velocity_pressure(rho, F_i, U[-1], spec.D)
     _require_positive(p, "non-positive pressure")
     return {"rho": rho, **dict(zip(("vx", "vy", "vz"), v)), "v2": v2, "rho_v2": rho_v2,
-            "p": p, "T": p / (spec.gas_constant * rho)}
+            "p": p, "T": p / rho}
 
 
 def primitive_fields(U: np.ndarray, spec: GasSpec) -> dict[str, np.ndarray]:
@@ -323,7 +324,7 @@ def initial_grid(sc: Scenario) -> np.ndarray:
         return _pack(rho, vx, p, Pi, spec)
     if sc.kind == "smooth_wave":
         kwave = 2.0 * math.pi / (sc.x_right - sc.x_left)   # one period across the domain
-        p0 = spec.gas_constant * sc.rho0 * sc.T0
+        p0 = sc.rho0 * sc.T0
         gamma_eq = (spec.D + 2.0) / spec.D
         c_eq = euler_sound_speed(sc.rho0, p0, spec.D)
         shape = np.sin(kwave * (x - sc.x_left))
@@ -337,7 +338,7 @@ def initial_grid(sc: Scenario) -> np.ndarray:
             Pi = np.zeros_like(x)
         return _pack(rho, vx, p, Pi, spec)
     # uniform_relaxation
-    p0 = spec.gas_constant * sc.rho0 * sc.T0
+    p0 = sc.rho0 * sc.T0
     return _pack(np.full(sc.N, sc.rho0), 0.0, p0, sc.z0 * p0, spec)
 
 
@@ -398,6 +399,10 @@ def _reconstruct(U: np.ndarray, sc: Scenario, system: System,
     else:
         half = bwd + fwd
         half *= 0.25
+        if sc.boundary == "outflow":
+            # zero-gradient ghosts: both states of an end face are the
+            # boundary cell, as minmod makes them
+            half[:, [1, -2]] = 0.0
         zeroed = np.zeros(half.shape, dtype=bool)
     cells = Up[:, 1:-1]
     edges = np.empty((U.shape[0], 2, cells.shape[1]))

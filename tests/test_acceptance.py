@@ -115,7 +115,7 @@ def test_c04_main_field_gradient_identity():
         temperature = float(rng.uniform(0.5, 2.0))
         v = rng.uniform(-1.0, 1.0, size=3)
         z = float(rng.uniform(-0.7, 0.7 * spec.z_upper))
-        s = State6(rho=rho, v=v, T=temperature, Pi=z * rho * temperature * spec.gas_constant)
+        s = State6(rho=rho, v=v, T=temperature, Pi=z * rho * temperature)
         u = conserved_from_primitive(s, spec)
         rep = convexity_check(u, spec)
         all_passed &= rep.passed

@@ -33,12 +33,12 @@ def states(draw, equilibrium: bool = False):
     v = draw(st.tuples(*[st.floats(-2.0, 2.0)] * 3))
     n = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)
                       .filter(lambda x: np.linalg.norm(x) > 0.1)))
-    s = State6(rho=rho, v=v, T=T, Pi=z * spec.gas_constant * rho * T)
+    s = State6(rho=rho, v=v, T=T, Pi=z * rho * T)
     return spec, s, n / np.linalg.norm(n)
 
 
 def reference(spec: GasSpec, s: State6, n: np.ndarray):
-    return characteristics(s.rho, s.v, s.pressure(spec), s.Pi, spec.D, n)
+    return characteristics(s.rho, s.v, s.pressure(), s.Pi, spec.D, n)
 
 
 def speed_scale(speeds: np.ndarray) -> float:

@@ -23,8 +23,6 @@ def test_load_config_minimal_defaults(tmp_path):
     cfg_file = write(tmp_path / "min.cfg", "[gas]\nD = 5\n")
     cfg = load_config(cfg_file)
     assert cfg.gas.D == 5.0
-    assert cfg.gas.kB == 1.0
-    assert cfg.gas.m == 1.0
     assert cfg.gas.tau == 1.0
 
 
@@ -358,8 +356,18 @@ def test_usage_error_exits_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--m", "--kB"])
+def test_unit_flags_are_gone(tmp_path, capsys, flag):
+    # the units are kB = m = 1 (et6.gas); the gas flags are --D and --tau
+    with pytest.raises(SystemExit) as exc:
+        main(["relax", flag, "2", "--output-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 SECTION_KEYS = {
-    "gas": {"D", "m", "kB", "tau"},
+    "gas": {"D", "tau"},
     "scenario": {"kind", "N", "x_left", "x_right", "cfl", "t_end", "output_cadence",
                  "boundary", "scheme", "limiter", "rho_left", "p_left", "v_left", "pi_left",
                  "rho_right", "p_right", "v_right", "pi_right", "x_split", "rho0", "T0",
@@ -377,7 +385,7 @@ def test_config_sections_accept_exactly_their_keys():
     assert {f.name for f in fields(RunConfig)} == set(SECTION_KEYS)
     for section, keys in SECTION_KEYS.items():
         assert set(config._keys(section)) == keys, section
-    assert sum(map(len, SECTION_KEYS.values())) == 53
+    assert sum(map(len, SECTION_KEYS.values())) == 51
 
 
 def ini_value(value) -> str:
@@ -450,19 +458,22 @@ BOUNDS = [
     ("relax", "tol", 1.0),
     ("nslimit", "deviation_factor", 1.0),
 ]
+# the units are kB = m = 1 (et6.gas): no key sets either, not even to 1
+UNITS = [("gas", "m", 1.0), ("gas", "kB", 1.0)]
+UNKNOWN = BOUNDS + UNITS
 
 
-@pytest.mark.parametrize("section, key, value", OUT_OF_RANGE + BOUNDS,
-                         ids=[f"{section}-{key}" for section, key, _ in OUT_OF_RANGE + BOUNDS])
+@pytest.mark.parametrize("section, key, value", OUT_OF_RANGE + UNKNOWN,
+                         ids=[f"{section}-{key}" for section, key, _ in OUT_OF_RANGE + UNKNOWN])
 def test_each_section_checks_its_own_values(tmp_path, capsys, section, key, value):
     # the same check from Python and from a config file
-    bound = (section, key, value) in BOUNDS
-    with pytest.raises(TypeError if bound else (ValueError, SolverError)):
+    unknown = (section, key, value) in UNKNOWN
+    with pytest.raises(TypeError if unknown else (ValueError, SolverError)):
         config._SECTION_TYPES[section](**{key: value})
     cfg_file = write(tmp_path / "bad.cfg", f"[{section}]\n{key} = {ini_value(value)}\n")
     assert main(["relax", "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    if bound:
+    if unknown:
         assert err == f"config error: unknown key [{section}] {key}\n"
     else:
         assert f"config error: [{section}] {key} = {value}: " in err

@@ -284,7 +284,7 @@ def test_entropy_hessian_matches_finite_differences_of_main_field(seed):
     z = rng.uniform(-0.9, 0.9 * spec.z_upper)
     s = State6(rho=rng.uniform(0.5, 2.0), v=rng.uniform(-1.0, 1.0, size=3),
                T=rng.uniform(0.5, 2.0), Pi=0.0)
-    s = State6(rho=s.rho, v=s.v, T=s.T, Pi=z * s.pressure(spec))
+    s = State6(rho=s.rho, v=s.v, T=s.T, Pi=z * s.pressure())
     _, dmf = _entropy_derivatives(s, spec)
     du = _du_dw(s, spec)
     hess = np.linalg.solve(du.T, dmf.T).T

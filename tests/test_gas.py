@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -54,8 +56,11 @@ def test_gas_spec_invariants():
         GasSpec(D=2.9)
     with pytest.raises(GasModelError):
         GasSpec(D=5, tau=0.0)
-    with pytest.raises(GasModelError):
-        GasSpec(D=5, m=-1.0)
+    # units kB = m = 1: neither is a parameter
+    assert [f.name for f in fields(GasSpec)] == ["D", "tau"]
+    for key in ("m", "kB"):
+        with pytest.raises(TypeError):
+            GasSpec(D=5, **{key: 2.0})
 
 
 def test_conserved_equilibrium_rest(d5):
@@ -107,7 +112,7 @@ def test_round_trip_random_states(D):
         rho = rng.uniform(0.1, 5.0)
         T = rng.uniform(0.1, 4.0)
         v = rng.uniform(-2.0, 2.0, size=3)
-        p = spec.gas_constant * rho * T
+        p = rho * T
         z = rng.uniform(-0.9, 0.9 * spec.z_upper)
         s = State6(rho=rho, v=v, T=T, Pi=z * p)
         back = primitive_from_conserved(conserved_from_primitive(s, spec), spec)

@@ -59,7 +59,7 @@ def states(draw):
     edge = draw(st.floats(-0.999, 0.999))
     z = edge if edge < 0.0 else edge * spec.z_upper
     v = draw(st.tuples(*[st.floats(-2.0, 2.0)] * 3))
-    return spec, State6(rho=1.0, v=v, T=1.0, Pi=z * spec.gas_constant)
+    return spec, State6(rho=1.0, v=v, T=1.0, Pi=z)
 
 
 def primitives_close(a: dict, b: dict, p: float, tol: float):
@@ -73,7 +73,7 @@ def primitives_close(a: dict, b: dict, p: float, tol: float):
 
 def point_primitives(s: State6, spec: GasSpec) -> dict:
     vx, vy, vz = s.v
-    return {"rho": s.rho, "vx": vx, "vy": vy, "vz": vz, "T": s.T, "p": s.pressure(spec),
+    return {"rho": s.rho, "vx": vx, "vy": vy, "vz": vz, "T": s.T, "p": s.pressure(),
             "Pi": s.Pi}
 
 
@@ -83,7 +83,7 @@ def test_moment_map_round_trip(drawn):
     spec, s = drawn
     back = primitive_from_conserved(conserved_from_primitive(s, spec), spec)
     primitives_close(point_primitives(back, spec), point_primitives(s, spec),
-                     s.pressure(spec), 1e-12)
+                     s.pressure(), 1e-12)
 
 
 @PROPERTY
@@ -95,7 +95,7 @@ def test_solver_columns_match_point_values(drawn):
     w = primitive_fields(U, spec)
     point = primitive_from_conserved(u, spec)
     column = {key: value[0] for key, value in w.items()}
-    primitives_close(column, point_primitives(point, spec), point.pressure(spec), 1e-13)
+    primitives_close(column, point_primitives(point, spec), point.pressure(), 1e-13)
     fl = closed_fluxes(point, spec)
     np.testing.assert_array_equal(fl.F_ik, fl.F_ik.T)
     expected = np.array([u.F_i[0], *fl.F_ik[:, 0], fl.F_llk[0], fl.G_llk[0]])
@@ -109,7 +109,7 @@ def test_solver_columns_match_point_values(drawn):
 @given(states())
 def test_multiplier_round_trip(drawn):
     spec, s = drawn
-    p = s.pressure(spec)
+    p = s.pressure()
     rho, ppi, rho_eps = state_from_multipliers(multipliers_from_state(s, spec), spec)
     assert rel_err(rho, s.rho) <= 1e-12
     assert rel_err(ppi, p + s.Pi) <= 1e-12
@@ -147,7 +147,7 @@ def oracle_states(draw):
     z = fraction * (spec.z_upper if draw(st.booleans()) else -1.0)
     rho, T = (10.0 ** draw(st.floats(-1.0, 1.0)) for _ in range(2))
     v = draw(st.tuples(*[st.floats(-2.0, 2.0)] * 3))
-    return spec, State6(rho=rho, v=v, T=T, Pi=z * spec.gas_constant * rho * T)
+    return spec, State6(rho=rho, v=v, T=T, Pi=z * rho * T)
 
 
 @PROPERTY
@@ -238,7 +238,7 @@ def test_closing_update_matches_strang_when_dt_is_small(D, log_tau, log_ratio, l
     rho, p = 10.0 ** log_rho, 10.0 ** log_p
 
     def grid(edge):
-        s = State6(rho=rho, v=[vx, 0.0, 0.0], T=p / (spec.gas_constant * rho),
+        s = State6(rho=rho, v=[vx, 0.0, 0.0], T=p / rho,
                    Pi=(edge if edge < 0.0 else edge * spec.z_upper) * p)
         U = conserved_from_primitive(s, spec).as_array()
         return np.repeat(U[:, None], 4, axis=1)
