@@ -276,7 +276,8 @@ def entropy_parts(s: State6, spec: GasSpec) -> EntropyParts:
     k   = (1/2) ln[(1+Z)^3 (1 - 3Z/(D-3))^{D-3}]
     g/T = 1 + ln Omega_E              (chemical potential)
 
-    k(0) = 0 is the global maximum; h = h_E + rho*k identically.
+    k(0) = 0 is the global maximum.  h_E is computed from ln Omega_E, not as
+    h - rho*k, so h = h_E + rho*k holds to round-off and is a check.
     """
     require_admissible(s, spec)
     p = s.pressure()
@@ -284,7 +285,7 @@ def entropy_parts(s: State6, spec: GasSpec) -> EntropyParts:
     h, k, log_omega, log_omega_eq = entropy_terms(s.rho, p, z, spec)
     _guard_log_omega(z, spec, log_omega, log_omega_eq)
     g = s.T * (1.0 + log_omega_eq)
-    return EntropyParts(h=h, h_E=h - s.rho * k, k=k, g=g)
+    return EntropyParts(h=h, h_E=s.rho * (0.5 * spec.D - log_omega_eq), k=k, g=g)
 
 
 def main_field(s: State6, spec: GasSpec) -> MainField:

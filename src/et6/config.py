@@ -113,8 +113,8 @@ class NsLimitConfig:
     tau: float = 1e-3
     N: int = 400
     domain_length: float = 8.0
-    # the MUSCL per-stage bound that keeps the window; the closing
-    # exponential update holds the stiff limit at this step size
+    # the stiff check's step, dt = 3.5 tau at the defaults: the closing
+    # exponential update holds the stiff limit at this transport step
     cfl: float = 0.25
     t_end: float = 1.5
     amplitude: float = 1e-3
@@ -129,7 +129,7 @@ class NsLimitConfig:
         return Scenario(kind="smooth_wave", spec=replace(gas, tau=self.tau), N=self.N,
                         x_left=0.0, x_right=self.domain_length,
                         cfl=self.cfl, t_end=self.t_end, amplitude=self.amplitude,
-                        scheme="muscl", limiter="minmod", pi_init="ns")
+                        scheme="muscl", limiter="minmod")
 
 
 @dataclass(frozen=True)

@@ -187,10 +187,8 @@ def test_c08_ns_limit():
     """Maxwellian-iteration relation Pi = -nu dv/dx in the stiff limit, at
     the transport time steps of `et6 nslimit` (dt about 3.5 tau)."""
     start = time.time()
-    spec = GasSpec(D=5.0, tau=1e-3)
-    sc = Scenario(kind="smooth_wave", spec=spec, N=400, x_right=8.0,
-                  t_end=1.5, amplitude=1e-3, cfl=NsLimitConfig().cfl, scheme="muscl",
-                  limiter="minmod", pi_init="ns")
+    sc = NsLimitConfig().scenario(GasSpec())
+    spec = sc.spec
     ts = run_scenario(sc)
     rep = ns_limit_diagnostic(ts, sc)
     elapsed = time.time() - start

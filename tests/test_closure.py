@@ -291,3 +291,17 @@ def test_gradient_identity_dh(D):
         grad = fd_gradient(u, spec)
         mf = main_field(s, spec).as_array()
         np.testing.assert_allclose(grad, mf, rtol=1e-6, atol=1e-9)
+
+
+def test_equilibrium_part_is_the_entropy_at_pi_zero():
+    # h_E is built from ln Omega_E, not as h - rho k, so it is the entropy of
+    # the same (rho, v, T) at Pi = 0 to the last bit, and h = h_E + rho k is
+    # a check rather than an identity
+    rng = np.random.default_rng(11)
+    for _ in range(1000):
+        spec = GasSpec(D=float(rng.uniform(3.001, 12.0)))
+        rho, T = rng.uniform(0.1, 10.0, size=2)
+        z = float(rng.uniform(-0.999, 0.999 * spec.z_upper))
+        v = rng.uniform(-2.0, 2.0, size=3)
+        parts = entropy_parts(State6(rho=rho, v=v, T=T, Pi=z * rho * T), spec)
+        assert parts.h_E == entropy_parts(State6(rho=rho, v=v, T=T, Pi=0.0), spec).h

@@ -42,8 +42,8 @@ from et6.solver import (  # noqa: E402
     SIX_FIELD,
     Scenario,
     _minmod,
+    _step,
     flux_fields,
-    hyperbolic_step,
     initial_grid,
     max_wave_speed,
     primitive_fields,
@@ -214,14 +214,10 @@ def test_ten_steps_stay_admissible(scheme, limiter, cfl, drawn):
     for _ in range(10):
         # the steps of solver._march
         speed = max_wave_speed(w, spec, SIX_FIELD)
-        dt = sc.cfl * sc.dx / speed
-        half, w_half = relaxation_step_exact(U, w, 0.5 * dt, spec)
-        step = hyperbolic_step(half, dt, sc, SIX_FIELD, speed)
+        U, w, step = _step(U, w, sc.cfl * sc.dx / speed, sc, SIX_FIELD, speed)
         lower, upper = window_bounds(step.w["p"], spec.D)
         assert np.all(step.w["rho"] > 0.0)
         assert np.all((lower < step.w["Pi"]) & (step.w["Pi"] < upper))
-        rate = (step.w["Pi"] - w_half["Pi"]) / dt
-        U, w = relaxation_step_exact(step.U, {**step.w, "Pi": w["Pi"]}, dt, spec, rate)
         assert np.all((lower < w["Pi"]) & (w["Pi"] < upper))
 
 

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from et6 import solver as solver_module
+from et6.config import NsLimitConfig
 from et6.eigen import et6_sound_speed
 from et6.gas import GasSpec
 from et6.solver import (
@@ -458,10 +460,9 @@ def test_run_rejects_one_inadmissible_initial_cell():
         run_scenario(sc, initial=U)
 
 
-@pytest.mark.parametrize("bad", [{"pi_init": "NS"}, {"N": 2}])
-def test_scenario_rejects_bad_pi_init_and_too_few_cells(bad):
-    with pytest.raises(SolverError):
-        Scenario(**bad)
+def test_scenario_rejects_too_few_cells():
+    with pytest.raises(SolverError, match="need at least 4 cells, got 2"):
+        Scenario(N=2)
 
 
 def test_cfl_bound_dominates_wave_fan():
@@ -503,10 +504,10 @@ def test_ns_limit_diagnostic_formula():
     assert bulk_viscosity(1.0, spec) == pytest.approx(4.0 / 15.0, rel=1e-15)
 
 
-def test_ns_limit_diagnostic_needs_interior_cells_at_non_periodic_ends():
-    # N <= 2 * NS_BOUNDARY_MARGIN leaves no cell between the left-out ends
+def test_ns_limit_diagnostic_needs_periodic_ends():
+    # `et6 nslimit` runs periodic waves only; dv/dx is a periodic difference
     sc = Scenario(kind="smooth_wave", N=16, boundary="outflow", t_end=0.05)
-    with pytest.raises(SolverError, match=r"2 \* NS_BOUNDARY_MARGIN = 16 .*got N = 16"):
+    with pytest.raises(SolverError, match="needs periodic ends, got 'outflow'"):
         ns_limit_diagnostic(run_scenario(sc), sc)
 
 
@@ -522,12 +523,31 @@ def test_ns_limit_smooth_acoustic_run():
     spec = GasSpec(D=5.0, tau=1e-3)
     sc = Scenario(kind="smooth_wave", spec=spec, N=400, x_right=8.0,
                   t_end=0.75, amplitude=1e-3, cfl=0.02, scheme="muscl",
-                  limiter="minmod", pi_init="ns")
+                  limiter="minmod")
     ts = run_scenario(sc)
     rep = ns_limit_diagnostic(ts, sc)
     assert rep.max_rel_deviation <= 10.0 * spec.tau
-    assert rep.l2_rel_deviation <= rep.max_rel_deviation
     assert not rep.reduced_confidence
+
+
+def test_ns_limit_is_reached_from_pi_zero_in_two_steps():
+    # the default `et6 nslimit` wave starts at Pi = 0 and steps at dt = 3.5
+    # tau: the closing update leaves e^(-dt/tau), about 3%, of the initial
+    # gap to -nu dv/dx after one step, and the relation holds after two
+    sc = NsLimitConfig().scenario(GasSpec())
+    U = initial_grid(sc)
+    w = primitive_fields(U, sc.spec)
+    assert np.max(np.abs(w["Pi"])) <= 1e-15   # Pi = 0, read back from F_ll
+    dt = sc.cfl * sc.dx / max_wave_speed(w, sc.spec, SIX_FIELD)
+    bound = 10.0 * sc.spec.tau
+    deviations = []
+    for steps in (1, 2):
+        run = replace(sc, t_end=steps * dt)
+        ts = run_scenario(run)
+        assert len(ts.diag_t) - 1 == steps
+        deviations.append(ns_limit_diagnostic(ts, run).max_rel_deviation)
+    assert bound < deviations[0] <= math.exp(-dt / sc.spec.tau) + bound
+    assert deviations[1] <= bound
 
 
 def test_ns_limit_monatomic_collapse():
@@ -538,7 +558,7 @@ def test_ns_limit_monatomic_collapse():
         spec = GasSpec(D=D, tau=1e-3)
         sc = Scenario(kind="smooth_wave", spec=spec, N=200, x_right=8.0,
                       t_end=0.4, amplitude=1e-3, cfl=0.05,
-                      scheme="muscl", pi_init="ns")
+                      scheme="muscl")
         ts = run_scenario(sc)
         nus.append(bulk_viscosity(1.0, spec))
         pis.append(float(np.max(np.abs(ts.snapshots[-1]["Pi"]))))
