@@ -2,7 +2,7 @@
 
 Subpackages:
 
-- gas: equations of state, primitive/conserved conversions, admissibility
+- gas: equations of state, primitive/conserved conversions, the window check
 - closure: the non-linear entropy-maximizing closure and the main field
 - oracle: independent kinetic quadrature verification of every closed form
 - eigen: characteristic structure, coupling condition, convexity checks
@@ -10,58 +10,4 @@ Subpackages:
 - config / cli: run configuration and the `et6` command line tool
 """
 
-from .gas import (
-    AdmissibilityReport,
-    Conserved6,
-    GasModelError,
-    GasSpec,
-    InadmissibleStateError,
-    ReconstructionError,
-    State6,
-    admissibility,
-    conserved_from_primitive,
-    eos_evaluate,
-    primitive_from_conserved,
-)
-from .closure import (
-    EntropyParts,
-    FluxSet,
-    MainField,
-    Multipliers,
-    closed_fluxes,
-    distribution_value,
-    entropy_parts,
-    equilibrium_distribution_value,
-    main_field,
-    multipliers_from_state,
-    production_bgk,
-    state_from_multipliers,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdmissibilityReport",
-    "Conserved6",
-    "EntropyParts",
-    "FluxSet",
-    "GasModelError",
-    "GasSpec",
-    "InadmissibleStateError",
-    "MainField",
-    "Multipliers",
-    "ReconstructionError",
-    "State6",
-    "admissibility",
-    "closed_fluxes",
-    "conserved_from_primitive",
-    "distribution_value",
-    "entropy_parts",
-    "eos_evaluate",
-    "equilibrium_distribution_value",
-    "main_field",
-    "multipliers_from_state",
-    "primitive_from_conserved",
-    "production_bgk",
-    "state_from_multipliers",
-]

@@ -13,8 +13,9 @@ Exit codes: 0 all enabled assertions pass, 1 an assertion failed, the
 solver stopped (one `solver error:` line on stderr), the oracle's
 quadrature failed to validate (one `oracle error:` line) or a state's
 |ln Omega| passed the closure's overflow guard (one `closure error:` line),
-2 usage or configuration error (an `eigen --Z` outside the window, or a
-nonpositive `--rho`, `--T`, `--p` or zero direction, included).
+2 usage or configuration error (an `eigen --Z` outside the window, a
+nonpositive `--rho`, `--T`, `--p`, a non-finite `eigen` flag or a zero
+direction, included; one `config error:` line).
 Identical config and seed give byte-identical CSV output.  Output directory
 resolution: --output-dir flag, then the config [output] directory, then
 $ET6_OUTPUT_DIR, then ./et6_out.
@@ -213,6 +214,10 @@ def cmd_eigen(cfg: RunConfig, out_dir: Path, args) -> bool:
     for flag, value in (("--rho", args.rho), ("--T", args.T), ("--p", args.p)):
         if value is not None and not value > 0:
             raise ConfigError(f"{flag} {value:g} must be positive")
+    for flag in ("rho", "T", "p", "vx", "vy", "vz", "nx", "ny", "nz"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{flag} {value:g} must be finite")
     if not np.linalg.norm([args.nx, args.ny, args.nz]) > 0:
         raise ConfigError("--nx, --ny, --nz must give a nonzero direction")
     rho = args.rho

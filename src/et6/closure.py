@@ -137,7 +137,7 @@ def multipliers_from_state(s: State6, spec: GasSpec) -> Multipliers:
     with Z = Pi/p.  Positivity of all three is equivalent to admissibility;
     an inadmissible state raises naming the multiplier that would lose it.
     """
-    z = require_admissible(s, spec).z
+    z = require_admissible(s, spec)
     p = s.pressure()
     xi = 0.5 * s.rho / p / (1.0 + z)
     zeta = s.rho / p / (1.0 - 3.0 * z / (spec.D - 3.0))
@@ -279,9 +279,8 @@ def entropy_parts(s: State6, spec: GasSpec) -> EntropyParts:
     k(0) = 0 is the global maximum.  h_E is computed from ln Omega_E, not as
     h - rho*k, so h = h_E + rho*k holds to round-off and is a check.
     """
-    require_admissible(s, spec)
+    z = require_admissible(s, spec)
     p = s.pressure()
-    z = s.Pi / p
     h, k, log_omega, log_omega_eq = entropy_terms(s.rho, p, z, spec)
     _guard_log_omega(z, spec, log_omega, log_omega_eq)
     g = s.T * (1.0 + log_omega_eq)
@@ -297,12 +296,11 @@ def main_field(s: State6, spec: GasSpec) -> MainField:
     mu_ll  =  (1/2T) / (1 - 3Z/(D-3))
 
     At Pi = 0 these reduce to the classical convex-extension values of the
-    five-field gas dynamics with lam_ll = 0.
+    five-field gas dynamics with lam_ll = 0.  An inadmissible state raises
+    from entropy_parts.
     """
-    require_admissible(s, spec)
-    p = s.pressure()
-    z = s.Pi / p
     parts = entropy_parts(s, spec)
+    z = s.Pi / s.pressure()
     one_pz = 1.0 + z
     one_mz = 1.0 - 3.0 * z / (spec.D - 3.0)
     v2 = float(np.dot(s.v, s.v))

@@ -15,6 +15,7 @@ names ``[section] key``.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -95,7 +96,7 @@ class RelaxConfig:
     cadence: float = 0.0           # 0: twenty outputs across the run
 
     def __post_init__(self):
-        _require(self.t_end >= 0, "t_end must be nonnegative")
+        _require(0 <= self.t_end < math.inf, "t_end must be nonnegative and finite")
         _require(self.cadence >= 0, "cadence must be nonnegative")
 
     def scenario(self, gas: GasSpec) -> Scenario:

@@ -13,12 +13,12 @@ is that Jacobian's eigendecomposition by a general dense eigensolver, with
 no wave-type tags; across the window its spectrum is
 (v_n x4, v_n +- sqrt(5 (p + Pi) / 3 rho)).  The coupling condition needs no
 eigensolver: its sound eigenvectors are the closed-form acceleration-wave
-jumps and its contact eigenvectors an analytic basis.
+jumps and its contact eigenvectors an analytic basis, and it reads the Pi
+jump of each off the primitive jump that builds it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,11 +258,12 @@ class KConditionReport:
     """Coupling condition at an equilibrium state.
 
     The fourfold contact eigenspace is represented by four analytic basis
-    eigenvectors (delta v_n = 0, delta Pi = -delta p), each given a generic
-    pressure jump: contact modes couple to the production through delta p
-    alone, so a basis vector with delta p = 0 would sit in the production
-    kernel.  The two sound eigenvectors are the closed-form
-    acceleration-wave jumps with unit density jump.
+    eigenvectors (delta v_n = 0, delta Pi = -delta p), each given the
+    generic pressure jump delta p = p, so delta Pi = -p: contact modes
+    couple to the production through delta p alone, so a basis vector with
+    delta p = 0 would sit in the production kernel.  The two sound
+    eigenvectors are the closed-form acceleration-wave jumps with unit
+    density jump, and their delta Pi is acceleration_wave's delta_pi.
     """
 
     entries: tuple[KConditionEntry, ...]
@@ -273,34 +274,24 @@ class KConditionReport:
 def k_condition(u_eq: Conserved6, n, spec: GasSpec) -> KConditionReport:
     """Check that every characteristic eigenvector couples to the production.
 
-    Coupling is measured by the dynamic-pressure jump delta_pi implied by the
+    Coupling is measured by the dynamic-pressure jump delta_pi of the
     eigenvector; the pass threshold is |delta_pi| > 1e-10 p and a pass below
     1e-4 p is flagged marginal (the D -> 3 limit collapses the sound-branch
-    coupling).  Every eigenvector is in closed form: the sound ones from
-    acceleration_wave, the contact ones from an analytic basis.
+    coupling).  Every eigenvector is in closed form, built from a primitive
+    jump dw with w = (rho, v, p, Pi): the sound ones by acceleration_wave,
+    the contact ones from an analytic basis.  Pi is itself a primitive, so
+    grad Pi(u) . du/dw = e_Pi and delta_pi is read off dw, no product with
+    du/dw needed.
     """
     n = _unit(n)
     s = _require_equilibrium(u_eq, spec)
     p = s.pressure()
     vn = float(np.dot(s.v, n))
-    grad = _grad_pi(s, spec)
-    entries = []
-
     # closed-form sound eigenvectors, each with unit density jump
-    for wave in acceleration_wave(u_eq, n, 1.0, spec):
-        entries.append(_k_entry(wave.speed, "sound", float(np.dot(grad, wave.conserved_jump)),
-                                p, spec))
-
-    # analytic contact basis: delta v_n = 0, delta Pi = -delta p, generic
-    # delta p = p in every basis vector (see class docstring)
-    t1, t2 = _tangent_basis(n)
-    c_speed = math.sqrt(p / s.rho)
-    du = _du_dw(s, spec)
-    for d_rho, d_v in ((s.rho, np.zeros(3)), (0.0, c_speed * t1), (0.0, c_speed * t2),
-                       (0.0, np.zeros(3))):
-        delta_pi = float(np.dot(grad, du @ np.array([d_rho, *d_v, p, -p])))
-        entries.append(_k_entry(vn, "contact", delta_pi, p, spec))
-
+    entries = [_k_entry(wave.speed, "sound", wave.delta_pi, p, spec)
+               for wave in acceleration_wave(u_eq, n, 1.0, spec)]
+    # the contact basis (see KConditionReport): delta Pi = -delta p = -p
+    entries += [_k_entry(vn, "contact", -p, p, spec)] * 4
     entries.sort(key=lambda e: e.speed)
     overall = all(e.passed for e in entries)
     marginal = overall and any(e.marginal for e in entries)
@@ -319,14 +310,6 @@ def _k_entry(speed: float, tag: str, delta_pi: float, p_scale: float,
         passed=passed,
         marginal=marginal,
     )
-
-
-def _tangent_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pick = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    t1 = np.cross(n, pick)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(n, t1)
-    return t1, t2
 
 
 @dataclass(frozen=True)

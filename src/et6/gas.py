@@ -1,4 +1,4 @@
-"""Gas model: equations of state, primitive/conserved conversions, admissibility.
+"""Gas model: equations of state, primitive/conserved conversions, the window.
 
 The six fields are mass density rho, velocity v (3 components), kinetic
 temperature T and the dynamic pressure Pi (the trace part of the viscous
@@ -10,6 +10,8 @@ pressure is only meaningful inside an open window around equilibrium,
 outside of which the underlying phase-space density ceases to be integrable.
 The window, the moment map and its inverse are small functions on floats or
 numpy arrays, shared by the point API, the solver and the oracle.
+require_admissible is the one window check of a single state: it returns
+Z = Pi/p, and every point function that needs the window calls it.
 
 Units: the Boltzmann constant and the molecular mass are 1 throughout the
 package (kB = m = 1), so p = rho T and eps = (D/2) T.  They enter the
@@ -20,7 +22,8 @@ constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,10 +71,11 @@ class GasSpec:
     tau: float = 1.0
 
     def __post_init__(self):
-        if not self.D >= D_MIN:
-            raise GasModelError(f"degrees of freedom D must be >= {D_MIN}, got {self.D}")
-        if not self.tau > 0:
-            raise GasModelError(f"relaxation time tau must be positive, got {self.tau}")
+        if not D_MIN <= self.D < math.inf:
+            raise GasModelError(f"degrees of freedom D must be finite and >= {D_MIN}, "
+                                f"got {self.D}")
+        if not 0 < self.tau < math.inf:
+            raise GasModelError(f"relaxation time tau must be positive and finite, got {self.tau}")
 
     @property
     def alpha(self) -> float:
@@ -119,10 +123,6 @@ class State6:
         """p = rho T."""
         return self.rho * self.T
 
-    def z_ratio(self) -> float:
-        """Z = Pi / p, the normalized dynamic pressure."""
-        return self.Pi / self.pressure()
-
 
 @dataclass(frozen=True)
 class Conserved6:
@@ -151,20 +151,6 @@ class Conserved6:
     def from_array(cls, u) -> "Conserved6":
         u = np.asarray(u, dtype=float)
         return cls(F=u[0], F_i=u[1:4], F_ll=u[4], G_ll=u[5])
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Result of the window check, with signed margins to both bounds.
-
-    margin_lower = Z + 1 and margin_upper = (D-3)/3 - Z, both strictly
-    positive iff the state is admissible.
-    """
-
-    admissible: bool
-    margin_lower: float
-    margin_upper: float
-    z: float = field(default=0.0)
 
 
 def eos_evaluate(rho: float, T: float, spec: GasSpec) -> tuple[float, float]:
@@ -221,37 +207,31 @@ def dynamic_pressure(F_ll, rho_v2, p):
     return (F_ll - rho_v2) / 3.0 - p
 
 
-def admissibility(s: State6, spec: GasSpec) -> AdmissibilityReport:
-    """Check -1 < Pi/p < (D-3)/3 and report the signed margins."""
-    z = s.z_ratio()
+def require_admissible(s: State6, spec: GasSpec) -> float:
+    """Z = Pi/p of a state inside the window -1 < Z < (D-3)/3.
+
+    Outside it raises InadmissibleStateError naming the bound violated and
+    the signed margin Z + 1 or (D-3)/3 - Z to it; a NaN Z reports the upper
+    bound.
+    """
+    z = s.Pi / s.pressure()
     lower, upper = window_bounds(1.0, spec.D)
     margin_lower, margin_upper = z - lower, upper - z
-    return AdmissibilityReport(
-        admissible=(margin_lower > 0.0 and margin_upper > 0.0),
-        margin_lower=margin_lower,
-        margin_upper=margin_upper,
-        z=z,
-    )
-
-
-def require_admissible(s: State6, spec: GasSpec) -> AdmissibilityReport:
-    """Raise InadmissibleStateError unless the state is inside the window."""
-    rep = admissibility(s, spec)
-    if not rep.admissible:
-        if rep.margin_lower <= 0.0:
-            raise InadmissibleStateError(
-                f"Pi/p = {rep.z:.6g} violates the lower bound -1 "
-                f"(margin {rep.margin_lower:.3g}): xi would lose positivity",
-                bound="lower",
-                margin=rep.margin_lower,
-            )
+    if margin_lower <= 0.0:
         raise InadmissibleStateError(
-            f"Pi/p = {rep.z:.6g} violates the upper bound (D-3)/3 = "
-            f"{spec.z_upper:.6g} (margin {rep.margin_upper:.3g}): zeta would lose positivity",
-            bound="upper",
-            margin=rep.margin_upper,
+            f"Pi/p = {z:.6g} violates the lower bound -1 "
+            f"(margin {margin_lower:.3g}): xi would lose positivity",
+            bound="lower",
+            margin=margin_lower,
         )
-    return rep
+    if not margin_upper > 0.0:
+        raise InadmissibleStateError(
+            f"Pi/p = {z:.6g} violates the upper bound (D-3)/3 = "
+            f"{upper:.6g} (margin {margin_upper:.3g}): zeta would lose positivity",
+            bound="upper",
+            margin=margin_upper,
+        )
+    return z
 
 
 def conserved_from_primitive(s: State6, spec: GasSpec) -> Conserved6:
@@ -266,12 +246,11 @@ def conserved_from_primitive(s: State6, spec: GasSpec) -> Conserved6:
 def primitive_from_conserved(u: Conserved6, spec: GasSpec) -> State6:
     """Invert the moment map back to (rho, v, T, Pi).
 
-    Raises ReconstructionError for non-positive density or internal energy,
-    and InadmissibleStateError when the recovered Pi leaves the window.
+    Raises ReconstructionError for non-positive internal energy (Conserved6
+    already refuses F <= 0), and InadmissibleStateError when the recovered
+    Pi leaves the window.
     """
     rho = float(u.F)
-    if not rho > 0:
-        raise ReconstructionError(f"non-positive density F = {rho}")
     v, _, rho_v2, p = velocity_pressure(rho, u.F_i, float(u.G_ll), spec.D)
     rho_v2, p = float(rho_v2), float(p)
     if not p > 0:

@@ -117,6 +117,29 @@ def test_eigen_cli_rejects_bad_state_or_direction(tmp_path, capsys, flags, messa
     assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
 
 
+# an infinite t_end would march toward the step budget; an infinite D or
+# tau, or a non-finite eigen flag, would fail deep in the point layer
+NON_FINITE = [
+    (["run", "--N", "8", "--t-end", "inf"], "[scenario] t_end = inf"),
+    (["relax", "--t-end", "inf"], "[relax] t_end = inf"),
+    (["check", "--quick", "--D", "inf"], "[gas] D = inf"),
+    (["eigen", "--D", "inf"], "[gas] D = inf"),
+    (["run", "--tau", "inf"], "[gas] tau = inf"),
+    *((["eigen", f"--{flag}", value], f"--{flag} {value} must be finite")
+      for flag in ("vx", "vy", "vz") for value in ("inf", "nan")),
+    (["eigen", "--rho", "inf"], "--rho inf must be finite"),
+    (["eigen", "--p", "inf"], "--p inf must be finite"),
+    (["eigen", "--nx", "inf"], "--nx inf must be finite"),
+]
+
+
+@pytest.mark.parametrize("argv, names", NON_FINITE, ids=[" ".join(a) for a, _ in NON_FINITE])
+def test_non_finite_values_are_config_errors(tmp_path, capsys, argv, names):
+    assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {names}"), err
+
+
 def test_omega_past_the_overflow_guard_is_one_closure_error_line(tmp_path, capsys):
     # ln Gamma((D-3)/2) alone carries |ln Omega| past the guard, even at Z = 0
     cfg_file = write(tmp_path / "big_d.cfg", "[check]\ngrid_d_values = 1000\ngrid_z_count = 2\n")

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -10,10 +11,10 @@ from et6.gas import (
     InadmissibleStateError,
     ReconstructionError,
     State6,
-    admissibility,
     conserved_from_primitive,
     eos_evaluate,
     primitive_from_conserved,
+    require_admissible,
 )
 
 
@@ -56,6 +57,9 @@ def test_gas_spec_invariants():
         GasSpec(D=2.9)
     with pytest.raises(GasModelError):
         GasSpec(D=5, tau=0.0)
+    for bad in ({"D": math.inf}, {"tau": math.inf}):
+        with pytest.raises(GasModelError):
+            GasSpec(**bad)
     # units kB = m = 1: neither is a parameter
     assert [f.name for f in fields(GasSpec)] == ["D", "tau"]
     for key in ("m", "kB"):
@@ -123,31 +127,42 @@ def test_round_trip_random_states(D):
 
 
 def test_admissibility_margins(d5):
-    rep = admissibility(State6(rho=1.0, v=0.0, T=1.0, Pi=0.5), d5)
-    assert rep.admissible
-    assert rep.margin_lower == pytest.approx(1.5, rel=1e-15)
-    assert rep.margin_upper == pytest.approx(1.0 / 6.0, rel=1e-13)
+    assert require_admissible(State6(rho=1.0, v=0.0, T=1.0, Pi=0.5), d5) == 0.5
+    assert require_admissible(State6(rho=2.0, v=1.0, T=0.5, Pi=-0.25), d5) == -0.25
 
 
 def test_admissibility_upper_violation(d5):
-    rep = admissibility(State6(rho=1.0, v=0.0, T=1.0, Pi=0.7), d5)
-    assert not rep.admissible
-    assert rep.margin_upper < 0
+    with pytest.raises(InadmissibleStateError) as err:
+        require_admissible(State6(rho=1.0, v=0.0, T=1.0, Pi=0.7), d5)
+    assert err.value.bound == "upper"
+    assert err.value.margin < 0
 
 
 def test_admissibility_lower_violation(d5):
-    rep = admissibility(State6(rho=1.0, v=0.0, T=1.0, Pi=-1.0), d5)
-    assert not rep.admissible
-    assert rep.margin_lower <= 0
+    with pytest.raises(InadmissibleStateError) as err:
+        require_admissible(State6(rho=1.0, v=0.0, T=1.0, Pi=-1.0), d5)
+    assert err.value.bound == "lower"
+    assert err.value.margin <= 0
+
+
+def test_window_violations_say_which_multiplier_fails(d5):
+    cases = [(0.7, "Pi/p = 0.7 violates the upper bound (D-3)/3 = 0.666667 (margin -0.0333): "
+                   "zeta would lose positivity"),
+             (-1.0, "Pi/p = -1 violates the lower bound -1 (margin 0): "
+                    "xi would lose positivity")]
+    for Pi, message in cases:
+        with pytest.raises(InadmissibleStateError) as err:
+            require_admissible(State6(rho=1.0, v=0.0, T=1.0, Pi=Pi), d5)
+        assert str(err.value) == message
+    # NaN fails both comparisons and is reported at the upper bound
+    with pytest.raises(InadmissibleStateError) as err:
+        require_admissible(State6(rho=1.0, v=0.0, T=1.0, Pi=float("nan")), d5)
+    assert err.value.bound == "upper"
 
 
 @pytest.mark.parametrize("D", [3.0 + 1e-6, 3.5, 4.0, 5.0, 9.0])
 def test_equilibrium_strictly_inside_window(D):
-    spec = GasSpec(D=D)
-    rep = admissibility(State6(rho=1.0, v=0.0, T=1.0, Pi=0.0), spec)
-    assert rep.admissible
-    assert rep.margin_lower == 1.0
-    assert rep.margin_upper == pytest.approx(spec.z_upper)
+    assert require_admissible(State6(rho=1.0, v=0.0, T=1.0, Pi=0.0), GasSpec(D=D)) == 0.0
 
 
 def test_window_collapses_monatomic_limit():

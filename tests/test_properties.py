@@ -4,8 +4,8 @@ States are drawn with D in [3.001, 12], Z = Pi/p up to 0.999 of both window
 edges and any velocity in [-2, 2]^3; the validated kinetic oracle draws its
 states closer to the edges and with rho and T in [0.1, 10].  The solver's
 slope limiter is checked against its textbook definition on any finite pair,
-and its steps keep two-state Riemann data inside the window at the CFL the
-guarantee rests on, for tau from 1e-6 to 1.  The exponential update that
+and its steps keep two-state Riemann data inside the window at the default
+CFL 0.45 of either scheme, for tau from 1e-6 to 1.  The exponential update that
 closes each step matches the Strang half step when dt << tau.
 """
 
@@ -202,8 +202,8 @@ def riemann_problems(draw):
 
 @PROPERTY
 @pytest.mark.parametrize("scheme, limiter, cfl", [("rusanov", "minmod", 0.45),
-                                                  ("muscl", "minmod", 0.25),
-                                                  ("muscl", "none", 0.25)])
+                                                  ("muscl", "minmod", 0.45),
+                                                  ("muscl", "none", 0.45)])
 @given(riemann_problems())
 def test_ten_steps_stay_admissible(scheme, limiter, cfl, drawn):
     spec, sides = drawn

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from et6 import solver as solver_module
+from et6.closure import flux_rows
 from et6.config import NsLimitConfig
 from et6.eigen import et6_sound_speed
-from et6.gas import GasSpec
+from et6.gas import D_MIN, GasSpec, energy_moment, momentum_flux_trace
 from et6.solver import (
     SIX_FIELD,
     Scenario,
@@ -497,6 +498,29 @@ def test_cfl_bound_covers_pi_relaxing_toward_zero():
     ts = run_scenario(sc)
     assert ts.diag_t[-1] == pytest.approx(sc.t_end, rel=1e-12)
     assert np.all(ts.snapshots[-1]["rho"] > 0.0)
+
+
+def test_window_lemma_holds_at_the_signal_speed():
+    # u -+ f/a lies in the window for every state u in it once a >= |v_x| + c,
+    # so a Rusanov update at dt a / dx <= 1 is a convex combination of window
+    # states (the solver module's docstring).  Z comes within 1e-6 of the
+    # width of [-1, 0] or [0, (D-3)/3] from either edge, |v_x| up to 5 sqrt(p/rho)
+    rng = np.random.default_rng(25)
+    n = 100_000
+    D = rng.uniform(D_MIN, 12.0, n)
+    gap = 10.0 ** rng.uniform(-6.0, 0.0, n)
+    z = np.where(rng.random(n) < 0.5, gap - 1.0, (1.0 - gap) * (D - 3.0) / 3.0)
+    rho, p = 10.0 ** rng.uniform(-3.0, 3.0, (2, n))
+    v = rng.uniform(-5.0, 5.0, (3, n)) * np.sqrt(p / rho)
+    Pi = z * p
+    rho_v2 = rho * np.sum(v * v, axis=0)
+    U = np.array([rho, *(rho * v), momentum_flux_trace(rho_v2, p, Pi),
+                  energy_moment(rho_v2, p, D)])
+    assert np.all(SIX_FIELD.inside(U))
+    f = flux_rows(U[1:4], U[5], rho_v2, p + Pi, v[0], 0)
+    a = np.abs(v[0]) + et6_sound_speed(rho, p, Pi)
+    assert np.all(SIX_FIELD.inside(U - f / a))
+    assert np.all(SIX_FIELD.inside(U + f / a))
 
 
 def test_ns_limit_diagnostic_formula():
