@@ -25,26 +25,17 @@ import numpy as np
 
 from .gas import GasSpec, State6, energy_moment, require_admissible
 
-# Guard against exp overflow of Omega, near the window's edges or at large D
-LOG_OMEGA_GUARD = 500.0
-
-
-class ClosureError(OverflowError):
-    """|ln Omega| passed LOG_OMEGA_GUARD: Omega is out of floating-point range."""
-
-
 @dataclass(frozen=True)
 class Multipliers:
-    """Parameters (xi, zeta, Omega) of the closed distribution function.
+    """Parameters (xi, zeta, ln Omega) of the closed distribution function.
 
-    All three are strictly positive on admissible states (integrability).
-    log_omega is kept alongside Omega: entropy and main-field formulas need
-    ln(Omega) and boundary states are handled in log space.
+    xi and zeta are strictly positive on admissible states (integrability).
+    ln Omega is finite on the whole window, while Omega leaves float range
+    near its edges or at large D: only the kinetic oracle forms Omega.
     """
 
     xi: float
     zeta: float
-    omega: float
     log_omega: float
 
 
@@ -118,31 +109,22 @@ def entropy_terms(rho, p, z, spec: GasSpec):
     return h, k, log_omega, log_omega_eq
 
 
-def _guard_log_omega(z: float, spec: GasSpec, *values: float) -> float:
-    """Raise ClosureError once any |ln Omega| passes LOG_OMEGA_GUARD."""
-    value = max(abs(v) for v in values)
-    if value > LOG_OMEGA_GUARD:
-        raise ClosureError(f"|ln Omega| = {value:.1f} exceeds the overflow guard "
-                           f"{LOG_OMEGA_GUARD:g} at Z = {z:.6g}, D = {spec.D:g}")
-    return values[0]
-
-
 def multipliers_from_state(s: State6, spec: GasSpec) -> Multipliers:
-    """Invert the constraint moments for (xi, zeta, Omega).
+    """Invert the constraint moments for (xi, zeta, ln Omega).
 
     xi   = (rho / 2p) / (1 + Z)
     zeta = (rho / p) / (1 - 3Z/(D-3))
     Omega = rho / (pi^{3/2} Gamma((D-3)/2)) * xi^{3/2} * zeta^{(D-3)/2}
 
-    with Z = Pi/p.  Positivity of all three is equivalent to admissibility;
-    an inadmissible state raises naming the multiplier that would lose it.
+    with Z = Pi/p, and ln Omega from entropy_terms.  Positivity of xi and
+    zeta is equivalent to admissibility; an inadmissible state raises
+    naming the multiplier that would lose it.
     """
     z = require_admissible(s, spec)
     p = s.pressure()
     xi = 0.5 * s.rho / p / (1.0 + z)
     zeta = s.rho / p / (1.0 - 3.0 * z / (spec.D - 3.0))
-    log_omega = _guard_log_omega(z, spec, entropy_terms(s.rho, p, z, spec)[2])
-    return Multipliers(xi=xi, zeta=zeta, omega=math.exp(log_omega), log_omega=log_omega)
+    return Multipliers(xi=xi, zeta=zeta, log_omega=entropy_terms(s.rho, p, z, spec)[2])
 
 
 def state_from_multipliers(mul: Multipliers, spec: GasSpec) -> tuple[float, float, float]:
@@ -281,8 +263,7 @@ def entropy_parts(s: State6, spec: GasSpec) -> EntropyParts:
     """
     z = require_admissible(s, spec)
     p = s.pressure()
-    h, k, log_omega, log_omega_eq = entropy_terms(s.rho, p, z, spec)
-    _guard_log_omega(z, spec, log_omega, log_omega_eq)
+    h, k, _, log_omega_eq = entropy_terms(s.rho, p, z, spec)
     g = s.T * (1.0 + log_omega_eq)
     return EntropyParts(h=h, h_E=s.rho * (0.5 * spec.D - log_omega_eq), k=k, g=g)
 

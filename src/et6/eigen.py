@@ -7,10 +7,11 @@ entropy convexity / symmetrizer checks.
 The flux Jacobian and the entropy Hessian H = d(main field)/du are
 assembled analytically by the chain rule through the primitive variables
 w = (rho, v, p, Pi), so the convexity check needs no finite differences:
-it compares dh/dw with the main field times du/dw, requires H to be
-negative definite and H A_n to be symmetric for each axis n.  The wave fan
-is that Jacobian's eigendecomposition by a general dense eigensolver, with
-no wave-type tags; across the window its spectrum is
+it compares dh/dw with the main field times du/dw, requires H A_n to be
+symmetric for each axis n, and reads concavity off the signs of H's six
+closed-form pivots, which hold to the window's edges.  The wave fan is
+that Jacobian's eigendecomposition by a general dense eigensolver, with no
+wave-type tags; across the window its spectrum is
 (v_n x4, v_n +- sqrt(5 (p + Pi) / 3 rho)).  The coupling condition needs no
 eigensolver: its sound eigenvectors are the closed-form acceleration-wave
 jumps and its contact eigenvectors an analytic basis, and it reads the Pi
@@ -216,19 +217,9 @@ def acceleration_wave(u_eq: Conserved6, n, delta_rho: float,
 
 def grad_pi_conserved(u: Conserved6, spec: GasSpec) -> np.ndarray:
     """Analytic gradient of Pi with respect to (F, F_i, F_ll, G_ll)."""
-    return _grad_pi(primitive_from_conserved(u, spec), spec)
-
-
-def _grad_pi(s: State6, spec: GasSpec) -> np.ndarray:
+    v = primitive_from_conserved(u, spec).v
     coeff = 1.0 / 3.0 - 1.0 / spec.D
-    v = s.v
-    v2 = float(np.dot(v, v))
-    return np.array([
-        coeff * v2,
-        *(-2.0 * coeff * v),
-        1.0 / 3.0,
-        -1.0 / spec.D,
-    ])
+    return np.array([coeff * float(np.dot(v, v)), *(-2.0 * coeff * v), 1.0 / 3.0, -1.0 / spec.D])
 
 
 def production_jacobian(u: Conserved6, spec: GasSpec) -> np.ndarray:
@@ -262,8 +253,9 @@ class KConditionReport:
     generic pressure jump delta p = p, so delta Pi = -p: contact modes
     couple to the production through delta p alone, so a basis vector with
     delta p = 0 would sit in the production kernel.  The two sound
-    eigenvectors are the closed-form acceleration-wave jumps with unit
-    density jump, and their delta Pi is acceleration_wave's delta_pi.
+    eigenvectors are the closed-form acceleration-wave jumps with density
+    jump delta rho = rho, so their delta Pi (acceleration_wave's delta_pi)
+    is 2 (D-3) p / 3D, and every verdict depends on D alone.
     """
 
     entries: tuple[KConditionEntry, ...]
@@ -287,9 +279,9 @@ def k_condition(u_eq: Conserved6, n, spec: GasSpec) -> KConditionReport:
     s = _require_equilibrium(u_eq, spec)
     p = s.pressure()
     vn = float(np.dot(s.v, n))
-    # closed-form sound eigenvectors, each with unit density jump
+    # closed-form sound eigenvectors, each with the density jump rho
     entries = [_k_entry(wave.speed, "sound", wave.delta_pi, p, spec)
-               for wave in acceleration_wave(u_eq, n, 1.0, spec)]
+               for wave in acceleration_wave(u_eq, n, s.rho, spec)]
     # the contact basis (see KConditionReport): delta Pi = -delta p = -p
     entries += [_k_entry(vn, "contact", -p, p, spec)] * 4
     entries.sort(key=lambda e: e.speed)
@@ -317,7 +309,7 @@ class ConvexityReport:
     """Entropy-gradient, concavity and symmetrizer check in conserved variables."""
 
     gradient_mismatch: float
-    hessian_max_eigenvalue: float
+    hessian_max_pivot: float
     gradient_ok: bool
     hessian_negative_definite: bool
     passed: bool
@@ -358,6 +350,21 @@ def _entropy_derivatives(s: State6, spec: GasSpec) -> tuple[np.ndarray, np.ndarr
     return dh, dmf
 
 
+def _hessian_pivots(s: State6, spec: GasSpec) -> np.ndarray:
+    """The pivots of the entropy Hessian H in w' = (rho, v, q, r), with
+    q = p + Pi and r = p - 3 Pi/(D-3).  M = (du/dw')^T H (du/dw') is an
+    arrowhead: M_rho,rho = -(D/2 + 1)/rho, M_vv = -(rho^2/q) I,
+    M_rho,q = 3/(2q), M_rho,r = (D-3)/(2r), M_qq = -3 rho/(2 q^2) and
+    M_rr = -(D-3) rho/(2 r^2); eliminating v, q and r before rho leaves the
+    Schur complement -1/rho.  By Sylvester's law of inertia H is negative
+    definite iff all six are negative, as on the whole open window."""
+    p = s.pressure()
+    rho, dm3 = s.rho, spec.D - 3.0
+    q, r = p + s.Pi, p - 3.0 * s.Pi / dm3
+    return np.array([-rho * rho / q] * 3
+                    + [-1.5 * rho / (q * q), -0.5 * dm3 * rho / (r * r), -1.0 / rho])
+
+
 def convexity_check(u: Conserved6, spec: GasSpec) -> ConvexityReport:
     """Verify that the main field is the entropy gradient, that h(u) is
     concave, and that the entropy Hessian symmetrizes the system.
@@ -365,8 +372,8 @@ def convexity_check(u: Conserved6, spec: GasSpec) -> ConvexityReport:
     All in closed form through w = (rho, v, p, Pi):
     - gradient: dh/dw against main field . du/dw, relative to the largest
       entry of the latter, passing below GRADIENT_TOL;
-    - Hessian: H = d(main field)/du = d(main field)/dw . (du/dw)^-1 must be
-      negative definite;
+    - concavity: every pivot of H = d(main field)/dw . (du/dw)^-1 from
+      _hessian_pivots must be negative, and the largest is reported;
     - symmetrizer: H A_n must be symmetric for n = x, y, z, the mismatch
       measured relative to the largest entry of |H| |A_n|, the round-off
       scale of the product (entries of H A_n itself can cancel to far
@@ -386,12 +393,12 @@ def convexity_check(u: Conserved6, spec: GasSpec) -> ConvexityReport:
         scale = np.max(np.abs(hess) @ np.abs(a_matrix))
         asymmetry = max(asymmetry, float(np.max(np.abs(ha - ha.T)) / scale))
     mismatch = float(np.max(np.abs(dh - mf_du)) / np.max(np.abs(mf_du)))
-    max_eig = float(np.max(np.linalg.eigvalsh(0.5 * (hess + hess.T))))
+    max_pivot = float(np.max(_hessian_pivots(s, spec)))
     grad_ok = mismatch <= GRADIENT_TOL
-    hess_ok = max_eig < 0.0
+    hess_ok = max_pivot < 0.0
     return ConvexityReport(
         gradient_mismatch=mismatch,
-        hessian_max_eigenvalue=max_eig,
+        hessian_max_pivot=max_pivot,
         gradient_ok=grad_ok,
         hessian_negative_definite=hess_ok,
         passed=grad_ok and hess_ok and asymmetry <= SYMMETRY_TOL,

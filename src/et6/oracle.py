@@ -5,7 +5,7 @@ closure has a definition as an integral of the distribution function over
 peculiar velocity C in R^3 and internal energy I in [0, inf) with measure
 I**alpha dI.  This module evaluates those integrals numerically and never
 touches the closed-form flux expressions; the only shared ingredient is the
-multiplier inversion (xi, zeta, Omega).
+multiplier inversion (xi, zeta, ln Omega).
 
 The distribution is separable, so every moment is Omega times a short sum
 of products of 1-D integrals, and each state needs one small table of them:
@@ -175,7 +175,8 @@ class _Table:
     L[j].  The table holds the powers that the given terms use, by the
     Gauss rules (S, L) and by the closed-form twins (S_twin, L_twin).
     OracleError if a power exceeds 2 GAUSS_ORDER - 1, where the rules stop
-    being exact.
+    being exact, or if Omega = exp(ln Omega) is not a finite positive
+    float, as near the window's edges or at large D.
     """
 
     def __init__(self, s: State6, spec: GasSpec, v, terms: list[Term]):
@@ -186,6 +187,12 @@ class _Table:
             raise OracleError(f"{RULE} is exact to degree {degree}, but the terms reach "
                               f"velocity power {k_max} and internal-energy power {j_max}")
         self.mul = multipliers_from_state(s, spec)
+        try:
+            self.omega = math.exp(self.mul.log_omega)   # 0.0 below float range
+        except OverflowError:
+            self.omega = math.inf
+        if not 0.0 < self.omega < math.inf:
+            raise OracleError(f"ln Omega = {self.mul.log_omega!r}: Omega is out of float range")
         v, alpha, zeta = np.asarray(v, dtype=float), spec.alpha, self.mul.zeta
         k, j = np.arange(k_max + 1), np.arange(j_max + 1)
         x, wx = _hermite_rule()
@@ -202,7 +209,7 @@ class _Table:
         self.L_twin = np.exp([math.lgamma(n) for n in a] - a * math.log(zeta))
 
     def _sum(self, S: np.ndarray, L: np.ndarray, terms: list[Term]) -> float:
-        return self.mul.omega * float(sum(
+        return self.omega * float(sum(
             c * S[0, kx] * S[1, ky] * S[2, kz] * L[j] for c, (kx, ky, kz), j in terms))
 
     def validated(self, terms: list[Term]) -> float:

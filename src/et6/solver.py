@@ -239,6 +239,9 @@ class Scenario:
     z0: float = 0.3
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SolverError(f"{name} must be finite, got {value}")
         if self.kind not in SCENARIO_KINDS:
             raise SolverError(f"unknown scenario kind {self.kind!r}")
         if self.N < 4:
@@ -250,8 +253,8 @@ class Scenario:
                               f"({self.x_left}, {self.x_right})")
         if not 0.0 < self.cfl < 1.0:
             raise SolverError(f"CFL must lie in (0, 1), got {self.cfl}")
-        if not 0.0 < self.t_end < math.inf:
-            raise SolverError(f"end time must be positive and finite, got {self.t_end}")
+        if not self.t_end > 0.0:
+            raise SolverError(f"end time must be positive, got {self.t_end}")
         if self.scheme not in SCHEMES:
             raise SolverError(f"unknown scheme {self.scheme!r}")
         if self.limiter not in LIMITERS:

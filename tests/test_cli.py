@@ -101,6 +101,30 @@ def test_eigen_cli_passes_near_upper_window_edge(tmp_path, capsys):
     assert "[PASS] entropy convexity" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [["--Z", "0.66666666", "--vx", "0.3"],
+                                   ["--Z", "-0.9999999999", "--vx", "0.3"],
+                                   ["--D", "50", "--rho", "1e10", "--p", "1"]])
+def test_eigen_cli_passes_within_round_off_of_the_edges_and_at_any_scale(tmp_path, capsys,
+                                                                          flags):
+    # the concavity pivots keep their sign at relative gaps of 1e-8 and
+    # 1e-10 to the edges, and ln Omega = 546 at D = 50, T = 1e-10 is no error
+    out = tmp_path / "out"
+    assert main(["eigen", *flags, "--output-dir", str(out)]) == 0
+    assert "[PASS] entropy convexity" in capsys.readouterr().out
+    header, row = (out / "eigen_report.csv").read_text().strip().splitlines()
+    assert float(row.split(",")[header.split(",").index("hessian_max_pivot")]) < 0.0
+
+
+@pytest.mark.parametrize("scale", ["1", "1e6", "1e10"])
+def test_eigen_cli_coupling_does_not_depend_on_units(tmp_path, capsys, scale):
+    # T = 1 and Pi = 0 at any density: the sound entries' |delta Pi| / p is
+    # 2 (D-3) / 3D = 4/15, far above the marginal band
+    assert main(["eigen", "--rho", scale, "--p", scale,
+                 "--output-dir", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] coupling condition: all six eigenvectors couple to the production\n" in out
+
+
 def test_eigen_cli_rejects_z_outside_window(tmp_path, capsys):
     assert main(["eigen", "--Z", "5", "--output-dir", str(tmp_path / "out")]) == 2
     assert "outside the admissible window" in capsys.readouterr().err
@@ -118,9 +142,17 @@ def test_eigen_cli_rejects_bad_state_or_direction(tmp_path, capsys, flags, messa
 
 
 # an infinite t_end would march toward the step budget; an infinite D or
-# tau, or a non-finite eigen flag, would fail deep in the point layer
+# tau, a non-finite [scenario] state value or eigen flag, or an eigen
+# temperature p/rho out of float range would fail deep in the point layer
+# or the solver.  An argument that starts with "[" is a config file's text.
 NON_FINITE = [
     (["run", "--N", "8", "--t-end", "inf"], "[scenario] t_end = inf"),
+    (["run", "--kind", "smooth_wave", "--amplitude", "inf", "--N", "8"],
+     "[scenario] amplitude = inf"),
+    (["run", "--config", "[scenario]\nkind = riemann\nrho_left = inf\n"],
+     "[scenario] rho_left = inf"),
+    (["run", "--config", "[scenario]\nkind = riemann\nv_left = nan\n"],
+     "[scenario] v_left = nan"),
     (["relax", "--t-end", "inf"], "[relax] t_end = inf"),
     (["check", "--quick", "--D", "inf"], "[gas] D = inf"),
     (["eigen", "--D", "inf"], "[gas] D = inf"),
@@ -130,25 +162,31 @@ NON_FINITE = [
     (["eigen", "--rho", "inf"], "--rho inf must be finite"),
     (["eigen", "--p", "inf"], "--p inf must be finite"),
     (["eigen", "--nx", "inf"], "--nx inf must be finite"),
+    (["eigen", "--rho", "1e-300", "--p", "1e300"], "--p 1e+300 / --rho 1e-300: T = inf"),
+    (["eigen", "--rho", "1e300", "--p", "1e-300"], "--p 1e-300 / --rho 1e+300: T = 0"),
 ]
 
 
-@pytest.mark.parametrize("argv, names", NON_FINITE, ids=[" ".join(a) for a, _ in NON_FINITE])
+@pytest.mark.parametrize("argv, names", NON_FINITE,
+                         ids=[" ".join(a).replace("\n", " ").strip() for a, _ in NON_FINITE])
 def test_non_finite_values_are_config_errors(tmp_path, capsys, argv, names):
+    argv = [write(tmp_path / "case.cfg", a) if a.startswith("[") else a for a in argv]
     assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {names}"), err
 
 
-def test_omega_past_the_overflow_guard_is_one_closure_error_line(tmp_path, capsys):
-    # ln Gamma((D-3)/2) alone carries |ln Omega| past the guard, even at Z = 0
+def test_omega_out_of_float_range_is_one_oracle_error_line(tmp_path, capsys):
+    # ln Gamma((D-3)/2) alone carries Omega out of float range, even at Z = 0:
+    # the entropy and the eigen checks work in ln Omega and pass, and only
+    # the oracle, which forms Omega, stops
+    assert main(["eigen", "--D", "300", "--output-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
     cfg_file = write(tmp_path / "big_d.cfg", "[check]\ngrid_d_values = 1000\ngrid_z_count = 2\n")
-    for argv, where in ((["eigen", "--D", "300"], " at Z = 0, D = 300"),
-                        (["check", "--config", cfg_file], " at Z = -0.9, D = 1000")):
-        assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("closure error: |ln Omega| = "), err
-        assert err[0].endswith(where), err
+    assert main(["check", "--config", cfg_file, "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("oracle error: ln Omega = -"), err
+    assert err[0].endswith(": Omega is out of float range"), err
 
 
 def test_check_cli_quick_passes(tmp_path):

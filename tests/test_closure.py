@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from et6.closure import (
     production_bgk,
     state_from_multipliers,
 )
+from et6.oracle import OracleError, oracle_entropy
 from finite_differences import fd_gradient
 
 # frozen reference values, kB = m = 1 units (30-digit arithmetic)
@@ -37,20 +39,20 @@ def test_multipliers_equilibrium(d5):
     mul = multipliers_from_state(eq_state(), d5)
     assert mul.xi == pytest.approx(0.5, rel=1e-15)
     assert mul.zeta == pytest.approx(1.0, rel=1e-15)
-    assert mul.omega == pytest.approx(OMEGA_EQ, rel=1e-14)
+    assert math.exp(mul.log_omega) == pytest.approx(OMEGA_EQ, rel=1e-14)
 
 
 def test_multipliers_nonequilibrium(d5):
     mul = multipliers_from_state(State6(rho=1.0, v=0.0, T=1.0, Pi=0.2), d5)
     assert mul.xi == pytest.approx(0.5 / 1.2, rel=1e-14)
     assert mul.zeta == pytest.approx(1.0 / 0.7, rel=1e-14)
-    assert mul.omega > 0
+    assert math.isfinite(mul.log_omega)
 
 
 def test_multipliers_positive_across_window(d5):
     for z in np.linspace(-0.95, 0.95 * d5.z_upper, 41):
         mul = multipliers_from_state(State6(rho=1.0, v=0.0, T=1.0, Pi=z), d5)
-        assert mul.xi > 0 and mul.zeta > 0 and mul.omega > 0
+        assert mul.xi > 0 and mul.zeta > 0 and math.isfinite(mul.log_omega)
 
 
 def test_multipliers_identify_lost_positivity(d5):
@@ -62,11 +64,16 @@ def test_multipliers_identify_lost_positivity(d5):
 
 def test_zeta_pole_hits_overflow_guard():
     # approaching the zeta pole from below: at large D the (D-3)/2 exponent
-    # amplifies ln(Omega) past the guard while Pi is still representable
-    spec = GasSpec(D=40.0)
-    z_near = (1.0 - 5e-16) * (spec.D - 3.0) / 3.0  # p = 1 at rho = T = 1
-    with pytest.raises(OverflowError):
-        multipliers_from_state(State6(rho=1.0, v=0.0, T=1.0, Pi=z_near), spec)
+    # carries Omega past float range while Pi is still representable.  The
+    # closure keeps ln Omega, which stays finite; the oracle, which forms
+    # Omega, stops with one OracleError
+    spec = GasSpec(D=80.0)
+    s = State6(rho=1.0, v=0.0, T=1.0, Pi=(1.0 - 5e-16) * spec.z_upper)   # p = 1
+    log_omega = multipliers_from_state(s, spec).log_omega
+    assert math.log(sys.float_info.max) < log_omega < math.inf
+    assert math.isfinite(entropy_parts(s, spec).h)
+    with pytest.raises(OracleError, match=r"^ln Omega = .*: Omega is out of float range$"):
+        oracle_entropy(s, spec)
 
 
 def test_state_from_multipliers_round_trip(d5):
