@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 all enabled assertions pass, 1 an assertion failed, the
 solver stopped (one `solver error:` line on stderr) or the oracle's
-quadrature failed to validate or met an Omega out of float range (one
-`oracle error:` line), 2 usage or configuration error (an `eigen --Z`
+quadrature failed to validate or met a mass Omega L[0] out of float range
+(one `oracle error:` line), 2 usage or configuration error (an `eigen --Z`
 outside the window, a nonpositive `--rho`, `--T`, `--p`, a non-finite
 `eigen` flag or config value, an `eigen` temperature p/rho out of float
 range or a zero direction, included; one `config error:` line).

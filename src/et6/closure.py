@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gas import GasSpec, State6, energy_moment, require_admissible
+from .gas import GasSpec, State6, energy_moment, require_admissible, temperatures
 
 @dataclass(frozen=True)
 class Multipliers:
@@ -31,7 +31,8 @@ class Multipliers:
 
     xi and zeta are strictly positive on admissible states (integrability).
     ln Omega is finite on the whole window, while Omega leaves float range
-    near its edges or at large D: only the kinetic oracle forms Omega.
+    near its edges or at large D: nothing forms Omega itself, and the
+    kinetic oracle forms Omega L[0] of order rho xi^(3/2).
     """
 
     xi: float
@@ -112,26 +113,26 @@ def entropy_terms(rho, p, z, spec: GasSpec):
 def multipliers_from_state(s: State6, spec: GasSpec) -> Multipliers:
     """Invert the constraint moments for (xi, zeta, ln Omega).
 
-    xi   = (rho / 2p) / (1 + Z)
-    zeta = (rho / p) / (1 - 3Z/(D-3))
+    xi   = 1 / (2 T_K)
+    zeta = 1 / T_I
     Omega = rho / (pi^{3/2} Gamma((D-3)/2)) * xi^{3/2} * zeta^{(D-3)/2}
 
-    with Z = Pi/p, and ln Omega from entropy_terms.  Positivity of xi and
-    zeta is equivalent to admissibility; an inadmissible state raises
-    naming the multiplier that would lose it.
+    with the temperatures (T_K, T_I) of gas.temperatures, and ln Omega from
+    entropy_terms.  Positivity of xi and zeta is admissibility; an
+    inadmissible state raises naming the multiplier that would lose it.
     """
-    z = require_admissible(s, spec)
+    t_k, t_i = temperatures(s, spec)
     p = s.pressure()
-    xi = 0.5 * s.rho / p / (1.0 + z)
-    zeta = s.rho / p / (1.0 - 3.0 * z / (spec.D - 3.0))
-    return Multipliers(xi=xi, zeta=zeta, log_omega=entropy_terms(s.rho, p, z, spec)[2])
+    return Multipliers(xi=0.5 / t_k, zeta=1.0 / t_i,
+                       log_omega=entropy_terms(s.rho, p, s.Pi / p, spec)[2])
 
 
 def state_from_multipliers(mul: Multipliers, spec: GasSpec) -> tuple[float, float, float]:
     """Closed-form zero-velocity moments of the distribution.
 
-    Returns (rho, p + Pi, rho*eps).  Composed with multipliers_from_state
-    this is the identity on admissible states.
+    Returns (rho, p + Pi, rho*eps) = (rho, rho T_K, rho (3 T_K + (D-3) T_I)/2)
+    with T_K = 1/(2 xi) and T_I = 1/zeta.  Composed with
+    multipliers_from_state this is the identity on admissible states.
     """
     alpha = spec.alpha
     log_rho = (
@@ -142,9 +143,8 @@ def state_from_multipliers(mul: Multipliers, spec: GasSpec) -> tuple[float, floa
         - (1.0 + alpha) * math.log(mul.zeta)
     )
     rho = math.exp(log_rho)
-    p_plus_pi = 0.5 * rho / mul.xi
-    rho_eps = 0.25 * rho / mul.xi * (3.0 + 4.0 * (1.0 + alpha) * mul.xi / mul.zeta)
-    return rho, p_plus_pi, rho_eps
+    t_k, t_i = 0.5 / mul.xi, 1.0 / mul.zeta
+    return rho, rho * t_k, 0.5 * rho * (3.0 * t_k + (spec.D - 3.0) * t_i)
 
 
 def _speed2_energy(C, I):
@@ -269,28 +269,25 @@ def entropy_parts(s: State6, spec: GasSpec) -> EntropyParts:
 
 
 def main_field(s: State6, spec: GasSpec) -> MainField:
-    """Lagrange multipliers of the entropy maximization, as field variables.
+    """Lagrange multipliers of the entropy maximization, as field variables,
+    in the temperatures (T_K, T_I) of gas.temperatures:
 
-    lam    = -g/T - ln(Omega/Omega_E) + v^2 / (2T (1+Z))
-    lam_i  = -v_i / (T (1+Z))
-    lam_ll = -(1/2T) (D/(D-3)) Z / ((1+Z)(1 - 3Z/(D-3)))
-    mu_ll  =  (1/2T) / (1 - 3Z/(D-3))
+    lam    = -g/T - ln(Omega/Omega_E) + v^2 / (2 T_K)
+    lam_i  = -v_i / T_K
+    lam_ll = 1/(2 T_K) - mu_ll
+    mu_ll  = 1/(2 T_I)
 
-    At Pi = 0 these reduce to the classical convex-extension values of the
-    five-field gas dynamics with lam_ll = 0.  An inadmissible state raises
-    from entropy_parts.
+    At Pi = 0, T_K = T_I = T and these reduce to the classical
+    convex-extension values of the five-field gas dynamics with lam_ll = 0.
+    An inadmissible state raises from entropy_parts.
     """
     parts = entropy_parts(s, spec)
-    z = s.Pi / s.pressure()
-    one_pz = 1.0 + z
-    one_mz = 1.0 - 3.0 * z / (spec.D - 3.0)
+    t_k, t_i = temperatures(s, spec)
     v2 = float(np.dot(s.v, s.v))
     # ln(Omega/Omega_E) = -k
-    lam = -parts.g / s.T + parts.k + 0.5 * v2 / (s.T * one_pz)
-    lam_i = -s.v / (s.T * one_pz)
-    mu_ll = 0.5 / (s.T * one_mz)
-    lam_ll = -0.5 / s.T * (spec.D / (spec.D - 3.0)) * z / (one_pz * one_mz)
-    return MainField(lam=lam, lam_i=lam_i, lam_ll=lam_ll, mu_ll=mu_ll)
+    lam = -parts.g / s.T + parts.k + 0.5 * v2 / t_k
+    mu_ll = 0.5 / t_i
+    return MainField(lam=lam, lam_i=-s.v / t_k, lam_ll=0.5 / t_k - mu_ll, mu_ll=mu_ll)
 
 
 def boost_main_field(rest: MainField, v) -> MainField:

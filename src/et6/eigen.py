@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closure import entropy_parts, main_field
-from .gas import Conserved6, GasSpec, State6, eos_evaluate, primitive_from_conserved
+from .gas import Conserved6, GasSpec, State6, primitive_from_conserved, temperatures
 
 K_CONDITION_TOL = 1e-10     # |dPi| threshold, relative to the pressure scale
 K_MARGINAL_FACTOR = 1e-4    # below this the pass is flagged marginal
@@ -191,7 +191,7 @@ def acceleration_wave(u_eq: Conserved6, n, delta_rho: float,
     """
     n = _unit(n)
     s = _require_equilibrium(u_eq, spec)
-    p, eps = eos_evaluate(s.rho, s.T, spec)
+    p, eps = s.pressure(), 0.5 * spec.D * s.T
     vn = float(np.dot(s.v, n))
     du = _du_dw(s, spec)
     waves = []
@@ -319,15 +319,16 @@ class ConvexityReport:
 def _entropy_derivatives(s: State6, spec: GasSpec) -> tuple[np.ndarray, np.ndarray]:
     """(dh/dw, d(main field)/dw) for w = (rho, v1, v2, v3, p, Pi).
 
-    With q = p + Pi, r = p - 3 Pi/(D-3) and c0 a constant,
-        h / rho = c0 - (D/2 + 1) ln rho + (3/2) ln q + ((D-3)/2) ln r
-        lam     = h / rho - (D/2 + 1) + rho v^2 / 2q
-        lam_i   = -rho v_i / q,   mu_ll = rho / 2r,   lam_ll + mu_ll = rho / 2q
+    With the temperatures (T_K, T_I) of gas.temperatures, q = rho T_K =
+    p + Pi, r = rho T_I = p - 3 Pi/(D-3) and c0 a constant,
+        h / rho = c0 - ln rho + (3/2) ln T_K + ((D-3)/2) ln T_I
+        lam     = h / rho - (D/2 + 1) + v^2 / 2 T_K
+        lam_i   = -v_i / T_K,   mu_ll = 1 / 2 T_I,   lam_ll + mu_ll = 1 / 2 T_K
     so dh/drho = h / rho - (D/2 + 1), with h from entropy_parts.
     """
-    p = s.pressure()
+    t_k, t_i = temperatures(s, spec)
     rho, v, D = s.rho, s.v, spec.D
-    q, r, dr_dpi = p + s.Pi, p - 3.0 * s.Pi / (D - 3.0), -3.0 / (D - 3.0)
+    q, r, dr_dpi = rho * t_k, rho * t_i, -3.0 / (D - 3.0)
     v2 = float(np.dot(v, v))
     h = entropy_parts(s, spec).h
     dh = np.zeros(6)
@@ -352,15 +353,15 @@ def _entropy_derivatives(s: State6, spec: GasSpec) -> tuple[np.ndarray, np.ndarr
 
 def _hessian_pivots(s: State6, spec: GasSpec) -> np.ndarray:
     """The pivots of the entropy Hessian H in w' = (rho, v, q, r), with
-    q = p + Pi and r = p - 3 Pi/(D-3).  M = (du/dw')^T H (du/dw') is an
-    arrowhead: M_rho,rho = -(D/2 + 1)/rho, M_vv = -(rho^2/q) I,
+    q = rho T_K = p + Pi and r = rho T_I = p - 3 Pi/(D-3).  M = (du/dw')^T H
+    (du/dw') is an arrowhead: M_rho,rho = -(D/2 + 1)/rho, M_vv = -(rho^2/q) I,
     M_rho,q = 3/(2q), M_rho,r = (D-3)/(2r), M_qq = -3 rho/(2 q^2) and
     M_rr = -(D-3) rho/(2 r^2); eliminating v, q and r before rho leaves the
     Schur complement -1/rho.  By Sylvester's law of inertia H is negative
     definite iff all six are negative, as on the whole open window."""
-    p = s.pressure()
+    t_k, t_i = temperatures(s, spec)
     rho, dm3 = s.rho, spec.D - 3.0
-    q, r = p + s.Pi, p - 3.0 * s.Pi / dm3
+    q, r = rho * t_k, rho * t_i
     return np.array([-rho * rho / q] * 3
                     + [-1.5 * rho / (q * q), -0.5 * dm3 * rho / (r * r), -1.0 / rho])
 

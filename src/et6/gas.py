@@ -8,10 +8,13 @@ pressure is only meaningful inside an open window around equilibrium,
     -p < Pi < (D - 3) * p / 3,       p = rho * T,
 
 outside of which the underlying phase-space density ceases to be integrable.
-The window, the moment map and its inverse are small functions on floats or
-numpy arrays, shared by the point API, the solver and the oracle.
-require_admissible is the one window check of a single state: it returns
-Z = Pi/p, and every point function that needs the window calls it.
+So the window is two positive temperatures, of the closed density's
+Maxwellian and Gamma factors (Ruggeri & Sugiyama 2015): the translational
+T_K = (p + Pi)/rho and the internal T_I = (p - 3 Pi/(D-3))/rho.  The window,
+the moment map and its inverse are small functions on floats or numpy
+arrays, shared by the point API, the solver and the oracle.
+require_admissible is the one window check of a single state and returns
+Z = Pi/p; temperatures checks a state and returns (T_K, T_I).
 
 Units: the Boltzmann constant and the molecular mass are 1 throughout the
 package (kB = m = 1), so p = rho T and eps = (D/2) T.  They enter the
@@ -153,20 +156,6 @@ class Conserved6:
         return cls(F=u[0], F_i=u[1:4], F_ll=u[4], G_ll=u[5])
 
 
-def eos_evaluate(rho: float, T: float, spec: GasSpec) -> tuple[float, float]:
-    """Thermal and caloric equations of state.
-
-    Returns (p, eps) with p = rho T and eps = (D/2) T.
-    """
-    if not rho > 0:
-        raise GasModelError(f"density must be positive, got {rho}")
-    if not T > 0:
-        raise GasModelError(f"temperature must be positive, got {T}")
-    p = rho * T
-    eps = 0.5 * spec.D * T
-    return p, eps
-
-
 def window_bounds(p, D: float):
     """(-p, (D-3) p / 3): the open window of admissible Pi, on floats or
     arrays.  At p = 1 these are the bounds on Z = Pi/p."""
@@ -187,18 +176,17 @@ def energy_moment(rho_v2, p, D: float):
 
 
 def velocity_pressure(F, F_i, G_ll, D: float):
-    """(v, v^2, rho v^2, p) of F, the array F_i of momentum components and
+    """(v, rho v^2, p) of F, the array F_i of momentum components and
     G_ll (scalars, or arrays with F_i one axis longer): the inverse moment
     map but for Pi (see dynamic_pressure), all the five-field subsystem
     needs.  F_i is (F_x, F_y, F_z), or (F_x,) alone where the others are 0,
-    which gives the same v^2 to the last bit.  v = F_i / F keeps F_i's
+    which gives the same rho v^2 to the last bit.  v = F_i / F keeps F_i's
     shape, and rho v^2 = F v^2 is formed once for every caller.  No checks:
     callers guard F > 0, p > 0."""
     v = F_i / F
     vv = v * v
-    v2 = sum(vv[1:], vv[0])
-    rho_v2 = F * v2
-    return v, v2, rho_v2, (G_ll - rho_v2) / D
+    rho_v2 = F * sum(vv[1:], vv[0])
+    return v, rho_v2, (G_ll - rho_v2) / D
 
 
 def dynamic_pressure(F_ll, rho_v2, p):
@@ -234,6 +222,15 @@ def require_admissible(s: State6, spec: GasSpec) -> float:
     return z
 
 
+def temperatures(s: State6, spec: GasSpec) -> tuple[float, float]:
+    """(T_K, T_I) = ((p + Pi)/rho, (p - 3 Pi/(D-3))/rho) of a state inside
+    the window, where both are positive; outside it raises as
+    require_admissible does."""
+    require_admissible(s, spec)
+    p = s.pressure()
+    return (p + s.Pi) / s.rho, (p - 3.0 * s.Pi / (spec.D - 3.0)) / s.rho
+
+
 def conserved_from_primitive(s: State6, spec: GasSpec) -> Conserved6:
     """Map (rho, v, T, Pi) to the densities (F, F_i, F_ll, G_ll)."""
     p = s.pressure()
@@ -251,7 +248,7 @@ def primitive_from_conserved(u: Conserved6, spec: GasSpec) -> State6:
     Pi leaves the window.
     """
     rho = float(u.F)
-    v, _, rho_v2, p = velocity_pressure(rho, u.F_i, float(u.G_ll), spec.D)
+    v, rho_v2, p = velocity_pressure(rho, u.F_i, float(u.G_ll), spec.D)
     rho_v2, p = float(rho_v2), float(p)
     if not p > 0:
         raise ReconstructionError(f"non-positive internal energy rho*eps = {0.5 * spec.D * p}")

@@ -11,13 +11,16 @@ The distribution is separable, so every moment is Omega times a short sum
 of products of 1-D integrals, and each state needs one small table of them:
 S_a[k] = int c^k exp(-xi (c - v_a)^2) dc per velocity axis, by Gauss-Hermite
 nodes scaled by s = 1/sqrt(2 xi) and shifted by v_a (by 0 for moments in
-peculiar velocity), and L[j] = int I^(alpha+j) exp(-zeta I) dI, by
-generalized Gauss-Laguerre nodes (weight I^alpha e^-I) scaled by 1/zeta.
-The Laguerre weight absorbs I**alpha exactly, which keeps the integrable
-singularity at I = 0 harmless for 3 < D < 5.  An n-point rule is exact up
-to degree 2n - 1.  Both rules have GAUSS_ORDER = 8 nodes (rule gh8xgl8),
-exact to degree 15, and the terms summed here reach velocity power 3 on an
-axis and internal-energy power 1.  A table asked for a higher power raises
+peculiar velocity), and L[j] = int I^(alpha+j) exp(-zeta I) dI.  Its mass
+ln L[0] = ln Gamma(alpha+1) - (alpha+1) ln zeta is folded into ln Omega, so
+the one factor formed from a logarithm is Omega L[0], of order rho xi^(3/2)
+at any D and to the window's edges.  The ratios L[j]/L[0] come from the
+unit-mass generalized Gauss-Laguerre rule (weight I^alpha e^-I /
+Gamma(alpha+1)), nodes scaled by 1/zeta, which absorbs I**alpha exactly and
+so keeps the integrable singularity at I = 0 harmless for 3 < D < 5.  An
+n-point rule is exact up to degree 2n - 1.  Both rules have GAUSS_ORDER = 8
+nodes (rule gh8xgl8), exact to degree 15, and the terms summed here reach
+velocity power 3 on an axis and internal-energy power 1.  A table asked for a higher power raises
 OracleError naming the rule before it sums anything, so every value comes
 from a rule that is exact on its polynomial.
 
@@ -28,13 +31,14 @@ squared first component of its node's unit eigenvector.
 Beside the Gauss table each state builds a twin table from the closed-form
 moments of the rules' unit scale: M_i = int x^i exp(-x^2/2) dx =
 sqrt(2 pi) (i-1)!! (0 for odd i), mapped by the binomial expansion
-S_a[k] = s sum_i C(k, i) s^i v_a^(k-i) M_i, and int x^(alpha+j) e^-x dx =
-Gamma(alpha+1+j), scaled by zeta^-(alpha+1+j) in log space so that no factor
-overflows.  Each quantity is compared once with the same sum over the twin
-table, within ADAPTIVE_TOL, and any disagreement raises OracleError.  In
-exact arithmetic the comparison holds for every state iff each Gauss sum of
-x^i (and of x^(alpha+j)) equals its closed form, so the twins check the
-rules exactly, while the closed forms of the closure check the affine maps.
+S_a[k] = s sum_i C(k, i) s^i v_a^(k-i) M_i, and the Laguerre ratios
+L[j]/L[0] = Gamma(alpha+1+j) / (Gamma(alpha+1) zeta^j), a rising factorial
+that stays exact to round-off at any D.  Each
+quantity is compared once with the same sum over the twin table, within
+ADAPTIVE_TOL, and any disagreement raises OracleError.  In exact arithmetic
+the comparison holds for every state iff each Gauss sum of x^i (of x^j for
+Laguerre) equals its closed form, so the twins check the rules exactly,
+while the closed forms of the closure check the affine maps.
 
 The optimality probe's radial moments have no elementary closed form once
 the quartic term is on.  Their integrands are even and entire, so the
@@ -56,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from .closure import closed_fluxes, entropy_parts, multipliers_from_state
-from .gas import GasSpec, State6, conserved_from_primitive, eos_evaluate
+from .gas import GasSpec, State6, conserved_from_primitive
 
 REL_ERR_FLOOR = 1e-300
 GAUSS_ORDER = 8        # nodes of each rule: exact to degree 2 GAUSS_ORDER - 1
@@ -143,19 +147,18 @@ def _hermite_rule():
 
 @lru_cache(maxsize=64)
 def _laguerre_rule(alpha: float):
-    """Weight x^alpha e^-x on [0, inf), of mass Gamma(alpha + 1) (inf once
-    that overflows): recurrence (n + 1) L_{n+1} = (2n + alpha + 1 - x) L_n
-    - (n + alpha) L_{n-1}."""
+    """Weight x^alpha e^-x / Gamma(alpha + 1) on [0, inf), of unit mass:
+    recurrence (n + 1) L_{n+1} = (2n + alpha + 1 - x) L_n - (n + alpha) L_{n-1}."""
     n = np.arange(float(GAUSS_ORDER))
-    with np.errstate(over="ignore"):
-        mu0 = float(np.exp(math.lgamma(alpha + 1.0)))
-    return _gauss_rule(2.0 * n + alpha + 1.0, np.sqrt(n[1:] * (n[1:] + alpha)), mu0)
+    return _gauss_rule(2.0 * n + alpha + 1.0, np.sqrt(n[1:] * (n[1:] + alpha)), 1.0)
 
 
-def _laguerre_integrals(alpha: float, zeta: float, power: int) -> np.ndarray:
-    """L[j] = int I^(alpha+j) exp(-zeta I) dI for j = 0..power, by the Laguerre rule."""
+def _laguerre_integrals(alpha: float, zeta: float, power: int) -> tuple[float, np.ndarray]:
+    """(ln L[0], L[j]/L[0] for j = 0..power) of L[j] = int I^(alpha+j)
+    exp(-zeta I) dI: the mass in closed form, the ratios by the Laguerre rule."""
     y, wy = _laguerre_rule(alpha)
-    return (wy * zeta ** (-(alpha + 1.0))) @ (y / zeta)[:, None] ** np.arange(power + 1)
+    return (math.lgamma(alpha + 1.0) - (alpha + 1.0) * math.log(zeta),
+            wy @ (y / zeta)[:, None] ** np.arange(power + 1))
 
 
 def _hermite_moment(i: int) -> float:
@@ -171,12 +174,12 @@ class _Table:
     L[j]   = int I^(alpha+j) exp(-zeta I) dI over [0, inf): generalized
              Gauss-Laguerre nodes y_i / zeta
 
-    Every moment is Omega times a sum of products S_x[kx] S_y[ky] S_z[kz]
-    L[j].  The table holds the powers that the given terms use, by the
-    Gauss rules (S, L) and by the closed-form twins (S_twin, L_twin).
-    OracleError if a power exceeds 2 GAUSS_ORDER - 1, where the rules stop
-    being exact, or if Omega = exp(ln Omega) is not a finite positive
-    float, as near the window's edges or at large D.
+    Every moment is Omega L[0] times a sum of products S_x[kx] S_y[ky]
+    S_z[kz] L[j]/L[0].  The table holds the powers that the given terms
+    use, by the Gauss rules (S, L) and by the closed-form twins (S_twin,
+    L_twin), with L the ratios L[j]/L[0].  OracleError if a power exceeds
+    2 GAUSS_ORDER - 1, where the rules stop being exact, or if the mass
+    Omega L[0] is not a finite positive float.
     """
 
     def __init__(self, s: State6, spec: GasSpec, v, terms: list[Term]):
@@ -187,33 +190,35 @@ class _Table:
             raise OracleError(f"{RULE} is exact to degree {degree}, but the terms reach "
                               f"velocity power {k_max} and internal-energy power {j_max}")
         self.mul = multipliers_from_state(s, spec)
-        try:
-            self.omega = math.exp(self.mul.log_omega)   # 0.0 below float range
-        except OverflowError:
-            self.omega = math.inf
-        if not 0.0 < self.omega < math.inf:
-            raise OracleError(f"ln Omega = {self.mul.log_omega!r}: Omega is out of float range")
         v, alpha, zeta = np.asarray(v, dtype=float), spec.alpha, self.mul.zeta
+        log_l0, self.L = _laguerre_integrals(alpha, zeta, j_max)
+        log_mass = self.mul.log_omega + log_l0
+        try:
+            self.mass = math.exp(log_mass)   # 0.0 below float range
+        except OverflowError:
+            self.mass = math.inf
+        if not 0.0 < self.mass < math.inf:
+            raise OracleError(f"ln Omega = {self.mul.log_omega!r}: Omega L[0] = "
+                              f"exp({log_mass!r}) is not a finite positive float")
         k, j = np.arange(k_max + 1), np.arange(j_max + 1)
         x, wx = _hermite_rule()
         scale = 1.0 / math.sqrt(2.0 * self.mul.xi)
         nodes = x * scale + v[:, None]
         self.S = (wx * scale) @ nodes[:, :, None] ** k
-        self.L = _laguerre_integrals(alpha, zeta, j[-1])
         # (s x + v_a)^k = sum_i C(k, i) v_a^(k-i) s^i x^i, with C(k, i) = 0 for i > k
         binomial = np.array([[math.comb(n, i) for i in k] for n in k], dtype=float)
         affine = binomial * v[:, None, None] ** np.maximum(k[:, None] - k, 0)
         unit = np.array([_hermite_moment(int(i)) for i in k])
         self.S_twin = scale * affine @ (scale**k * unit)
-        a = alpha + 1.0 + j
-        self.L_twin = np.exp([math.lgamma(n) for n in a] - a * math.log(zeta))
+        # Gamma(alpha+1+j) / (Gamma(alpha+1) zeta^j), a rising factorial
+        self.L_twin = np.cumprod([1.0, *((alpha + 1.0 + j[:-1]) / zeta)])
 
     def _sum(self, S: np.ndarray, L: np.ndarray, terms: list[Term]) -> float:
-        return self.omega * float(sum(
+        return self.mass * float(sum(
             c * S[0, kx] * S[1, ky] * S[2, kz] * L[j] for c, (kx, ky, kz), j in terms))
 
     def validated(self, terms: list[Term]) -> float:
-        """Omega times the sum of the terms, by the Gauss rules; OracleError
+        """Omega L[0] times the sum of the terms, by the Gauss rules; OracleError
         unless the twin table agrees (a NaN on either side fails too)."""
         tol = ADAPTIVE_TOL
         value = self._sum(self.S, self.L, terms)
@@ -415,16 +420,16 @@ def mep_optimality_probe(s: State6, spec: GasSpec, trial_amplitudes) -> ProbeRep
     takes one set of radial moments, and the entropy reuses the set of the
     solution.
     """
-    p, eps = eos_evaluate(s.rho, s.T, spec)
-    ppi = p + s.Pi
-    alpha = spec.alpha
     mul = multipliers_from_state(s, spec)
-    # zeta decouples from beta: fixed by the internal-energy split
-    zeta_trial = (alpha + 1.0) / (eps - 1.5 * ppi / s.rho)
-    target_ratio = 3.0 * ppi / s.rho
+    # zeta decouples from beta: the internal-energy split fixes it at 1/T_I,
+    # and the trace constraint asks <C^2> = 3 T_K
+    zeta_trial = mul.zeta
+    target_ratio = 1.5 / mul.xi
 
-    # Laguerre factors for the internal-energy part
-    l0, l1 = _laguerre_integrals(alpha, zeta_trial, 1).tolist()
+    # the internal-energy part: Omega' L[0] m0 = rho fixes the mass, and
+    # <I> = rho L[1]/L[0] at every beta
+    log_l0, ratios = _laguerre_integrals(spec.alpha, zeta_trial, 1)
+    mean_i = s.rho * float(ratios[1])
 
     points = []
     for beta in trial_amplitudes:
@@ -432,25 +437,10 @@ def mep_optimality_probe(s: State6, spec: GasSpec, trial_amplitudes) -> ProbeRep
         if beta < 0:
             raise ValueError("trial amplitude beta must be nonnegative")
         xi_trial, (m0, m1, m2), converged = _solve_trial_xi(target_ratio, beta, mul.xi)
-        omega_trial = s.rho / (m0 * l0)
-        log_omega_trial = math.log(omega_trial)
-        mean_i = omega_trial * m0 * l1
-        mean_c2 = omega_trial * m1 * l0
-        mean_c4 = omega_trial * m2 * l0
-        h_trial = -(
-            log_omega_trial * s.rho
-            - zeta_trial * mean_i
-            - xi_trial * mean_c2
-            - beta * mean_c4
-        )
-        points.append(
-            ProbePoint(
-                beta=beta,
-                converged=converged,
-                entropy=h_trial,
-                xi=xi_trial,
-                zeta=zeta_trial,
-                log_omega=log_omega_trial,
-            )
-        )
+        log_omega_trial = math.log(s.rho / m0) - log_l0
+        mass = s.rho / m0   # <C^2> = mass m1 and <C^4> = mass m2
+        h_trial = -(log_omega_trial * s.rho - zeta_trial * mean_i
+                    - xi_trial * (mass * m1) - beta * (mass * m2))
+        points.append(ProbePoint(beta=beta, converged=converged, entropy=h_trial, xi=xi_trial,
+                                 zeta=zeta_trial, log_omega=log_omega_trial))
     return ProbeReport(points=points, reference_entropy=entropy_parts(s, spec).h)

@@ -100,19 +100,19 @@ def _require_finite_max(speed: np.ndarray, what: str, place: str) -> float:
 
 
 def _decode(U: np.ndarray, F_i: np.ndarray, spec: GasSpec) -> dict[str, np.ndarray]:
-    """rho, velocity (vx, and vy, vz when F_i has them), v^2, rho v^2, p and T
+    """rho, velocity (vx, and vy, vz when F_i has them), rho v^2, p and T
     from rows (F, ..., G_ll) of any trailing shape with momentum rows F_i;
     density and internal energy must be positive."""
     rho = U[0]
     _require_positive(rho, "non-positive density")
-    v, v2, rho_v2, p = velocity_pressure(rho, F_i, U[-1], spec.D)
+    v, rho_v2, p = velocity_pressure(rho, F_i, U[-1], spec.D)
     _require_positive(p, "non-positive pressure")
-    return {"rho": rho, **dict(zip(("vx", "vy", "vz"), v)), "v2": v2, "rho_v2": rho_v2,
-            "p": p, "T": p / rho}
+    return {"rho": rho, **dict(zip(("vx", "vy", "vz"), v)), "rho_v2": rho_v2, "p": p,
+            "T": p / rho}
 
 
 def primitive_fields(U: np.ndarray, spec: GasSpec) -> dict[str, np.ndarray]:
-    """Primitive arrays (rho, vx, vy, vz, v2, rho_v2, p, T, Pi) from
+    """Primitive arrays (rho, vx, vy, vz, rho_v2, p, T, Pi) from
     six-field data (vy and vz only where U has their rows)."""
     w = _decode(U, U[1:-2], spec)
     w["Pi"] = dynamic_pressure(U[-2], w["rho_v2"], w["p"])

@@ -12,9 +12,9 @@ from et6.gas import (
     ReconstructionError,
     State6,
     conserved_from_primitive,
-    eos_evaluate,
     primitive_from_conserved,
     require_admissible,
+    temperatures,
 )
 
 
@@ -23,29 +23,20 @@ def d5():
     return GasSpec(D=5.0)
 
 
-def test_eos_identity_scale(d5):
-    p, eps = eos_evaluate(1.0, 1.0, d5)
-    assert p == 1.0
-    assert eps == 2.5
+def test_state_rejects_nonpositive_density_and_temperature():
+    for bad in ({"rho": -1.0}, {"rho": 0.0}, {"T": 0.0}, {"T": -1.0}, {"T": math.nan}):
+        with pytest.raises(GasModelError, match="must be positive"):
+            State6(**{"rho": 1.0, "v": 0.0, "T": 1.0, **bad})
 
 
-def test_eos_scaled_inputs(d5):
-    p, eps = eos_evaluate(2.0, 0.5, d5)
-    assert p == pytest.approx(1.0, rel=1e-15)
-    assert eps == pytest.approx(1.25, rel=1e-15)
-
-
-def test_eos_d7():
-    p, eps = eos_evaluate(1.0, 1.0, GasSpec(D=7.0))
-    assert p == 1.0
-    assert eps == 3.5
-
-
-def test_eos_rejects_nonpositive(d5):
-    with pytest.raises(GasModelError):
-        eos_evaluate(-1.0, 1.0, d5)
-    with pytest.raises(GasModelError):
-        eos_evaluate(1.0, 0.0, d5)
+def test_temperatures_are_the_window(d5):
+    # p = 1, Pi = 0.2: T_K = (p + Pi)/rho and T_I = (p - 3 Pi/(D-3))/rho
+    assert temperatures(State6(rho=2.0, v=1.0, T=0.5, Pi=0.2), d5) == (0.6, 0.35)
+    # outside the window the check of require_admissible raises, with its bound
+    for Pi, bound in ((0.7, "upper"), (-1.0, "lower")):
+        with pytest.raises(InadmissibleStateError) as err:
+            temperatures(State6(rho=1.0, v=0.0, T=1.0, Pi=Pi), d5)
+        assert err.value.bound == bound
 
 
 def test_gas_spec_invariants():

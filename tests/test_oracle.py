@@ -107,11 +107,12 @@ def quad_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("D", [3.5, 5.0, 12.0])
+@pytest.mark.parametrize("D", [3.5, 5.0, 12.0, 1000.0])
 def test_gauss_rules_match_closed_form_moments(D):
-    # the gate's exact references: each Gauss sum of x^i and of x^(alpha+j)
-    # on the rules' unit scale, within the gate's own bound, up to the degree
-    # that the table's guard admits
+    # the gate's exact references: each Gauss sum of x^i on the rules' unit
+    # scale, of unit mass for Laguerre, so that its x^j sums to the rising
+    # factorial Gamma(alpha+1+j)/Gamma(alpha+1), finite at any D, within the
+    # gate's own bound, up to the degree that the table's guard admits
     from et6 import oracle
 
     degree = 2 * oracle.GAUSS_ORDER - 1
@@ -125,7 +126,8 @@ def test_gauss_rules_match_closed_form_moments(D):
     alpha = GasSpec(D=D).alpha
     y, wy = oracle._laguerre_rule(alpha)
     for j in range(degree + 1):
-        assert rel_err(wy @ y**j, math.gamma(alpha + 1.0 + j)) <= oracle.ADAPTIVE_TOL, j
+        rising = math.prod(alpha + 1.0 + i for i in range(j))
+        assert rel_err(wy @ y**j, rising) <= oracle.ADAPTIVE_TOL, j
 
 
 @pytest.mark.parametrize("power", ["velocity", "internal-energy"])
@@ -286,18 +288,30 @@ def test_probe_quad_failure_is_an_oracle_error(d5, monkeypatch):
 
 
 def test_rule_of_infinite_mass_is_an_oracle_error():
-    # Gamma(alpha + 1) overflows past alpha = 171: one OracleError, no warning
+    # an infinite mass, or a NaN in the Jacobi matrix: one OracleError, no
+    # warning.  The Laguerre rule has unit mass, so it stays finite past
+    # alpha = 171, where Gamma(alpha + 1) overflows
     from et6 import oracle
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(OracleError, match=rf"^Gauss rule of order {oracle.GAUSS_ORDER} "
-                                              r"with mass inf has non-finite nodes or weights$"):
-            oracle._laguerre_rule(200.0)
+        with pytest.raises(OracleError, match=r"^Gauss rule of order 2 with mass inf "
+                                              r"has non-finite nodes or weights$"):
+            oracle._gauss_rule([0.0, 0.0], [1.0], math.inf)
         with pytest.raises(OracleError, match=r"^Gauss rule of order 2 with mass 1.0 "
                                               r"has non-finite nodes or weights$"):
             oracle._gauss_rule([0.0, math.nan], [1.0], 1.0)
+        y, w = oracle._laguerre_rule(200.0)
     assert caught == []
+    assert np.all(y > 0.0) and w.sum() == pytest.approx(1.0, rel=1e-14)
+
+
+def test_mass_out_of_float_range_is_one_oracle_error():
+    # Omega L[0] is of order rho xi^(3/2), so only a state whose rho and T
+    # are far apart takes it out of float range
+    with pytest.raises(OracleError, match=r"^ln Omega = \S+: Omega L\[0\] = exp\(1724\.\d+\) "
+                                          r"is not a finite positive float$"):
+        oracle_entropy(State6(rho=1e300, v=0.0, T=1e-300), GasSpec(D=5.0))
 
 
 @pytest.mark.parametrize("xi, beta", [(1.5, 0.01), (0.2, 0.5), (-0.8, 0.3)])

@@ -27,9 +27,11 @@ from et6.closure import (  # noqa: E402
 from et6.eigen import SYMMETRY_TOL, convexity_check  # noqa: E402
 from et6.gas import (  # noqa: E402
     GasSpec,
+    InadmissibleStateError,
     State6,
     conserved_from_primitive,
     primitive_from_conserved,
+    temperatures,
     window_bounds,
 )
 from et6.oracle import (  # noqa: E402
@@ -103,6 +105,34 @@ def test_solver_columns_match_point_values(drawn):
     scale = np.max(np.abs(expected))
     for row, (a, b) in enumerate(zip(flux, expected)):
         assert rel_err(a, b, floor=scale) <= 1e-13, (row, a, b)
+
+
+@PROPERTY
+@given(states())
+def test_temperatures_decode_the_moments_and_are_the_window(drawn):
+    # T_K = (F_ll - rho v^2)/(3 rho), T_I = (G_ll - F_ll)/((D-3) rho), each
+    # within round-off of the rows it is read from; back to p and Pi
+    spec, s = drawn
+    t_k, t_i = temperatures(s, spec)
+    u = conserved_from_primitive(s, spec)
+    rho, p, dm3 = s.rho, s.pressure(), spec.D - 3.0
+    rho_v2 = rho * float(np.dot(s.v, s.v))
+    assert rel_err(t_k, (u.F_ll - rho_v2) / (3.0 * rho), floor=u.F_ll / (3.0 * rho)) <= 1e-15
+    assert rel_err(t_i, (u.G_ll - u.F_ll) / (dm3 * rho), floor=u.G_ll / (dm3 * rho)) <= 1e-15
+    assert rel_err(rho * (3.0 * t_k + dm3 * t_i) / spec.D, p) <= 1e-15
+    assert rel_err(dm3 * rho * (t_k - t_i) / spec.D, s.Pi, floor=p) <= 1e-15
+    # the solver's window is both temperatures positive, 1e-6 beyond and
+    # within either edge too
+    lower, upper = window_bounds(p, spec.D)
+    for Pi in (s.Pi, lower * (1.0 + 1e-6), lower * (1.0 - 1e-6),
+               upper * (1.0 - 1e-6), upper * (1.0 + 1e-6)):
+        trial = State6(rho=s.rho, v=s.v, T=s.T, Pi=Pi)
+        try:
+            positive = min(temperatures(trial, spec)) > 0.0
+        except InadmissibleStateError:
+            positive = False
+        inside = SIX_FIELD.inside(conserved_from_primitive(trial, spec).as_array()[:, None])
+        assert bool(inside[0]) == positive == (lower < Pi < upper), Pi
 
 
 @PROPERTY
