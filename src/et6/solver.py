@@ -45,6 +45,23 @@ rows that are zero everywhere stay zero, since their flux is F_y v_x, so the
 kernel then marches without them, rows (F, F_x, F_ll, G_ll): every function
 below reads F_ll and G_ll as the last two rows and the momentum in between,
 and gives the same numbers to the last bit either way.
+
+Signals travel at finite speed, so a stage transports only where the data
+change.  Its span is the cells whose stencil (2 cells each side for MUSCL,
+1 for Rusanov, on the padded array, so ghosts and periodic wrap-around
+count) holds two unequal cells, read from the differences the slopes are
+made of.  Beyond the span every face sees one constant state u on both
+sides, so its flux is (f + f)/2 - a (u - u)/2 = f and the rhs there is
+exactly 0; only the span is reconstructed, decoded and fluxed.  The
+constant state beyond each end of the span equals the span's outermost
+cell, which has zero slopes too, so that cell's window test, first-order
+fallback, decode and face speed stand for all of them, and the zeroed-slope
+count counts their slopes where it falls back.  Rhs, count and outflow
+entropy are then those of a stage on the whole grid, bit for bit but for
+the sign of a zero rhs (an F_x = -0.0 beside its +0.0 mirror at a
+reflective wall can give -0.0 there on the whole grid), and a stage that
+raises SolverError is redone on the whole grid, so that the error names
+the first bad cell of the whole grid.
 """
 
 from __future__ import annotations
@@ -374,49 +391,86 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(b, np.minimum(a, 0.0)), np.maximum(a, 0.0))
 
 
-def _reconstruct(U: np.ndarray, sc: Scenario, system: System,
-                 max_speed: float) -> tuple[np.ndarray, dict, np.ndarray, int]:
-    """Edge states of the cells and one ghost each side, shape (rows, K, N+2),
-    their primitives and signal speeds |v_x| + c, and the count of zeroed
-    slopes.  Along K, 0 is the right edge and -1 the left edge (one and the
-    same at first order, K = 1).  A cell with a face outside the window, or
-    faster than max_speed, takes its average on both faces, so all its
-    slopes count as zeroed, those of F_y and F_z too when U leaves their
-    rows out (their slopes are 0 otherwise, which minmod does not count)."""
+def _span(changed: np.ndarray, ng: int, N: int) -> tuple[int, int]:
+    """The cells [lo, hi) whose stencil, ng cells each side, sees a change:
+    changed[d] tells whether padded cells d and d + 1 differ, and cell j
+    reads padded cells j .. j + 2 ng.  (0, 0) when nothing changes."""
+    first = int(changed.argmax())
+    if not changed[first]:
+        return 0, 0
+    last = changed.size - 1 - int(changed[::-1].argmax())
+    return max(first - 2 * ng + 1, 0), min(last + 1, N)
+
+
+def _reconstruct(U: np.ndarray, sc: Scenario, system: System, max_speed: float,
+                 span: tuple[int, int] | None = None
+                 ) -> tuple[np.ndarray, dict, np.ndarray, int, tuple[int, int]]:
+    """Edge states of the cells lo - 1 .. hi of the span [lo, hi) (N + 2
+    cells from ghost to ghost when the span is the whole grid), shape
+    (rows, K, hi - lo + 2), then at outflow ends the two boundary cells as
+    two more columns; their primitives and signal speeds |v_x| + c, the
+    count of zeroed slopes, and the span.  Along K, 0 is the right edge and
+    -1 the left edge (one and the same at first order, K = 1).
+
+    The span defaults to the cells whose stencil (2 cells each side for
+    MUSCL, 1 for Rusanov, ghosts included) holds two unequal cells, read
+    from the differences the slopes are made of.  Beyond it each side is one
+    constant state, whose cells have zero slopes and equal the span's
+    outermost cell, so that cell's checks and fallback stand for all of
+    them.  A cell with a face outside the window, or faster than max_speed,
+    takes its average on both faces, so all its slopes count as zeroed,
+    those of F_y and F_z too when U leaves their rows out (their slopes are
+    0 otherwise, which minmod does not count), and those of the constant
+    cells it stands for."""
 
     def decoded(edges):
         w = system.decode(edges, sc.spec)
         return w, np.abs(w["vx"]) + system.sound_speed(w["rho"], w["p"], w["Pi"], sc.spec)
 
-    if sc.scheme == "rusanov":
-        edges = _pad(U, sc.boundary, 1)[:, None, :]
-        return (edges, *decoded(edges), 0)
-    Up = _pad(U, sc.boundary, 2)
+    rows, N = U.shape
+    muscl = sc.scheme == "muscl"
+    ng = 2 if muscl else 1
+    Up = _pad(U, sc.boundary, ng)
     diff = Up[:, 1:] - Up[:, :-1]
-    bwd, fwd = diff[:, :-1], diff[:, 1:]
+    nonzero = diff != 0.0
+    if span is None:
+        span = _span(np.logical_or.reduce(nonzero, axis=0), ng, N)
+    lo, hi = span
+    m = hi - lo + 2
+    cells = Up[:, lo + ng - 1:hi + ng + 1]
+    outflow = sc.boundary == "outflow"
+    edges = np.empty((rows, 2 if muscl else 1, m + 2 * outflow))
+    if outflow:
+        # the end states, whose h v_x is the outflow entropy flux: both
+        # states of an end face equal the boundary cell, as the
+        # zero-gradient ghosts make them
+        edges[:, :, m:] = U[:, None, [0, -1]]
+    if not muscl:
+        edges[:, 0, :m] = cells
+        return (edges, *decoded(edges), 0, span)
+    bwd, fwd = diff[:, lo:hi + 2], diff[:, lo + 1:hi + 3]
     if sc.limiter == "minmod":
         half = _minmod(bwd, fwd)
         half *= 0.5
         zeroed = bwd * fwd <= 0.0
-        nonzero = diff != 0.0
-        zeroed &= nonzero[:, :-1] | nonzero[:, 1:]
+        zeroed &= nonzero[:, lo:hi + 2] | nonzero[:, lo + 1:hi + 3]
     else:
         half = bwd + fwd
         half *= 0.25
-        if sc.boundary == "outflow":
-            # zero-gradient ghosts: both states of an end face are the
-            # boundary cell, as minmod makes them
-            half[:, [1, -2]] = 0.0
+        if outflow:
+            # the boundary cells in the span keep a zero slope, as minmod
+            # gives them
+            half[:, [k - lo for k in (1, N) if lo <= k < lo + m]] = 0.0
         zeroed = np.zeros(half.shape, dtype=bool)
-    cells = Up[:, 1:-1]
-    edges = np.empty((U.shape[0], 2, cells.shape[1]))
-    np.add(cells, half, out=edges[:, 0])
-    np.subtract(cells, half, out=edges[:, 1])
+    spanned = edges[:, :, :m]
+    np.add(cells, half, out=spanned[:, 0])
+    np.subtract(cells, half, out=spanned[:, 1])
 
-    fallback = np.zeros(cells.shape[1], dtype=bool)
+    fallback = np.zeros(m, dtype=bool)
 
     def first_order(bad):
-        edges[:, :, bad] = cells[:, None, bad]
+        bad = bad[:m]
+        spanned[:, :, bad] = cells[:, None, bad]
         zeroed[:, bad] = True
         fallback[bad] = True
 
@@ -427,33 +481,48 @@ def _reconstruct(U: np.ndarray, sc: Scenario, system: System,
     if np.maximum.reduce(speed, axis=None) > max_speed:
         first_order(np.logical_or.reduce(speed > max_speed, axis=0))
         w, speed = decoded(edges)
-    left_out = (system.rows - U.shape[0]) * int(np.count_nonzero(fallback))
-    return edges, w, speed, int(np.count_nonzero(zeroed)) + left_out
+    beyond = lo * int(fallback[0]) + (N - hi) * int(fallback[-1])
+    left_out = (system.rows - rows) * int(np.count_nonzero(fallback)) + system.rows * beyond
+    return edges, w, speed, int(np.count_nonzero(zeroed)) + left_out, span
 
 
-def _stage(U: np.ndarray, sc: Scenario, system: System,
-           max_speed: float) -> tuple[np.ndarray, int, np.ndarray | None]:
-    """-d/dx of the numerical flux, the count of zeroed slopes and, at
+_END_STATE_KEYS = ("rho", "p", "Pi", "vx")
+
+
+def _stage(U: np.ndarray, sc: Scenario, system: System, max_speed: float,
+           ends: np.ndarray, span: tuple[int, int] | None = None) -> tuple[np.ndarray, int]:
+    """-d/dx of the numerical flux and the count of zeroed slopes; at
     outflow ends, rho, p, Pi and v_x of the domain-side states at the left
-    and right end faces, shape (4, 2) (None for the other policies)."""
-    edges, w, speed, clipped = _reconstruct(U, sc, system, max_speed)
-    a = np.maximum(speed[0, :-1], speed[-1, 1:])
-    _require_finite_max(a, "non-finite wave speed", "the face left of cell")
+    and right end faces go to ends, shape (4, 2).
+
+    The flux is formed on the span of _reconstruct only: beyond it every
+    face carries the flux of one constant state, f - a (u - u) / 2 = f, so
+    the rhs there is exactly 0.  A stage on a span that raises SolverError
+    is redone on the whole grid, so the error names the first bad cell of
+    the whole grid."""
+    try:
+        edges, w, speed, clipped, (lo, hi) = _reconstruct(U, sc, system, max_speed, span)
+        m = hi - lo + 2
+        a = np.maximum(speed[0, :m - 1], speed[-1, 1:m])
+        _require_finite_max(a, "non-finite wave speed", "the face left of cell")
+    except SolverError:
+        if span is not None:
+            raise
+        return _stage(U, sc, system, max_speed, ends, (0, U.shape[1]))
     f = system.flux(edges, w)
-    F = np.add(f[:, 0, :-1], f[:, -1, 1:])
+    F = np.add(f[:, 0, :m - 1], f[:, -1, 1:m])
     F *= 0.5
-    jump = np.subtract(edges[:, -1, 1:], edges[:, 0, :-1])
+    jump = np.subtract(edges[:, -1, 1:m], edges[:, 0, :m - 1])
     a *= 0.5
     jump *= a
     F -= jump
-    rhs = np.subtract(F[:, :-1], F[:, 1:])
-    rhs /= sc.dx
-    ends = None
+    rhs = np.zeros(U.shape)
+    spanned = np.subtract(F[:, :-1], F[:, 1:], out=rhs[:, lo:hi])
+    spanned /= sc.dx
     if sc.boundary == "outflow":
-        # both states of an end face equal the boundary cell, so the flux
-        # h v_x there is exact
-        ends = np.array([(w[key][-1, 1], w[key][0, -2]) for key in ("rho", "p", "Pi", "vx")])
-    return rhs, clipped, ends
+        for row, key in enumerate(_END_STATE_KEYS):
+            ends[row] = w[key][-1, -2:]
+    return rhs, clipped
 
 
 class TransportStep(NamedTuple):
@@ -476,25 +545,26 @@ def hyperbolic_step(U: np.ndarray, dt: float, sc: Scenario, system: System,
     speed dt was chosen from.  The new state is decoded once; a cell
     outside the window raises SolverError.
     """
+    # the end-face states of each stage, columns (left, right) per stage
+    ends = np.empty((len(_END_STATE_KEYS), 2 if sc.scheme == "rusanov" else 4))
     if sc.scheme == "rusanov":
         # U + dt rhs, in the buffer of rhs
-        U_new, clipped, ends = _stage(U, sc, system, max_speed)
+        U_new, clipped = _stage(U, sc, system, max_speed, ends)
         U_new *= dt
         U_new += U
     else:
         # U* = U + dt rhs(U), then (U + U* + dt rhs(U*)) / 2, in the buffer of rhs(U)
-        U_new, c1, ends1 = _stage(U, sc, system, max_speed)
+        U_new, c1 = _stage(U, sc, system, max_speed, ends[:, :2])
         U_new *= dt
         U_new += U
-        rhs2, c2, ends2 = _stage(U_new, sc, system, max_speed)
+        rhs2, c2 = _stage(U_new, sc, system, max_speed, ends[:, 2:])
         rhs2 *= dt
         U_new += U
         U_new += rhs2
         U_new *= 0.5
         clipped = max(c1, c2)
-        ends = None if ends1 is None else np.hstack([ends1, ends2])
     outflow = 0.0
-    if ends is not None:
+    if sc.boundary == "outflow":
         # h v_x at each end face, once for all stages: outflow is the right
         # face's minus the left face's, averaged over the stages
         rho, p, Pi, vx = ends

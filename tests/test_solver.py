@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from et6 import solver as solver_module
 from et6.closure import flux_rows
@@ -10,6 +11,10 @@ from et6.config import NsLimitConfig
 from et6.eigen import et6_sound_speed
 from et6.gas import D_MIN, GasSpec, energy_moment, momentum_flux_trace
 from et6.solver import (
+    BOUNDARIES,
+    FIVE_FIELD,
+    LIMITERS,
+    SCHEMES,
     SIX_FIELD,
     Scenario,
     SolverError,
@@ -124,27 +129,59 @@ def test_muscl_vacuum_rarefaction_stays_in_window():
         assert np.all((-1.0 < snap["Pi_over_p"]) & (snap["Pi_over_p"] < spec.z_upper))
 
 
+def below_window(U, cells, spec):
+    """U with p + Pi = -0.5 p in the given cells, at rest with rho = p = 1."""
+    U = U.copy()
+    U[:, cells] = uniform_grid(spec, N=1, z=-1.5)
+    return U
+
+
+def perturbed(U, cells):
+    """U with its density, F_ll and G_ll raised by 30% in the given cells."""
+    U = U.copy()
+    U[[0, -2, -1], cells] *= 1.3
+    return U
+
+
 def test_rusanov_step_on_cell_below_window_raises_on_nan_face_speed():
-    # p + Pi < 0 in one cell: its NaN wave speed must stop the step instead
-    # of turning the flux into NaN; numpy warns on the sqrt of p + Pi < 0
+    # p + Pi < 0 in a cell: its NaN wave speed must stop the step instead of
+    # turning the flux into NaN, at the first such face of the whole grid,
+    # under either scheme; numpy warns on the sqrt of p + Pi < 0
     spec = GasSpec(D=5.0)
-    U = uniform_grid(spec, z=-1.5)
-    with pytest.raises(SolverError, match="non-finite wave speed nan at the face left of cell"), \
-            pytest.warns(RuntimeWarning, match="invalid value encountered in sqrt"):
-        hyperbolic_step(U, 1e-3, holding(U, spec), SIX_FIELD)
+    cases = [
+        # p + Pi < 0 everywhere
+        (uniform_grid(spec, z=-1.5), "periodic", 0),
+        # a constant block below the window at the left end, away from a
+        # perturbation: its first face lies beyond the span of changed cells
+        (perturbed(below_window(uniform_grid(spec, N=32), slice(0, 10), spec), slice(26, 29)),
+         "outflow", 0),
+        # the block at the right end: its first face lies inside the span,
+        # which starts past cell 0
+        (perturbed(below_window(uniform_grid(spec, N=32), slice(22, 32), spec), slice(3, 6)),
+         "outflow", 22),
+    ]
+    for U, boundary, cell in cases:
+        for scheme in ("rusanov", "muscl"):
+            sc = holding(U, spec, scheme=scheme, boundary=boundary)
+            with pytest.raises(SolverError,
+                               match=f"non-finite wave speed nan at the face left of cell {cell}$"), \
+                    pytest.warns(RuntimeWarning, match="invalid value encountered in sqrt"):
+                hyperbolic_step(U, 1e-3, sc, SIX_FIELD)
 
 
 def test_zeroed_slope_count_includes_first_order_fallback_cells():
     # Pi at the upper window edge in cell 8 sends a face of it outside the
     # window, and max_speed below the fastest cells makes other faces outrun
-    # it: the count holds every slope of both kinds of fallback cell beside
-    # those minmod zeroes, counted here from the one-sided slopes
+    # it, among them a constant block at the right end, which reaches beyond
+    # the span of changed cells: the count holds every slope of both kinds
+    # of fallback cell beside those minmod zeroes, counted here from the
+    # one-sided slopes of the whole grid
     spec = GasSpec(D=5.0)
-    N = 24
+    N, block = 40, 24
     j = np.arange(N)
-    rho = 1.0 + 0.2 * np.sin(0.7 * j)
-    p = 1.0 + 0.5 * j / N
-    vx = 0.1 * np.cos(0.5 * j)
+    rho = np.where(j < block, 1.0 + 0.2 * np.sin(0.7 * j), 1.0)
+    p = np.where(j < block, 1.0 + 0.5 * j / N, 1.0)
+    vx = np.where(j < block, 0.1 * np.cos(0.5 * j), 2.0)
     Pi = np.where(j == 8, 0.999 * spec.z_upper, 0.0) * p
     U = np.zeros((6, N))
     U[0] = rho
@@ -153,8 +190,9 @@ def test_zeroed_slope_count_includes_first_order_fallback_cells():
     U[5] = rho * vx**2 + spec.D * p
     sc = holding(U, spec, scheme="muscl", boundary="outflow")
     cell_speed = np.abs(vx) + et6_sound_speed(rho, p, Pi)
-    max_speed = float(np.quantile(cell_speed, 0.8))
-    _, _, _, count = solver_module._reconstruct(U, sc, SIX_FIELD, max_speed)
+    max_speed = float(np.quantile(cell_speed[:block], 0.8))
+    _, _, _, count, span = solver_module._reconstruct(U, sc, SIX_FIELD, max_speed)
+    assert span[1] < N - 10
 
     Up = np.concatenate([U[:, :1], U[:, :1], U, U[:, -1:], U[:, -1:]], axis=1)
     bwd, fwd = Up[:, 1:-1] - Up[:, :-2], Up[:, 2:] - Up[:, 1:-1]
@@ -168,6 +206,7 @@ def test_zeroed_slope_count_includes_first_order_fallback_cells():
     w = primitive_fields(edges, spec)
     fast = (np.abs(w["vx"]) + et6_sound_speed(w["rho"], w["p"], w["Pi"]) > max_speed).any(axis=0)
     assert (fast & ~outside).any() and not fast.all()
+    assert fast[block + 1:].all()
     zeroed = (bwd * fwd <= 0.0) & ((bwd != 0.0) | (fwd != 0.0))
     zeroed[:, outside | fast] = True
     assert count == np.count_nonzero(zeroed)
@@ -178,17 +217,97 @@ def test_outflow_end_faces_take_the_boundary_cells(limiter):
     # zero-gradient ghosts: the domain side of each end face is the boundary
     # cell, whose h v_x _stage takes as the outflow entropy flux.  Sod with
     # the jump between cells 0 and 1: an unlimited slope (U1 - U0) / 4 would
-    # give rho = 1.21875 on the left face
+    # give rho = 1.21875 on the left face.  The span of changed cells
+    # reaches the left end only, and the two boundary cells follow it as
+    # the last two columns of the edge states
     sc = Scenario(kind="riemann", spec=GasSpec(D=5.0), N=8, x_split=0.13,
                   boundary="outflow", scheme="muscl", limiter=limiter)
     U = initial_grid(sc)
-    edges, w, _, count = solver_module._reconstruct(U, sc, SIX_FIELD, math.inf)
-    assert (w["rho"][-1, 1], w["rho"][0, -2]) == (1.0, 0.125)
+    edges, w, _, count, (lo, hi) = solver_module._reconstruct(U, sc, SIX_FIELD, math.inf)
+    assert (lo, hi) == (0, 3)
+    assert (w["rho"][-1, 1], w["rho"][-1, -2], w["rho"][-1, -1]) == (1.0, 1.0, 0.125)
     assert edges[:, -1, 1].tobytes() == U[:, 0].tobytes()
-    assert edges[:, 0, -2].tobytes() == U[:, -1].tobytes()
+    assert edges[:, :, -2:].tobytes() == np.stack([U[:, [0, -1]]] * 2, axis=1).tobytes()
+    ends = np.empty((4, 2))
+    solver_module._stage(U, sc, SIX_FIELD, math.inf, ends)
+    boundary = primitive_fields(U[:, [0, -1]], sc.spec)
+    assert ends.tobytes() == np.array([boundary[key] for key in ("rho", "p", "Pi", "vx")]).tobytes()
     # without a limiter only cell 1 falls back (its right face has rho < 0):
     # its six slopes count, the end slopes set to 0 do not
     assert limiter == "minmod" or count == U.shape[0]
+
+
+@st.composite
+def perturbed_backgrounds(draw):
+    """U, gas and max_speed of a stage: a constant background within 90% of
+    the window and a compact perturbation of any window states that touches
+    the left end, the right end or neither, in the six-row, four-row
+    (F_y = F_z = 0) or five-field layout; max_speed is inf or within a
+    factor 2 of the background's signal speed.  A background at rest equals
+    its mirror cells, so that reflective walls can lie beyond the span."""
+    layout = draw(st.sampled_from(["six", "four", "five"]))
+    spec = GasSpec(D=draw(st.floats(3.5, 9.0)))
+    N = draw(st.integers(6, 40))
+
+    def cells(n, margin, at_rest=False):
+        rho = np.array(draw(st.lists(st.floats(0.2, 4.0), min_size=n, max_size=n)))
+        T = np.array(draw(st.lists(st.floats(0.2, 4.0), min_size=n, max_size=n)))
+        vx = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+        vy = 0.0 if layout == "four" else draw(st.floats(-1.0, 1.0))
+        if at_rest:
+            vx, vy = 0.0 * vx, 0.0
+        edge = np.array(draw(st.lists(st.floats(-margin, margin), min_size=n, max_size=n)))
+        p = rho * T
+        Pi = np.where(edge < 0.0, edge, edge * spec.z_upper) * p
+        rho_v2 = rho * (vx * vx + vy * vy)
+        return np.array([rho, rho * vx, rho * vy, np.zeros(n),
+                         momentum_flux_trace(rho_v2, p, Pi), energy_moment(rho_v2, p, spec.D)])
+
+    U = np.repeat(cells(1, 0.9, draw(st.booleans())), N, axis=1)
+    width = draw(st.integers(1, N // 2))
+    start = {"left": 0, "right": N - width,
+             "neither": draw(st.integers(1, N - width - 1))}[draw(st.sampled_from(
+                 ["left", "right", "neither"]))]
+    U[:, start:start + width] = cells(width, 0.999)
+    system = FIVE_FIELD if layout == "five" else SIX_FIELD
+    U = {"six": U, "four": np.delete(U, (2, 3), axis=0), "five": np.delete(U, 4, axis=0)}[layout]
+    w = system.decode(U, spec)
+    speed = np.abs(w["vx"]) + system.sound_speed(w["rho"], w["p"], w["Pi"], spec)
+    factor = draw(st.floats(0.5, 2.5))
+    return U, spec, math.inf if factor > 2.0 else factor * float(speed[start - 1])
+
+
+def wall_at_rest():
+    """Cells at rest with F_x = -0.0 beside reflective walls, whose mirror
+    cells hold +0.0, and a bump between them."""
+    spec = GasSpec(D=5.0)
+    U = uniform_grid(spec, N=20)
+    U[1] = -0.0
+    U[0, 9:11] = 1.3
+    return U, spec, math.inf
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("scheme, limiter", [("rusanov", "minmod"), ("muscl", "minmod"),
+                                             ("muscl", "none")])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(perturbed_backgrounds())
+@example(wall_at_rest())
+def test_stage_on_its_span_matches_the_whole_grid(boundary, scheme, limiter, drawn):
+    # the span changes no bit: rhs, the zeroed-slope count and the end-face
+    # states of a stage on the span of changed cells are those of the same
+    # stage given the whole grid as its span.  A zero rhs may differ in sign
+    # only: beside a reflective wall an F_x = -0.0 and its mirror +0.0 are
+    # equal cells, and the whole grid's Rusanov face fluxes there give -0.0
+    U, spec, max_speed = drawn
+    sc = Scenario(spec=spec, N=U.shape[1], boundary=boundary, scheme=scheme, limiter=limiter)
+    system = FIVE_FIELD if U.shape[0] == 5 else SIX_FIELD
+    ends, whole_ends = np.empty((4, 2)), np.empty((4, 2))
+    rhs, count = solver_module._stage(U, sc, system, max_speed, ends)
+    whole, whole_count = solver_module._stage(U, sc, system, max_speed, whole_ends, (0, sc.N))
+    assert (rhs + 0.0).tobytes() == (whole + 0.0).tobytes()
+    assert count == whole_count
+    assert boundary != "outflow" or ends.tobytes() == whole_ends.tobytes()
 
 
 @pytest.mark.parametrize("scheme", ["rusanov", "muscl"])
@@ -295,6 +414,52 @@ def test_one_cell_decode_per_muscl_step(run, decode, monkeypatch):
     steps = len(ts.diag_t) - 1
     assert steps > 0
     assert len(calls) == 3 * steps + 1
+
+
+def decode_widths(run, sc, monkeypatch):
+    """The steps of a run of sc, the width (cells plus appended end columns)
+    of each edge-state decode, counted around primitive_fields, and how many
+    of those decodes were repeats: a stage decodes its edge states again
+    after faces that outran the step's speed fall back to first order."""
+    widths, cell_decodes, last = [], [], [None]
+    repeats = 0
+    original = solver_module.primitive_fields
+
+    def counted(U, spec):
+        nonlocal repeats
+        if U.ndim == 3:
+            repeats += U is last[0]
+            widths.append(U.shape[-1])
+            last[0] = U
+        else:
+            cell_decodes.append(U.shape[-1])
+        return original(U, spec)
+
+    monkeypatch.setattr(solver_module, "primitive_fields", counted)
+    steps = len(run(sc).diag_t) - 1
+    # the cells once per step and at the start, the edge states once per stage
+    assert steps > 0 and len(cell_decodes) == steps + 1
+    assert len(widths) - repeats == 2 * steps
+    return steps, np.array(widths), repeats
+
+
+# mean width of the edge decodes of the Sod run below: measured 57.96 of the
+# N + 4 = 204 a whole-grid decode takes, bounded 10% above
+SOD_EDGE_WIDTH_BOUND = 64.0
+
+
+def test_muscl_stage_decodes_only_the_span_of_changed_cells(monkeypatch):
+    # Sod at N = 200: a stage decodes its span, the cells whose stencil holds
+    # two unequal cells, and the two boundary cells; still 3 decodes per step
+    sc = Scenario(kind="riemann", N=200, boundary="outflow", t_end=0.05, scheme="muscl")
+    steps, widths, repeats = decode_widths(run_scenario, sc, monkeypatch)
+    assert repeats == 4     # as on the whole grid: 3 decodes per step, plus these
+    assert widths.mean() < SOD_EDGE_WIDTH_BOUND
+    # a smooth periodic wave changes every cell: the span is the whole grid,
+    # ghosts included
+    sc = Scenario(kind="smooth_wave", N=64, t_end=0.05, scheme="muscl")
+    steps, widths, repeats = decode_widths(run_scenario, sc, monkeypatch)
+    assert repeats == 0 and widths.tolist() == [sc.N + 2] * (2 * steps)
 
 
 @pytest.mark.parametrize("tau", [1.0, 0.1, 1e-3])
