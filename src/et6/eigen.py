@@ -415,6 +415,7 @@ class ScanPoint:
     z: float
     max_imag_over_scale: float
     all_real: bool
+    speed_gap: float    # sorted real speeds against (-c, 0, 0, 0, 0, c), relative to c
 
 
 def hyperbolicity_scan(d_values, n_z: int = 21, coverage: float = 0.99) -> list[ScanPoint]:
@@ -422,7 +423,9 @@ def hyperbolicity_scan(d_values, n_z: int = 21, coverage: float = 0.99) -> list[
     rho = T = 1 at rest, along x.
 
     Never suppresses a failure: each point records the largest imaginary
-    part relative to the speed scale.
+    part, and the largest gap between the sorted real parts and the closed
+    spectrum (-c, 0, 0, 0, 0, c) with c = sqrt(5 (p + Pi) / 3 rho), each
+    relative to c.
     """
     n = np.array([1.0, 0.0, 0.0])
     points = []
@@ -432,9 +435,11 @@ def hyperbolicity_scan(d_values, n_z: int = 21, coverage: float = 0.99) -> list[
         for z in zs:
             s = State6(rho=1.0, v=0.0, T=1.0, Pi=z)   # p = 1
             values = np.linalg.eigvals(_flux_jacobian(s, n, spec))
-            scale = et6_sound_speed(1.0, 1.0, s.Pi)
-            ratio = float(np.max(np.abs(values.imag))) / scale
+            c = et6_sound_speed(1.0, 1.0, s.Pi)
+            ratio = float(np.max(np.abs(values.imag))) / c
+            gap = np.sort(values.real) - np.array([-c, 0.0, 0.0, 0.0, 0.0, c])
             points.append(ScanPoint(D=float(d_val), z=float(z),
                                     max_imag_over_scale=ratio,
-                                    all_real=ratio <= IMAG_TOL))
+                                    all_real=ratio <= IMAG_TOL,
+                                    speed_gap=float(np.max(np.abs(gap))) / c))
     return points

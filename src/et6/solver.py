@@ -47,18 +47,23 @@ below reads F_ll and G_ll as the last two rows and the momentum in between,
 and gives the same numbers to the last bit either way.
 
 Signals travel at finite speed, so a stage transports only where the data
-change.  Its span is the cells whose stencil (2 cells each side for MUSCL,
-1 for Rusanov, on the padded array, so ghosts and periodic wrap-around
-count) holds two unequal cells, read from the differences the slopes are
-made of.  Beyond the span every face sees one constant state u on both
-sides, so its flux is (f + f)/2 - a (u - u)/2 = f and the rhs there is
-exactly 0; only the span is reconstructed, decoded and fluxed.  The
-constant state beyond each end of the span equals the span's outermost
-cell, which has zero slopes too, so that cell's window test, first-order
-fallback, decode and face speed stand for all of them, and the zeroed-slope
-count counts their slopes where it falls back.  Rhs, count and outflow
-entropy are then those of a stage on the whole grid, bit for bit but for
-the sign of a zero rhs (an F_x = -0.0 beside its +0.0 mirror at a
+change.  Its span [lo, hi) is the cells whose stencil (2 cells each side for
+MUSCL, 1 for Rusanov, on the padded array, so ghosts and periodic
+wrap-around count) holds two unequal cells, read from the differences the
+slopes are made of.  Beyond the span every face sees one constant state u
+on both sides, so its flux is (f + f)/2 - a (u - u)/2 = f and the rhs there
+is exactly 0.  So a stage reconstructs, decodes and fluxes only the cells
+lo - 1 .. hi, the faces between which are the span's.  Where the span stops
+short of an end, its outer cell there belongs to the constant state beyond
+and has zero slopes, so that cell's window test, first-order fallback,
+decode and face speed stand for all of the state's cells, and the
+zeroed-slope count counts their slopes where it falls back.  At an outflow
+end the outer cell, an inner ghost where the span reaches the end, equals
+the boundary cell, as the zero-gradient ghosts make it, and has zero
+slopes, so the first and last columns of the edge decode are the end-face
+states whose h v_x is the outflow entropy flux.  Rhs, count and
+outflow entropy are then those of a stage on the whole grid, bit for bit
+but for the sign of a zero rhs (an F_x = -0.0 beside its +0.0 mirror at a
 reflective wall can give -0.0 there on the whole grid), and a stage that
 raises SolverError is redone on the whole grid, so that the error names
 the first bad cell of the whole grid.
@@ -117,19 +122,18 @@ def _require_finite_max(speed: np.ndarray, what: str, place: str) -> float:
 
 
 def _decode(U: np.ndarray, F_i: np.ndarray, spec: GasSpec) -> dict[str, np.ndarray]:
-    """rho, velocity (vx, and vy, vz when F_i has them), rho v^2, p and T
-    from rows (F, ..., G_ll) of any trailing shape with momentum rows F_i;
+    """rho, velocity (vx, and vy, vz when F_i has them), rho v^2 and p from
+    rows (F, ..., G_ll) of any trailing shape with momentum rows F_i;
     density and internal energy must be positive."""
     rho = U[0]
     _require_positive(rho, "non-positive density")
     v, rho_v2, p = velocity_pressure(rho, F_i, U[-1], spec.D)
     _require_positive(p, "non-positive pressure")
-    return {"rho": rho, **dict(zip(("vx", "vy", "vz"), v)), "rho_v2": rho_v2, "p": p,
-            "T": p / rho}
+    return {"rho": rho, **dict(zip(("vx", "vy", "vz"), v)), "rho_v2": rho_v2, "p": p}
 
 
 def primitive_fields(U: np.ndarray, spec: GasSpec) -> dict[str, np.ndarray]:
-    """Primitive arrays (rho, vx, vy, vz, rho_v2, p, T, Pi) from
+    """Primitive arrays (rho, vx, vy, vz, rho_v2, p, Pi) from
     six-field data (vy and vz only where U has their rows)."""
     w = _decode(U, U[1:-2], spec)
     w["Pi"] = dynamic_pressure(U[-2], w["rho_v2"], w["p"])
@@ -150,15 +154,10 @@ def _require_window(w: dict, spec: GasSpec, what: str = "Pi/p outside the window
         _require(ok, Pi / w["p"], what, "index")
 
 
-def _inside_window(F: np.ndarray, F_i: np.ndarray, X: np.ndarray,
-                   G_ll: np.ndarray | None = None) -> np.ndarray:
-    """Where F, momentum rows F_i and X lie in the open window: F > 0,
-    F X > |F_i|^2 (p + Pi > 0 when X is F_ll, p > 0 when X is the five-field
-    G_ll) and, given G_ll on six-field rows, G_ll > F_ll (Pi < (D-3) p / 3)."""
-    ok = (F > 0.0) & (F * X > np.einsum("i...,i...->...", F_i, F_i))
-    if G_ll is not None:
-        ok &= G_ll > X
-    return ok
+def _inside_window(F: np.ndarray, F_i: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Where F > 0 and F X > |F_i|^2 for momentum rows F_i: p + Pi > 0 when
+    X is F_ll, p > 0 when X is the five-field G_ll."""
+    return (F > 0.0) & (F * X > np.einsum("i...,i...->...", F_i, F_i))
 
 
 class System(NamedTuple):
@@ -180,7 +179,8 @@ SIX_FIELD = System(
     sound_speed=lambda rho, p, Pi, spec: et6_sound_speed(rho, p, Pi),
     flux=flux_fields,
     relax=lambda U, w, dt, spec, rate: relaxation_step_exact(U, w, dt, spec, rate),
-    inside=lambda U: _inside_window(U[0], U[1:-2], U[-2], U[-1]),
+    # and G_ll > F_ll, which is Pi < (D-3) p / 3
+    inside=lambda U: _inside_window(U[0], U[1:-2], U[-2]) & (U[-1] > U[-2]),
     rows=6,
 )
 # The equilibrium subsystem, rows (F, F_x, F_y, F_z, G_ll): no dynamic
@@ -405,22 +405,16 @@ def _span(changed: np.ndarray, ng: int, N: int) -> tuple[int, int]:
 def _reconstruct(U: np.ndarray, sc: Scenario, system: System, max_speed: float,
                  span: tuple[int, int] | None = None
                  ) -> tuple[np.ndarray, dict, np.ndarray, int, tuple[int, int]]:
-    """Edge states of the cells lo - 1 .. hi of the span [lo, hi) (N + 2
-    cells from ghost to ghost when the span is the whole grid), shape
-    (rows, K, hi - lo + 2), then at outflow ends the two boundary cells as
-    two more columns; their primitives and signal speeds |v_x| + c, the
-    count of zeroed slopes, and the span.  Along K, 0 is the right edge and
-    -1 the left edge (one and the same at first order, K = 1).
+    """Edge states of the cells lo - 1 .. hi around the span [lo, hi) (see
+    the module docstring), shape (rows, K, hi - lo + 2); their primitives
+    and signal speeds |v_x| + c, the count of zeroed slopes, and the span.
+    Along K, 0 is the right edge and -1 the left edge (one and the same at
+    first order, K = 1, where the edges are a view of the padded cells).
 
-    The span defaults to the cells whose stencil (2 cells each side for
-    MUSCL, 1 for Rusanov, ghosts included) holds two unequal cells, read
-    from the differences the slopes are made of.  Beyond it each side is one
-    constant state, whose cells have zero slopes and equal the span's
-    outermost cell, so that cell's checks and fallback stand for all of
-    them.  A cell with a face outside the window, or faster than max_speed,
-    takes its average on both faces, so all its slopes count as zeroed,
-    those of F_y and F_z too when U leaves their rows out (their slopes are
-    0 otherwise, which minmod does not count), and those of the constant
+    A cell with a face outside the window, or faster than max_speed, takes
+    its average on both faces, so all its slopes count as zeroed, those of
+    F_y and F_z too when U leaves their rows out (their slopes are 0
+    otherwise, which minmod does not count), and those of the constant
     cells it stands for."""
 
     def decoded(edges):
@@ -432,45 +426,34 @@ def _reconstruct(U: np.ndarray, sc: Scenario, system: System, max_speed: float,
     ng = 2 if muscl else 1
     Up = _pad(U, sc.boundary, ng)
     diff = Up[:, 1:] - Up[:, :-1]
-    nonzero = diff != 0.0
     if span is None:
-        span = _span(np.logical_or.reduce(nonzero, axis=0), ng, N)
+        span = _span(np.logical_or.reduce(diff != 0.0, axis=0), ng, N)
     lo, hi = span
     m = hi - lo + 2
     cells = Up[:, lo + ng - 1:hi + ng + 1]
-    outflow = sc.boundary == "outflow"
-    edges = np.empty((rows, 2 if muscl else 1, m + 2 * outflow))
-    if outflow:
-        # the end states, whose h v_x is the outflow entropy flux: both
-        # states of an end face equal the boundary cell, as the
-        # zero-gradient ghosts make them
-        edges[:, :, m:] = U[:, None, [0, -1]]
     if not muscl:
-        edges[:, 0, :m] = cells
-        return (edges, *decoded(edges), 0, span)
+        return (cells[:, None], *decoded(cells[:, None]), 0, span)
     bwd, fwd = diff[:, lo:hi + 2], diff[:, lo + 1:hi + 3]
     if sc.limiter == "minmod":
         half = _minmod(bwd, fwd)
         half *= 0.5
-        zeroed = bwd * fwd <= 0.0
-        zeroed &= nonzero[:, lo:hi + 2] | nonzero[:, lo + 1:hi + 3]
+        zeroed = (bwd * fwd <= 0.0) & (bwd != fwd)
     else:
         half = bwd + fwd
         half *= 0.25
-        if outflow:
+        if sc.boundary == "outflow":
             # the boundary cells in the span keep a zero slope, as minmod
             # gives them
             half[:, [k - lo for k in (1, N) if lo <= k < lo + m]] = 0.0
         zeroed = np.zeros(half.shape, dtype=bool)
-    spanned = edges[:, :, :m]
-    np.add(cells, half, out=spanned[:, 0])
-    np.subtract(cells, half, out=spanned[:, 1])
+    edges = np.empty((rows, 2, m))
+    np.add(cells, half, out=edges[:, 0])
+    np.subtract(cells, half, out=edges[:, 1])
 
     fallback = np.zeros(m, dtype=bool)
 
     def first_order(bad):
-        bad = bad[:m]
-        spanned[:, :, bad] = cells[:, None, bad]
+        edges[:, :, bad] = cells[:, None, bad]
         zeroed[:, bad] = True
         fallback[bad] = True
 
@@ -492,27 +475,25 @@ _END_STATE_KEYS = ("rho", "p", "Pi", "vx")
 def _stage(U: np.ndarray, sc: Scenario, system: System, max_speed: float,
            ends: np.ndarray, span: tuple[int, int] | None = None) -> tuple[np.ndarray, int]:
     """-d/dx of the numerical flux and the count of zeroed slopes; at
-    outflow ends, rho, p, Pi and v_x of the domain-side states at the left
-    and right end faces go to ends, shape (4, 2).
+    outflow ends, rho, p, Pi and v_x of the boundary cells, the first and
+    last columns of the edge decode (see the module docstring), go to ends,
+    shape (4, 2).
 
-    The flux is formed on the span of _reconstruct only: beyond it every
-    face carries the flux of one constant state, f - a (u - u) / 2 = f, so
-    the rhs there is exactly 0.  A stage on a span that raises SolverError
-    is redone on the whole grid, so the error names the first bad cell of
-    the whole grid."""
+    The flux is formed on the span of _reconstruct only, and a stage on a
+    span that raises SolverError is redone on the whole grid, so the error
+    names the first bad cell of the whole grid."""
     try:
         edges, w, speed, clipped, (lo, hi) = _reconstruct(U, sc, system, max_speed, span)
-        m = hi - lo + 2
-        a = np.maximum(speed[0, :m - 1], speed[-1, 1:m])
+        a = np.maximum(speed[0, :-1], speed[-1, 1:])
         _require_finite_max(a, "non-finite wave speed", "the face left of cell")
     except SolverError:
         if span is not None:
             raise
         return _stage(U, sc, system, max_speed, ends, (0, U.shape[1]))
     f = system.flux(edges, w)
-    F = np.add(f[:, 0, :m - 1], f[:, -1, 1:m])
+    F = np.add(f[:, 0, :-1], f[:, -1, 1:])
     F *= 0.5
-    jump = np.subtract(edges[:, -1, 1:m], edges[:, 0, :m - 1])
+    jump = np.subtract(edges[:, -1, 1:], edges[:, 0, :-1])
     a *= 0.5
     jump *= a
     F -= jump
@@ -521,7 +502,7 @@ def _stage(U: np.ndarray, sc: Scenario, system: System, max_speed: float,
     spanned /= sc.dx
     if sc.boundary == "outflow":
         for row, key in enumerate(_END_STATE_KEYS):
-            ends[row] = w[key][-1, -2:]
+            ends[row] = w[key][0, [0, -1]]
     return rhs, clipped
 
 
@@ -621,9 +602,9 @@ def _record_diag(ts: TimeSeries, t: float, U: np.ndarray, w: dict[str, np.ndarra
 def _record_snapshot(ts: TimeSeries, t: float, w: dict[str, np.ndarray], spec: GasSpec):
     z = w["Pi"] / w["p"]
     h, k, _, _ = entropy_terms(w["rho"], w["p"], z, spec)
-    snap = {key: w[key].copy() for key in ("rho", "vx", "T", "p", "Pi")}
+    snap = {key: w[key].copy() for key in ("rho", "vx", "p", "Pi")}
     ts.snapshot_times.append(t)
-    ts.snapshots.append({**snap, "Pi_over_p": z, "h": h, "k": k})
+    ts.snapshots.append({**snap, "T": w["p"] / w["rho"], "Pi_over_p": z, "h": h, "k": k})
 
 
 def _step(U: np.ndarray, w: dict[str, np.ndarray], dt: float, sc: Scenario, system: System,

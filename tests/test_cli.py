@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from et6 import config
-from et6.cli import main
+from et6.cli import SPEED_TOL, main
 from et6.config import ConfigError, RunConfig, load_config
 from et6.solver import SolverError
 
@@ -217,8 +217,21 @@ def test_check_cli_probes_inside_a_narrow_window(tmp_path, capsys):
 def test_sweep_cli_quick_passes(tmp_path):
     code = main(["sweep", "--quick", "--output-dir", str(tmp_path / "out")])
     assert code == 0
-    assert (tmp_path / "out" / "sweep_hyperbolicity.csv").exists()
-    assert (tmp_path / "out" / "sweep_report.csv").exists()
+    scan = (tmp_path / "out" / "sweep_hyperbolicity.csv").read_text().splitlines()
+    assert scan[0].split(",")[-1] == "speed_gap_over_c"
+    assert all(float(line.split(",")[-1]) <= SPEED_TOL for line in scan[1:])
+    report = (tmp_path / "out" / "sweep_report.csv").read_text()
+    assert f"\nsound_speed,{len(scan) - 1} states," in report
+
+
+def test_sweep_judges_the_speeds_at_every_scanned_state(tmp_path, capsys, monkeypatch):
+    # a negative bound fails the closed-form spectrum at every state
+    from et6 import cli
+
+    monkeypatch.setattr(cli, "SPEED_TOL", -1.0)
+    assert main(["sweep", "--quick", "--output-dir", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] sound speed: 49 states" in out
 
 
 def test_run_cli_smooth_wave(tmp_path):
@@ -347,10 +360,10 @@ def test_sweep_labels_keep_distinct_d_values_apart(tmp_path, capsys):
     main(["sweep", "--quick", "--config", cfg_file, "--output-dir", str(tmp_path / "out")])
     out = capsys.readouterr().out
     for d in ("3.000001", "3.0000012"):
-        assert f"coupling condition D={d}" in out and f"sound speed D={d}" in out
+        assert f"coupling condition D={d}" in out
     report = (tmp_path / "out" / "sweep_report.csv").read_text(encoding="utf-8")
     for d in ("3.000001", "3.0000012"):
-        assert f"k_condition_D_{d}," in report and f"sound_speed_D_{d}," in report
+        assert f"k_condition_D_{d}," in report
 
 
 def test_check_labels_keep_distinct_d_values_apart(tmp_path):

@@ -310,6 +310,8 @@ def test_hyperbolicity_scan_window():
     points = hyperbolicity_scan(d_values, n_z=21, coverage=0.99)
     assert len(points) == 21 * 21
     assert all(p.all_real for p in points)
+    # the real speeds are (-c, 0, 0, 0, 0, c) to round-off: 3.7e-16 of c
+    assert max(p.speed_gap for p in points) < 1e-14
 
 
 def test_hyperbolicity_error_carries_state_and_margin(d5, monkeypatch):

@@ -63,11 +63,16 @@ def test_primitive_fields_match_point_conversions():
         U[:, j] = [rho, rho * v[0], rho * v[1], rho * v[2],
                    rho * v2 + 3 * (p + z * p), rho * v2 + spec.D * p]
     w = primitive_fields(U, spec)
+    # the decode leaves T to the snapshots
+    ts = solver_module.TimeSeries(x=np.zeros(N))
+    solver_module._record_snapshot(ts, 0.0, w, spec)
+    T = ts.snapshots[0]["T"]
     for j in range(N):
         s = primitive_from_conserved(Conserved6.from_array(U[:, j]), spec)
         assert w["rho"][j] == pytest.approx(s.rho, rel=1e-13)
         assert w["vx"][j] == pytest.approx(s.v[0], rel=1e-13)
-        assert w["T"][j] == pytest.approx(s.T, rel=1e-12)
+        assert w["p"][j] == pytest.approx(s.pressure(), rel=1e-12)
+        assert T[j] == pytest.approx(s.T, rel=1e-12)
         assert w["Pi"][j] == pytest.approx(s.Pi, rel=1e-10, abs=1e-13)
 
 
@@ -212,29 +217,45 @@ def test_zeroed_slope_count_includes_first_order_fallback_cells():
     assert count == np.count_nonzero(zeroed)
 
 
-@pytest.mark.parametrize("limiter", ["minmod", "none"])
-def test_outflow_end_faces_take_the_boundary_cells(limiter):
-    # zero-gradient ghosts: the domain side of each end face is the boundary
-    # cell, whose h v_x _stage takes as the outflow entropy flux.  Sod with
-    # the jump between cells 0 and 1: an unlimited slope (U1 - U0) / 4 would
-    # give rho = 1.21875 on the left face.  The span of changed cells
-    # reaches the left end only, and the two boundary cells follow it as
-    # the last two columns of the edge states
-    sc = Scenario(kind="riemann", spec=GasSpec(D=5.0), N=8, x_split=0.13,
-                  boundary="outflow", scheme="muscl", limiter=limiter)
-    U = initial_grid(sc)
-    edges, w, _, count, (lo, hi) = solver_module._reconstruct(U, sc, SIX_FIELD, math.inf)
-    assert (lo, hi) == (0, 3)
-    assert (w["rho"][-1, 1], w["rho"][-1, -2], w["rho"][-1, -1]) == (1.0, 1.0, 0.125)
-    assert edges[:, -1, 1].tobytes() == U[:, 0].tobytes()
-    assert edges[:, :, -2:].tobytes() == np.stack([U[:, [0, -1]]] * 2, axis=1).tobytes()
-    ends = np.empty((4, 2))
-    solver_module._stage(U, sc, SIX_FIELD, math.inf, ends)
-    boundary = primitive_fields(U[:, [0, -1]], sc.spec)
-    assert ends.tobytes() == np.array([boundary[key] for key in ("rho", "p", "Pi", "vx")]).tobytes()
-    # without a limiter only cell 1 falls back (its right face has rho < 0):
-    # its six slopes count, the end slopes set to 0 do not
-    assert limiter == "minmod" or count == U.shape[0]
+@pytest.mark.parametrize("scheme, limiter", [("muscl", "minmod"), ("muscl", "none"),
+                                             ("rusanov", "minmod")],
+                         ids=["minmod", "none", "rusanov"])
+def test_outflow_end_faces_take_the_boundary_cells(scheme, limiter):
+    # zero-gradient ghosts: both states of an end face are the boundary
+    # cell, whose h v_x is the outflow entropy flux, and a stage reads them
+    # from the first and last columns of its edge decode, cells beyond the
+    # span or inner ghosts where the span reaches an end.  A boundary cell
+    # in the span keeps a zero slope, so its end face is the cell itself.
+    # A moving light gas with Pi, and the dense state of Sod in the cells
+    # listed, which bring the span to the left end, the right end, both
+    # ends or neither
+    spec = GasSpec(D=5.0)
+    sc = Scenario(kind="riemann", spec=spec, N=12, boundary="outflow", scheme=scheme,
+                  limiter=limiter)
+    for dense, reaches in [((0,), (True, False)), ((11,), (False, True)),
+                           ((0, 11), (True, True)), ((6,), (False, False))]:
+        j = np.isin(np.arange(sc.N), dense)
+        p = np.where(j, 1.0, 0.1)
+        U = solver_module._pack(np.where(j, 1.0, 0.125), np.where(j, -0.2, 0.3), p, 0.1 * p,
+                                spec)
+        edges, _, _, count, (lo, hi) = solver_module._reconstruct(U, sc, SIX_FIELD, math.inf)
+        assert (lo == 0, hi == sc.N) == reaches, dense
+        if dense == (0,):
+            assert (lo, hi) == (0, 3 if scheme == "muscl" else 2)
+        if lo == 0:     # column 1 is cell 0
+            assert edges[:, -1, 1].tobytes() == U[:, 0].tobytes(), dense
+        if hi == sc.N:  # column -2 is cell N - 1
+            assert edges[:, 0, -2].tobytes() == U[:, -1].tobytes(), dense
+        ends = np.empty((4, 2))
+        solver_module._stage(U, sc, SIX_FIELD, math.inf, ends)
+        boundary = primitive_fields(U[:, [0, -1]], spec)
+        expected = np.array([boundary[key] for key in ("rho", "p", "Pi", "vx")])
+        assert ends.tobytes() == expected.tobytes(), dense
+        if (scheme, limiter, dense) == ("muscl", "none", (0,)):
+            # an unlimited slope (U2 - U0) / 4 gives cell 1 a right face
+            # with rho < 0, so it alone falls back: its six slopes count,
+            # the end slopes set to 0 do not
+            assert count == U.shape[0]
 
 
 @st.composite
@@ -368,9 +389,9 @@ def test_relaxation_exact_exponential():
     U2, _ = relaxation_step_exact(U, primitive_fields(U, spec), 0.1, spec)
     w = primitive_fields(U2, spec)
     assert w["Pi"][0] == pytest.approx(0.3 / math.e, rel=1e-14)
-    # rho, v, T untouched
+    # rho, v, p untouched
     assert w["rho"][0] == 1.0
-    assert w["T"][0] == pytest.approx(1.0, rel=1e-14)
+    assert w["p"][0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_relaxation_semigroup_composition():
@@ -417,10 +438,10 @@ def test_one_cell_decode_per_muscl_step(run, decode, monkeypatch):
 
 
 def decode_widths(run, sc, monkeypatch):
-    """The steps of a run of sc, the width (cells plus appended end columns)
-    of each edge-state decode, counted around primitive_fields, and how many
-    of those decodes were repeats: a stage decodes its edge states again
-    after faces that outran the step's speed fall back to first order."""
+    """The steps of a run of sc, the width of each edge-state decode,
+    counted around primitive_fields, and how many of those decodes were
+    repeats: a stage decodes its edge states again after faces that
+    outran the step's speed fall back to first order."""
     widths, cell_decodes, last = [], [], [None]
     repeats = 0
     original = solver_module.primitive_fields
@@ -443,14 +464,15 @@ def decode_widths(run, sc, monkeypatch):
     return steps, np.array(widths), repeats
 
 
-# mean width of the edge decodes of the Sod run below: measured 57.96 of the
-# N + 4 = 204 a whole-grid decode takes, bounded 10% above
-SOD_EDGE_WIDTH_BOUND = 64.0
+# mean width of the edge decodes of the Sod run below: measured 55.96 of the
+# N + 2 = 202 a whole-grid decode takes, bounded 10% above
+SOD_EDGE_WIDTH_BOUND = 61.6
 
 
 def test_muscl_stage_decodes_only_the_span_of_changed_cells(monkeypatch):
     # Sod at N = 200: a stage decodes its span, the cells whose stencil holds
-    # two unequal cells, and the two boundary cells; still 3 decodes per step
+    # two unequal cells, and the cell beyond each end of it; still 3 decodes
+    # per step
     sc = Scenario(kind="riemann", N=200, boundary="outflow", t_end=0.05, scheme="muscl")
     steps, widths, repeats = decode_widths(run_scenario, sc, monkeypatch)
     assert repeats == 4     # as on the whole grid: 3 decodes per step, plus these
