@@ -281,8 +281,11 @@ def main_field(s: State6, spec: GasSpec) -> MainField:
     convex-extension values of the five-field gas dynamics with lam_ll = 0.
     An inadmissible state raises from entropy_parts.
     """
-    parts = entropy_parts(s, spec)
-    t_k, t_i = temperatures(s, spec)
+    return _main_field(s, entropy_parts(s, spec), *temperatures(s, spec))
+
+
+def _main_field(s: State6, parts: EntropyParts, t_k: float, t_i: float) -> MainField:
+    """main_field from the state's entropy_parts and temperatures."""
     v2 = float(np.dot(s.v, s.v))
     # ln(Omega/Omega_E) = -k
     lam = -parts.g / s.T + parts.k + 0.5 * v2 / t_k

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closure import entropy_parts, main_field
+from .closure import _main_field, entropy_parts
 from .gas import Conserved6, GasSpec, State6, primitive_from_conserved, temperatures
 
 K_CONDITION_TOL = 1e-10     # |dPi| threshold, relative to the pressure scale
@@ -70,46 +70,46 @@ def _du_dw(s: State6, spec: GasSpec) -> np.ndarray:
     """du/dw for w = (rho, v1, v2, v3, p, Pi): the derivative of the moment
     map (gas.momentum_flux_trace and gas.energy_moment), which maps a
     primitive jump dw to its conserved jump du @ dw."""
-    rho, v = s.rho, s.v
-    du = np.zeros((6, 6))
-    du[0, 0] = 1.0
-    for i in range(3):
-        du[1 + i, 0] = v[i]
-        du[1 + i, 1 + i] = rho
-    du[4, 0] = du[5, 0] = float(np.dot(v, v))
-    du[4, 1:4] = du[5, 1:4] = 2.0 * rho * v
-    du[4, 4] = 3.0
-    du[4, 5] = 3.0
-    du[5, 4] = spec.D
-    return du
-
-
-def _df_dw(s: State6, n: np.ndarray, spec: GasSpec) -> np.ndarray:
-    """d flux_n / dw for w = (rho, v1, v2, v3, p, Pi).  Built row by row
-    from Python floats: setting 6x6 entries one by one costs more than the
-    arithmetic."""
-    p = s.pressure()
-    rho, Pi, D = s.rho, s.Pi, spec.D
+    rho = s.rho
     v2 = float(np.dot(s.v, s.v))
-    vn = float(np.dot(s.v, n))
-    v, n = s.v.tolist(), n.tolist()
-    ppi = p + Pi
-    two_rho_vn = 2.0 * rho * vn
-
-    def momentum(i: int) -> list[float]:
-        row = [v[i] * vn, *(rho * v[i] * nk for nk in n), n[i], n[i]]
-        row[1 + i] += rho * vn
-        return row
-
-    def energy(a: float, d_p: float, d_pi: float) -> list[float]:
-        return [v2 * vn, *(a * n[k] + two_rho_vn * v[k] for k in range(3)), d_p * vn, d_pi * vn]
-
+    vx, vy, vz = s.v.tolist()
+    energy = [v2, 2.0 * rho * vx, 2.0 * rho * vy, 2.0 * rho * vz]
     return np.array([
-        [vn, rho * n[0], rho * n[1], rho * n[2], 0.0, 0.0],
-        momentum(0), momentum(1), momentum(2),
-        energy(5.0 * ppi + rho * v2, 5.0, 5.0),
-        energy(rho * v2 + (D + 2.0) * p + 2.0 * Pi, D + 2.0, 2.0),
+        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [vx, rho, 0.0, 0.0, 0.0, 0.0],
+        [vy, 0.0, rho, 0.0, 0.0, 0.0],
+        [vz, 0.0, 0.0, rho, 0.0, 0.0],
+        [*energy, 3.0, 3.0],
+        [*energy, spec.D, 0.0],
     ])
+
+
+def _df_dw(s: State6, directions, spec: GasSpec) -> np.ndarray:
+    """d flux_n / dw for w = (rho, v1, v2, v3, p, Pi), stacked (k, 6, 6)
+    over the k unit directions n of directions (arrays of 3).  Built from
+    Python floats in one np.array call, row by row: setting entries one by
+    one, or converting nested lists, costs more than the arithmetic."""
+    p = s.pressure()
+    rho, Pi, d2 = s.rho, s.Pi, spec.D + 2.0
+    v2 = float(np.dot(s.v, s.v))
+    vx, vy, vz = s.v.tolist()
+    rvx, rvy, rvz = rho * vx, rho * vy, rho * vz
+    # the trace and energy rows by v_k: a n_k + b v_k, with b = 2 rho v_n
+    at, ae = 5.0 * (p + Pi) + rho * v2, rho * v2 + d2 * p + 2.0 * Pi
+    flat = []
+    for n in directions:
+        vn = float(np.dot(s.v, n))
+        nx, ny, nz = n.tolist()
+        rvn, b = rho * vn, 2.0 * rho * vn
+        flat += [
+            vn, rho * nx, rho * ny, rho * nz, 0.0, 0.0,
+            vx * vn, rvx * nx + rvn, rvx * ny, rvx * nz, nx, nx,
+            vy * vn, rvy * nx, rvy * ny + rvn, rvy * nz, ny, ny,
+            vz * vn, rvz * nx, rvz * ny, rvz * nz + rvn, nz, nz,
+            v2 * vn, at * nx + b * vx, at * ny + b * vy, at * nz + b * vz, 5.0 * vn, 5.0 * vn,
+            v2 * vn, ae * nx + b * vx, ae * ny + b * vy, ae * nz + b * vz, d2 * vn, 2.0 * vn,
+        ]
+    return np.array(flat).reshape(-1, 6, 6)
 
 
 def flux_jacobian(u: Conserved6, n, spec: GasSpec) -> np.ndarray:
@@ -122,7 +122,7 @@ def flux_jacobian(u: Conserved6, n, spec: GasSpec) -> np.ndarray:
 
 def _flux_jacobian(s: State6, n: np.ndarray, spec: GasSpec) -> np.ndarray:
     # A = df/dw * (du/dw)^-1, solved rather than inverted
-    return np.linalg.solve(_du_dw(s, spec).T, _df_dw(s, n, spec).T).T
+    return np.linalg.solve(_du_dw(s, spec).T, _df_dw(s, (n,), spec)[0].T).T
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def wave_fan(u: Conserved6, n, spec: GasSpec) -> WaveFan:
     s, n = primitive_from_conserved(u, spec), _unit(n)
     values, vectors = np.linalg.eig(_flux_jacobian(s, n, spec))
     scale = abs(float(np.dot(s.v, n))) + et6_sound_speed(s.rho, s.pressure(), s.Pi)
-    max_imag = float(np.max(np.abs(values.imag)))
+    max_imag = float(np.maximum.reduce(np.abs(values.imag)))
     if max_imag > IMAG_TOL * scale:
         raise HyperbolicityError(
             f"complex characteristic speeds (max imaginary part {max_imag:.3e} "
@@ -202,16 +202,9 @@ def acceleration_wave(u_eq: Conserved6, n, delta_rho: float,
     for branch in (-1, +1):
         v_char = branch * et6_sound_speed(s.rho, p)
         d_v = n * v_char * delta_rho / s.rho
-        waves.append(
-            AccelerationWave(
-                speed=vn + v_char,
-                delta_rho=delta_rho,
-                delta_v=d_v,
-                delta_eps=d_eps,
-                delta_pi=d_pi,
-                conserved_jump=du @ np.array([delta_rho, *d_v, d_p, d_pi]),
-            )
-        )
+        waves.append(AccelerationWave(speed=vn + v_char, delta_rho=delta_rho, delta_v=d_v,
+                                      delta_eps=d_eps, delta_pi=d_pi,
+                                      conserved_jump=du @ np.array([delta_rho, *d_v, d_p, d_pi])))
     return waves[0], waves[1]
 
 
@@ -294,14 +287,8 @@ def _k_entry(speed: float, tag: str, delta_pi: float, p_scale: float,
              spec: GasSpec) -> KConditionEntry:
     passed = abs(delta_pi) > K_CONDITION_TOL * p_scale
     marginal = passed and abs(delta_pi) <= K_MARGINAL_FACTOR * p_scale
-    return KConditionEntry(
-        speed=speed,
-        tag=tag,
-        delta_pi=delta_pi,
-        coupling=-3.0 * delta_pi / spec.tau,
-        passed=passed,
-        marginal=marginal,
-    )
+    return KConditionEntry(speed=speed, tag=tag, delta_pi=delta_pi,
+                           coupling=-3.0 * delta_pi / spec.tau, passed=passed, marginal=marginal)
 
 
 @dataclass(frozen=True)
@@ -316,95 +303,92 @@ class ConvexityReport:
     symmetrizer_mismatch: float
 
 
-def _entropy_derivatives(s: State6, spec: GasSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(dh/dw, d(main field)/dw) for w = (rho, v1, v2, v3, p, Pi).
+def _entropy_derivatives(s: State6, spec: GasSpec, t_k: float, t_i: float,
+                         h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(dh/dw, d(main field)/dw) for w = (rho, v1, v2, v3, p, Pi), given
+    the temperatures (T_K, T_I) of gas.temperatures and h of entropy_parts.
 
-    With the temperatures (T_K, T_I) of gas.temperatures, q = rho T_K =
-    p + Pi, r = rho T_I = p - 3 Pi/(D-3) and c0 a constant,
+    With q = rho T_K = p + Pi, r = rho T_I = p - 3 Pi/(D-3) and c0 a constant,
         h / rho = c0 - ln rho + (3/2) ln T_K + ((D-3)/2) ln T_I
         lam     = h / rho - (D/2 + 1) + v^2 / 2 T_K
         lam_i   = -v_i / T_K,   mu_ll = 1 / 2 T_I,   lam_ll + mu_ll = 1 / 2 T_K
-    so dh/drho = h / rho - (D/2 + 1), with h from entropy_parts.
+    so dh/drho = h / rho - (D/2 + 1).
     """
-    t_k, t_i = temperatures(s, spec)
-    rho, v, D = s.rho, s.v, spec.D
+    rho, D = s.rho, spec.D
     q, r, dr_dpi = rho * t_k, rho * t_i, -3.0 / (D - 3.0)
-    v2 = float(np.dot(v, v))
-    h = entropy_parts(s, spec).h
-    dh = np.zeros(6)
-    dh[0] = h / rho - (0.5 * D + 1.0)
-    dh[4] = 1.5 * rho / q + 0.5 * (D - 3.0) * rho / r
-    dh[5] = 1.5 * rho / q - 1.5 * rho / r
-
-    dmf = np.zeros((6, 6))
-    dmf[0, 0] = -(0.5 * D + 1.0) / rho + 0.5 * v2 / q
-    dmf[0, 1:4] = rho * v / q
-    dmf[0, 4] = 1.5 / q + 0.5 * (D - 3.0) / r - 0.5 * rho * v2 / q**2
-    dmf[0, 5] = 1.5 / q + 0.5 * (D - 3.0) * dr_dpi / r - 0.5 * rho * v2 / q**2
-    dmf[1:4, 0] = -v / q
-    dmf[1:4, 1:4] = -rho / q * np.eye(3)
-    dmf[1:4, 4] = dmf[1:4, 5] = rho * v / q**2
-    # mu_ll, then lam_ll = rho / 2q - mu_ll
-    dmf[5] = [0.5 / r, 0.0, 0.0, 0.0, -0.5 * rho / r**2, -0.5 * rho * dr_dpi / r**2]
-    dmf[4] = [0.5 / q, 0.0, 0.0, 0.0, -0.5 * rho / q**2, -0.5 * rho / q**2]
-    dmf[4] -= dmf[5]
-    return dh, dmf
+    q2, r2 = q**2, r**2
+    v2 = float(np.dot(s.v, s.v))
+    vx, vy, vz = s.v.tolist()
+    dh = np.array([h / rho - (0.5 * D + 1.0), 0.0, 0.0, 0.0,
+                   1.5 * rho / q + 0.5 * (D - 3.0) * rho / r, 1.5 * rho / q - 1.5 * rho / r])
+    lam_p = 0.5 * rho * v2 / q2
+    # rows lam_ll = 1/2T_K - mu_ll and mu_ll, by p and Pi
+    half_k_p = -0.5 * rho / q2
+    mu_p, mu_pi = -0.5 * rho / r2, -0.5 * rho * dr_dpi / r2
+    return dh, np.array([
+        [-(0.5 * D + 1.0) / rho + 0.5 * v2 / q, rho * vx / q, rho * vy / q, rho * vz / q,
+         1.5 / q + 0.5 * (D - 3.0) / r - lam_p, 1.5 / q + 0.5 * (D - 3.0) * dr_dpi / r - lam_p],
+        [-vx / q, -rho / q, 0.0, 0.0, rho * vx / q2, rho * vx / q2],
+        [-vy / q, 0.0, -rho / q, 0.0, rho * vy / q2, rho * vy / q2],
+        [-vz / q, 0.0, 0.0, -rho / q, rho * vz / q2, rho * vz / q2],
+        [0.5 / q - 0.5 / r, 0.0, 0.0, 0.0, half_k_p - mu_p, half_k_p - mu_pi],
+        [0.5 / r, 0.0, 0.0, 0.0, mu_p, mu_pi],
+    ])
 
 
-def _hessian_pivots(s: State6, spec: GasSpec) -> np.ndarray:
+def _hessian_pivots(s: State6, spec: GasSpec, t_k: float, t_i: float) -> list[float]:
     """The pivots of the entropy Hessian H in w' = (rho, v, q, r), with
-    q = rho T_K = p + Pi and r = rho T_I = p - 3 Pi/(D-3).  M = (du/dw')^T H
+    q = rho T_K = p + Pi and r = rho T_I = p - 3 Pi/(D-3), given the
+    temperatures (T_K, T_I) of gas.temperatures.  M = (du/dw')^T H
     (du/dw') is an arrowhead: M_rho,rho = -(D/2 + 1)/rho, M_vv = -(rho^2/q) I,
     M_rho,q = 3/(2q), M_rho,r = (D-3)/(2r), M_qq = -3 rho/(2 q^2) and
     M_rr = -(D-3) rho/(2 r^2); eliminating v, q and r before rho leaves the
     Schur complement -1/rho.  By Sylvester's law of inertia H is negative
     definite iff all six are negative, as on the whole open window."""
-    t_k, t_i = temperatures(s, spec)
     rho, dm3 = s.rho, spec.D - 3.0
     q, r = rho * t_k, rho * t_i
-    return np.array([-rho * rho / q] * 3
-                    + [-1.5 * rho / (q * q), -0.5 * dm3 * rho / (r * r), -1.0 / rho])
+    return [-rho * rho / q] * 3 + [-1.5 * rho / (q * q), -0.5 * dm3 * rho / (r * r), -1.0 / rho]
 
 
 def convexity_check(u: Conserved6, spec: GasSpec) -> ConvexityReport:
     """Verify that the main field is the entropy gradient, that h(u) is
     concave, and that the entropy Hessian symmetrizes the system.
 
-    All in closed form through w = (rho, v, p, Pi):
+    All in closed form through w = (rho, v, p, Pi), from one evaluation of
+    the state's temperatures and entropy:
     - gradient: dh/dw against main field . du/dw, relative to the largest
       entry of the latter, passing below GRADIENT_TOL;
     - concavity: every pivot of H = d(main field)/dw . (du/dw)^-1 from
-      _hessian_pivots must be negative, and the largest is reported;
+      _hessian_pivots must be negative, and the largest is reported.  They
+      are negative wherever rho > 0, p + Pi > 0 and D > 3, and a state
+      outside the window raises before they are formed, so this verdict
+      restates the window; the closed form itself is checked by the tests'
+      numerical eigvalsh of H (C04) and LDL^T (tests/test_verdicts.py);
     - symmetrizer: H A_n must be symmetric for n = x, y, z, the mismatch
       measured relative to the largest entry of |H| |A_n|, the round-off
       scale of the product (entries of H A_n itself can cancel to far
       less), and passing below SYMMETRY_TOL.
     """
     s = primitive_from_conserved(u, spec)
-    dh, dmf = _entropy_derivatives(s, spec)
+    t_k, t_i = temperatures(s, spec)
+    parts = entropy_parts(s, spec)
+    dh, dmf = _entropy_derivatives(s, spec, t_k, t_i, parts.h)
     du = _du_dw(s, spec)
-    mf_du = main_field(s, spec).as_array() @ du
+    mf_du = _main_field(s, parts, t_k, t_i).as_array() @ du
     # H and the three A_n from one factorization of du^T
-    solved = np.linalg.solve(du.T, np.hstack([dmf.T] + [_df_dw(s, n, spec).T
-                                                        for n in np.eye(3)]))
-    hess, *a_matrices = solved.T.reshape(4, 6, 6)
-    asymmetry = 0.0
-    for a_matrix in a_matrices:
-        ha = hess @ a_matrix
-        scale = np.max(np.abs(hess) @ np.abs(a_matrix))
-        asymmetry = max(asymmetry, float(np.max(np.abs(ha - ha.T)) / scale))
-    mismatch = float(np.max(np.abs(dh - mf_du)) / np.max(np.abs(mf_du)))
-    max_pivot = float(np.max(_hessian_pivots(s, spec)))
-    grad_ok = mismatch <= GRADIENT_TOL
-    hess_ok = max_pivot < 0.0
-    return ConvexityReport(
-        gradient_mismatch=mismatch,
-        hessian_max_pivot=max_pivot,
-        gradient_ok=grad_ok,
-        hessian_negative_definite=hess_ok,
-        passed=grad_ok and hess_ok and asymmetry <= SYMMETRY_TOL,
-        symmetrizer_mismatch=asymmetry,
-    )
+    rhs = np.concatenate(([dmf], _df_dw(s, np.eye(3), spec))).transpose(2, 0, 1).reshape(6, 24)
+    solved = np.linalg.solve(du.T, rhs).T.reshape(4, 6, 6)
+    hess, a_matrices = solved[0], solved[1:]
+    ha, peak = hess @ a_matrices, np.maximum.reduce
+    asymmetry = float(peak(peak(np.abs(ha - ha.transpose(0, 2, 1)), axis=(1, 2))
+                           / peak(np.abs(hess) @ np.abs(a_matrices), axis=(1, 2))))
+    mismatch = float(peak(np.abs(dh - mf_du)) / peak(np.abs(mf_du)))
+    max_pivot = max(_hessian_pivots(s, spec, t_k, t_i))
+    grad_ok, hess_ok = mismatch <= GRADIENT_TOL, max_pivot < 0.0
+    return ConvexityReport(gradient_mismatch=mismatch, hessian_max_pivot=max_pivot,
+                           gradient_ok=grad_ok, hessian_negative_definite=hess_ok,
+                           passed=grad_ok and hess_ok and asymmetry <= SYMMETRY_TOL,
+                           symmetrizer_mismatch=asymmetry)
 
 
 @dataclass(frozen=True)
@@ -436,10 +420,10 @@ def hyperbolicity_scan(d_values, n_z: int = 21, coverage: float = 0.99) -> list[
             s = State6(rho=1.0, v=0.0, T=1.0, Pi=z)   # p = 1
             values = np.linalg.eigvals(_flux_jacobian(s, n, spec))
             c = et6_sound_speed(1.0, 1.0, s.Pi)
-            ratio = float(np.max(np.abs(values.imag))) / c
+            ratio = float(np.maximum.reduce(np.abs(values.imag))) / c
             gap = np.sort(values.real) - np.array([-c, 0.0, 0.0, 0.0, 0.0, c])
             points.append(ScanPoint(D=float(d_val), z=float(z),
                                     max_imag_over_scale=ratio,
                                     all_real=ratio <= IMAG_TOL,
-                                    speed_gap=float(np.max(np.abs(gap))) / c))
+                                    speed_gap=float(np.maximum.reduce(np.abs(gap))) / c))
     return points

@@ -512,7 +512,7 @@ class TransportStep(NamedTuple):
     U: np.ndarray
     w: dict[str, np.ndarray]       # primitives of U
     clipped: int                   # zeroed slopes, the larger of the stages
-    entropy_outflow: float         # dt * net h v_x out through outflow ends
+    ends: np.ndarray               # rho, p, Pi, v_x at the outflow end faces
 
 
 def hyperbolic_step(U: np.ndarray, dt: float, sc: Scenario, system: System,
@@ -524,10 +524,11 @@ def hyperbolic_step(U: np.ndarray, dt: float, sc: Scenario, system: System,
     of the two stages' fluxes.  A MUSCL cell falls back to first order
     where a face would leave the window or outrun max_speed, the signal
     speed dt was chosen from.  The new state is decoded once; a cell
-    outside the window raises SolverError.
+    outside the window raises SolverError.  ends holds the states of the
+    outflow end faces, columns (left, right) per stage, for _record_diag.
     """
-    # the end-face states of each stage, columns (left, right) per stage
-    ends = np.empty((len(_END_STATE_KEYS), 2 if sc.scheme == "rusanov" else 4))
+    stages = 1 if sc.scheme == "rusanov" else 2
+    ends = np.empty((len(_END_STATE_KEYS), 2 * stages if sc.boundary == "outflow" else 0))
     if sc.scheme == "rusanov":
         # U + dt rhs, in the buffer of rhs
         U_new, clipped = _stage(U, sc, system, max_speed, ends)
@@ -544,18 +545,9 @@ def hyperbolic_step(U: np.ndarray, dt: float, sc: Scenario, system: System,
         U_new += rhs2
         U_new *= 0.5
         clipped = max(c1, c2)
-    outflow = 0.0
-    if sc.boundary == "outflow":
-        # h v_x at each end face, once for all stages: outflow is the right
-        # face's minus the left face's, averaged over the stages
-        rho, p, Pi, vx = ends
-        hv = entropy_terms(rho, p, Pi / p, sc.spec)[0] * vx
-        outflow = float(hv[1] - hv[0])
-        if len(hv) == 4:
-            outflow = 0.5 * (outflow + float(hv[3] - hv[2]))
     w = system.decode(U_new, sc.spec)
     _require_window(w, sc.spec)
-    return TransportStep(U_new, w, clipped, dt * outflow)
+    return TransportStep(U_new, w, clipped, ends)
 
 
 def relaxation_step_exact(U: np.ndarray, w: dict[str, np.ndarray], dt: float,
@@ -585,18 +577,29 @@ def relaxation_step_exact(U: np.ndarray, w: dict[str, np.ndarray], dt: float,
 # ---------------------------------------------------------------------------
 
 def _record_diag(ts: TimeSeries, t: float, U: np.ndarray, w: dict[str, np.ndarray],
-                 sc: Scenario, entropy_outflow: float):
-    z = w["Pi"] / w["p"]
-    h = entropy_terms(w["rho"], w["p"], z, sc.spec)[0]
+                 sc: Scenario, dt: float, ends: np.ndarray):
+    """Totals and max |Z| of U, with primitives w, at time t, and dt [h v_x]
+    out through the end faces of a step's ends (see hyperbolic_step),
+    averaged over the stages; one entropy_terms call serves both."""
+    n = U.shape[1]
+    rho, p, Pi = w["rho"], w["p"], w["Pi"]
+    if ends.size:
+        rho, p, Pi = (np.concatenate((cells, end)) for cells, end in zip((rho, p, Pi), ends))
+    z = Pi / p
+    h = entropy_terms(rho, p, z, sc.spec)[0]
+    hv = h[n:] * ends[-1]    # (left, right) per stage
+    outflow = float(hv[1] - hv[0]) if len(hv) else 0.0
+    if len(hv) == 4:
+        outflow = 0.5 * (outflow + float(hv[3] - hv[2]))
     total = np.add.reduce
     ts.diag_t.append(t)
     ts.total_F.append(float(total(U[0])) * sc.dx)
     ts.total_Fx.append(float(total(U[1])) * sc.dx)
     ts.total_Gll.append(float(total(U[-1])) * sc.dx)
-    ts.total_entropy.append(float(total(h)) * sc.dx)
-    ts.max_abs_z.append(float(np.maximum.reduce(np.abs(z))))
+    ts.total_entropy.append(float(total(h[:n])) * sc.dx)
+    ts.max_abs_z.append(float(np.maximum.reduce(np.abs(z[:n]))))
     ts.projections.append(0)
-    ts.entropy_outflow.append(entropy_outflow)
+    ts.entropy_outflow.append(dt * outflow)
 
 
 def _record_snapshot(ts: TimeSeries, t: float, w: dict[str, np.ndarray], spec: GasSpec):
@@ -643,7 +646,7 @@ def _march(sc: Scenario, U: np.ndarray, system: System) -> TimeSeries:
     t = 0.0
     w = system.decode(U, spec)
     _require_window(w, spec, "initial Pi/p outside the window:")
-    _record_diag(ts, t, U, w, sc, 0.0)
+    _record_diag(ts, t, U, w, sc, 0.0, np.empty((len(_END_STATE_KEYS), 0)))
     _record_snapshot(ts, t, w, spec)
     next_out = sc.output_cadence if sc.output_cadence > 0 else sc.t_end
     for _ in range(10_000_000):
@@ -658,7 +661,7 @@ def _march(sc: Scenario, U: np.ndarray, system: System) -> TimeSeries:
             raise SolverError(f"step from t = {t:.6g}: {err}") from err
         t += dt
         ts.limiter_fraction = max(ts.limiter_fraction, step.clipped / slopes)
-        _record_diag(ts, t, U, w, sc, step.entropy_outflow)
+        _record_diag(ts, t, U, w, sc, dt, step.ends)
         if t >= next_out - 1e-14 * max(next_out, 1.0):
             _record_snapshot(ts, t, w, spec)
             next_out = min(next_out + sc.output_cadence, sc.t_end) if sc.output_cadence > 0 else sc.t_end

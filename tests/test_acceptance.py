@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from et6.gas import GasSpec, State6, conserved_from_primitive
+from et6.gas import GasSpec, State6, conserved_from_primitive, temperatures
 from et6.closure import (
     distribution_value,
     entropy_parts,
@@ -124,7 +124,7 @@ def test_c04_main_field_gradient_identity():
         worst_grad = max(worst_grad, rep.gradient_mismatch)
         # an independent concavity verdict: eigvalsh resolves H this far
         # inside the window
-        _, dmf = _entropy_derivatives(s, spec)
+        _, dmf = _entropy_derivatives(s, spec, *temperatures(s, spec), entropy_parts(s, spec).h)
         hess = np.linalg.solve(_du_dw(s, spec).T, dmf.T).T
         worst_eig = max(worst_eig, float(np.max(np.linalg.eigvalsh(0.5 * (hess + hess.T)))))
         mf = main_field(s, spec).as_array()

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from et6.gas import GasSpec, State6, conserved_from_primitive
-from et6.closure import closed_fluxes
+from et6.gas import GasSpec, State6, conserved_from_primitive, temperatures
+from et6.closure import closed_fluxes, entropy_parts
 from et6.eigen import (
     SYMMETRY_TOL,
     EquilibriumRequiredError,
@@ -286,7 +286,7 @@ def test_entropy_hessian_matches_finite_differences_of_main_field(seed):
     s = State6(rho=rng.uniform(0.5, 2.0), v=rng.uniform(-1.0, 1.0, size=3),
                T=rng.uniform(0.5, 2.0), Pi=0.0)
     s = State6(rho=s.rho, v=s.v, T=s.T, Pi=z * s.pressure())
-    _, dmf = _entropy_derivatives(s, spec)
+    _, dmf = _entropy_derivatives(s, spec, *temperatures(s, spec), entropy_parts(s, spec).h)
     du = _du_dw(s, spec)
     hess = np.linalg.solve(du.T, dmf.T).T
     u_vec = conserved_from_primitive(s, spec).as_array()

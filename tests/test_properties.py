@@ -2,10 +2,12 @@
 
 States are drawn with D in [3.001, 12], Z = Pi/p up to 0.999 of both window
 edges and any velocity in [-2, 2]^3; the validated kinetic oracle draws its
-states closer to the edges and with rho and T in [0.1, 10].  The solver's
-slope limiter is checked against its textbook definition on any finite pair,
-and its steps keep two-state Riemann data inside the window at the default
-CFL 0.45 of either scheme, for tau from 1e-6 to 1.  The exponential update that
+states closer to the edges and with rho and T in [0.1, 10], and the eigen
+checks' stacked three-axis paths meet the one-direction path at rho and T
+in [0.01, 100] up to 0.99 of the edges.  The solver's slope limiter is
+checked against its textbook definition on any finite pair, and its steps
+keep two-state Riemann data inside the window at the default CFL 0.45 of
+either scheme, for tau from 1e-6 to 1.  The exponential update that
 closes each step matches the Strang half step when dt << tau.
 """
 
@@ -24,7 +26,14 @@ from et6.closure import (  # noqa: E402
     multipliers_from_state,
     state_from_multipliers,
 )
-from et6.eigen import SYMMETRY_TOL, convexity_check  # noqa: E402
+from et6.eigen import (  # noqa: E402
+    SYMMETRY_TOL,
+    _df_dw,
+    _du_dw,
+    _entropy_derivatives,
+    convexity_check,
+    flux_jacobian,
+)
 from et6.gas import (  # noqa: E402
     GasSpec,
     InadmissibleStateError,
@@ -167,6 +176,42 @@ def test_main_field_is_entropy_gradient_and_hessian_symmetrizes(drawn):
     assert report.hessian_negative_definite, report
     assert report.symmetrizer_mismatch <= SYMMETRY_TOL, report
     assert report.passed
+
+
+@st.composite
+def scaled_states(draw):
+    """D in [3.01, 12], Z up to 0.99 of either window edge, rho and T
+    log-uniformly in [0.01, 100] and v in [-2, 2]^3."""
+    spec = GasSpec(D=draw(st.floats(3.01, 12.0)))
+    edge = draw(st.floats(-0.99, 0.99))
+    z = edge if edge < 0.0 else edge * spec.z_upper
+    rho, T = (10.0 ** draw(st.floats(-2.0, 2.0)) for _ in range(2))
+    v = draw(st.tuples(*[st.floats(-2.0, 2.0)] * 3))
+    return spec, State6(rho=rho, v=v, T=T, Pi=z * rho * T)
+
+
+@PROPERTY
+@given(scaled_states())
+def test_stacked_axes_match_the_single_direction_path(drawn):
+    # convexity_check builds df/dw of the three axes as one stack and forms
+    # every H A_n in one stacked product; each must agree with the
+    # one-direction path of flux_jacobian and wave_fan
+    spec, s = drawn
+    u = conserved_from_primitive(s, spec)
+    s = primitive_from_conserved(u, spec)
+    axes = np.eye(3)
+    stacked = _df_dw(s, axes, spec)
+    for k, n in enumerate(axes):
+        assert stacked[k].tobytes() == _df_dw(s, (n,), spec)[0].tobytes(), k
+    _, dmf = _entropy_derivatives(s, spec, *temperatures(s, spec), entropy_parts(s, spec).h)
+    hess = np.linalg.solve(_du_dw(s, spec).T, dmf.T).T
+    per_axis = []
+    for n in axes:
+        a_matrix = flux_jacobian(u, n, spec)
+        ha = hess @ a_matrix
+        per_axis.append(np.max(np.abs(ha - ha.T)) / np.max(np.abs(hess) @ np.abs(a_matrix)))
+    reference = max(per_axis)
+    assert abs(convexity_check(u, spec).symmetrizer_mismatch - reference) <= 1e-12 * reference
 
 
 @st.composite

@@ -19,7 +19,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from et6.closure import boost_main_field, main_field, multipliers_from_state  # noqa: E402
+from et6.closure import (  # noqa: E402
+    boost_main_field,
+    entropy_parts,
+    main_field,
+    multipliers_from_state,
+)
 from et6.eigen import (  # noqa: E402
     _du_dw,
     _entropy_derivatives,
@@ -27,7 +32,13 @@ from et6.eigen import (  # noqa: E402
     convexity_check,
     k_condition,
 )
-from et6.gas import GasSpec, State6, conserved_from_primitive, require_admissible  # noqa: E402
+from et6.gas import (  # noqa: E402
+    GasSpec,
+    State6,
+    conserved_from_primitive,
+    require_admissible,
+    temperatures,
+)
 from et6.oracle import rel_err  # noqa: E402
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -112,7 +123,7 @@ def congruent_hessian(s: State6, spec: GasSpec) -> np.ndarray:
     dm3 = spec.D - 3.0
     dw = np.eye(6)
     dw[4:, 4:] = np.array([[3.0, dm3], [dm3, -dm3]]) / spec.D
-    _, dmf = _entropy_derivatives(s, spec)
+    _, dmf = _entropy_derivatives(s, spec, *temperatures(s, spec), entropy_parts(s, spec).h)
     return (_du_dw(s, spec) @ dw).T @ (dmf @ dw)
 
 
@@ -136,4 +147,5 @@ def test_pivots_match_the_factorization_of_the_numerical_hessian(D, edge, log_rh
     s = State6(rho=rho, v=math.sqrt(T) * np.array(v), T=T, Pi=z * rho * T)
     # v, q and r before rho, the order in which _hessian_pivots lists them
     m = congruent_hessian(s, spec)[np.ix_([1, 2, 3, 4, 5, 0], [1, 2, 3, 4, 5, 0])]
-    np.testing.assert_allclose(ldl_pivots(m), _hessian_pivots(s, spec), rtol=1e-11, atol=0)
+    np.testing.assert_allclose(ldl_pivots(m), _hessian_pivots(s, spec, *temperatures(s, spec)),
+                               rtol=1e-11, atol=0)
