@@ -15,7 +15,8 @@ quadrature failed to validate or met a mass Omega L[0] out of float range
 (one `oracle error:` line), 2 usage or configuration error (an `eigen --Z`
 outside the window, a nonpositive `--rho`, `--T`, `--p`, a non-finite
 `eigen` flag or config value, an `eigen` temperature p/rho out of float
-range or a zero direction, included; one `config error:` line).
+range, a zero direction and an output directory that cannot be created
+included; one `config error:` line).
 Identical config and seed give byte-identical CSV output.  Output directory
 resolution: --output-dir flag, then the config [output] directory, then
 $ET6_OUTPUT_DIR, then ./et6_out.
@@ -109,7 +110,10 @@ def _status(ok: bool, name: str, detail: str = "") -> bool:
 
 def _resolve_output_dir(cfg: RunConfig) -> Path:
     path = Path(cfg.output.directory or os.environ.get("ET6_OUTPUT_DIR") or "et6_out")
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"output directory {path} cannot be created: {err.strerror}") from err
     return path
 
 
@@ -517,10 +521,10 @@ def dispatch(args) -> int:
         cfg = apply_updates(load_config(args.config), updates)
         if cfg.output.quick:
             cfg = _quick_config(cfg)
+        out_dir = _resolve_output_dir(cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    out_dir = _resolve_output_dir(cfg)
     commands = {
         "check": lambda: cmd_check(cfg, out_dir),
         "eigen": lambda: cmd_eigen(cfg, out_dir, args),

@@ -20,12 +20,13 @@ jump of each off the primitive jump that builds it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closure import _main_field, entropy_parts
-from .gas import Conserved6, GasSpec, State6, primitive_from_conserved, temperatures
+from .gas import GasSpec, State6, primitive_from_conserved, temperatures
 
 K_CONDITION_TOL = 1e-10     # |dPi| threshold, relative to the pressure scale
 K_MARGINAL_FACTOR = 1e-4    # below this the pass is flagged marginal
@@ -60,7 +61,7 @@ def euler_sound_speed(rho, p, D: float):
 
 def _unit(n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
-    norm = np.linalg.norm(n)
+    norm = math.sqrt(float(n.dot(n)))
     if norm == 0:
         raise ValueError("direction must be a nonzero vector")
     return n / norm
@@ -112,7 +113,7 @@ def _df_dw(s: State6, directions, spec: GasSpec) -> np.ndarray:
     return np.array(flat).reshape(-1, 6, 6)
 
 
-def flux_jacobian(u: Conserved6, n, spec: GasSpec) -> np.ndarray:
+def flux_jacobian(u, n, spec: GasSpec) -> np.ndarray:
     """Jacobian of the flux projected on the unit direction n.
 
     Conserved ordering (F, F_x, F_y, F_z, F_ll, G_ll).
@@ -139,7 +140,7 @@ class WaveFan:
     right_eigenvectors: np.ndarray
 
 
-def wave_fan(u: Conserved6, n, spec: GasSpec) -> WaveFan:
+def wave_fan(u, n, spec: GasSpec) -> WaveFan:
     """Full numerical eigendecomposition of flux_jacobian(u, n).
 
     Raises HyperbolicityError when an eigenvalue pair is complex beyond
@@ -172,7 +173,7 @@ class AccelerationWave:
     conserved_jump: np.ndarray
 
 
-def _require_equilibrium(u: Conserved6, spec: GasSpec) -> State6:
+def _require_equilibrium(u, spec: GasSpec) -> State6:
     s = primitive_from_conserved(u, spec)
     p = s.pressure()
     if abs(s.Pi) > EQUILIBRIUM_TOL * p:
@@ -182,7 +183,7 @@ def _require_equilibrium(u: Conserved6, spec: GasSpec) -> State6:
     return s
 
 
-def acceleration_wave(u_eq: Conserved6, n, delta_rho: float,
+def acceleration_wave(u_eq, n, delta_rho: float,
                       spec: GasSpec) -> tuple[AccelerationWave, AccelerationWave]:
     """Acoustic jump amplitudes at an equilibrium state, both branches.
 
@@ -208,14 +209,14 @@ def acceleration_wave(u_eq: Conserved6, n, delta_rho: float,
     return waves[0], waves[1]
 
 
-def grad_pi_conserved(u: Conserved6, spec: GasSpec) -> np.ndarray:
+def grad_pi_conserved(u, spec: GasSpec) -> np.ndarray:
     """Analytic gradient of Pi with respect to (F, F_i, F_ll, G_ll)."""
     v = primitive_from_conserved(u, spec).v
     coeff = 1.0 / 3.0 - 1.0 / spec.D
     return np.array([coeff * float(np.dot(v, v)), *(-2.0 * coeff * v), 1.0 / 3.0, -1.0 / spec.D])
 
 
-def production_jacobian(u: Conserved6, spec: GasSpec) -> np.ndarray:
+def production_jacobian(u, spec: GasSpec) -> np.ndarray:
     """Jacobian of the production vector (0, 0_i, -3 Pi / tau, 0).
 
     Only the momentum-flux-trace row is nonzero.
@@ -256,7 +257,7 @@ class KConditionReport:
     marginal: bool
 
 
-def k_condition(u_eq: Conserved6, n, spec: GasSpec) -> KConditionReport:
+def k_condition(u_eq, n, spec: GasSpec) -> KConditionReport:
     """Check that every characteristic eigenvector couples to the production.
 
     Coupling is measured by the dynamic-pressure jump delta_pi of the
@@ -350,7 +351,7 @@ def _hessian_pivots(s: State6, spec: GasSpec, t_k: float, t_i: float) -> list[fl
     return [-rho * rho / q] * 3 + [-1.5 * rho / (q * q), -0.5 * dm3 * rho / (r * r), -1.0 / rho]
 
 
-def convexity_check(u: Conserved6, spec: GasSpec) -> ConvexityReport:
+def convexity_check(u, spec: GasSpec) -> ConvexityReport:
     """Verify that the main field is the entropy gradient, that h(u) is
     concave, and that the entropy Hessian symmetrizes the system.
 

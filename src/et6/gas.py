@@ -12,9 +12,12 @@ So the window is two positive temperatures, of the closed density's
 Maxwellian and Gamma factors (Ruggeri & Sugiyama 2015): the translational
 T_K = (p + Pi)/rho and the internal T_I = (p - 3 Pi/(D-3))/rho.  The window,
 the moment map and its inverse are small functions on floats or numpy
-arrays, shared by the point API, the solver and the oracle.
-require_admissible is the one window check of a single state and returns
-Z = Pi/p; temperatures checks a state and returns (T_K, T_I).
+arrays, shared by the point API, the solver and the oracle.  A conserved
+state is the moment vector (F, F_x, F_y, F_z, F_ll, G_ll), in the order of
+the solver's rows: conserved_from_primitive returns one, and
+primitive_from_conserved inverts any 6-sequence.  require_admissible is
+the one window check of a single state and returns Z = Pi/p; temperatures
+checks a state and returns (T_K, T_I).
 
 Units: the Boltzmann constant and the molecular mass are 1 throughout the
 package (kB = m = 1), so p = rho T and eps = (D/2) T.  They enter the
@@ -127,35 +130,6 @@ class State6:
         return self.rho * self.T
 
 
-@dataclass(frozen=True)
-class Conserved6:
-    """Densities evolved by the balance laws.
-
-    F is the mass density, F_i the momentum density, F_ll the trace of the
-    momentum flux (rho v^2 + 3(p + Pi)) and G_ll the energy moment
-    (rho v^2 + 2 rho eps).
-    """
-
-    F: float
-    F_i: np.ndarray
-    F_ll: float
-    G_ll: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "F_i", _as_vec3(self.F_i))
-        if not self.F > 0:
-            raise ReconstructionError(f"mass density F must be positive, got {self.F}")
-
-    def as_array(self) -> np.ndarray:
-        """Flat vector (F, F_x, F_y, F_z, F_ll, G_ll)."""
-        return np.array([self.F, *self.F_i, self.F_ll, self.G_ll])
-
-    @classmethod
-    def from_array(cls, u) -> "Conserved6":
-        u = np.asarray(u, dtype=float)
-        return cls(F=u[0], F_i=u[1:4], F_ll=u[4], G_ll=u[5])
-
-
 def window_bounds(p, D: float):
     """(-p, (D-3) p / 3): the open window of admissible Pi, on floats or
     arrays.  At p = 1 these are the bounds on Z = Pi/p."""
@@ -231,28 +205,35 @@ def temperatures(s: State6, spec: GasSpec) -> tuple[float, float]:
     return (p + s.Pi) / s.rho, (p - 3.0 * s.Pi / (spec.D - 3.0)) / s.rho
 
 
-def conserved_from_primitive(s: State6, spec: GasSpec) -> Conserved6:
-    """Map (rho, v, T, Pi) to the densities (F, F_i, F_ll, G_ll)."""
-    p = s.pressure()
+def conserved_from_primitive(s: State6, spec: GasSpec) -> np.ndarray:
+    """Map (rho, v, T, Pi) to the moment vector (F, F_x, F_y, F_z, F_ll,
+    G_ll), in the order of the solver's rows."""
+    p, rho = s.pressure(), s.rho
     vx, vy, vz = s.v.tolist()
-    rho_v2 = s.rho * (vx * vx + vy * vy + vz * vz)
-    return Conserved6(F=s.rho, F_i=s.rho * s.v, F_ll=momentum_flux_trace(rho_v2, p, s.Pi),
-                      G_ll=energy_moment(rho_v2, p, spec.D))
+    rho_v2 = rho * (vx * vx + vy * vy + vz * vz)
+    return np.array([rho, rho * vx, rho * vy, rho * vz, momentum_flux_trace(rho_v2, p, s.Pi),
+                     energy_moment(rho_v2, p, spec.D)])
 
 
-def primitive_from_conserved(u: Conserved6, spec: GasSpec) -> State6:
-    """Invert the moment map back to (rho, v, T, Pi).
+def primitive_from_conserved(u, spec: GasSpec) -> State6:
+    """Invert the moment map of a 6-sequence u = (F, F_x, F_y, F_z, F_ll,
+    G_ll) back to (rho, v, T, Pi).
 
-    Raises ReconstructionError for non-positive internal energy (Conserved6
-    already refuses F <= 0), and InadmissibleStateError when the recovered
-    Pi leaves the window.
+    Raises ReconstructionError for a u of any other shape, for F <= 0 or
+    NaN and for non-positive internal energy, and InadmissibleStateError
+    when the recovered Pi leaves the window.
     """
-    rho = float(u.F)
-    v, rho_v2, p = velocity_pressure(rho, u.F_i, float(u.G_ll), spec.D)
+    u = np.asarray(u, dtype=float)
+    if u.shape != (6,):
+        raise ReconstructionError(f"conserved state must have 6 components, got shape {u.shape}")
+    rho = float(u[0])
+    if not rho > 0:
+        raise ReconstructionError(f"mass density F must be positive, got {rho}")
+    v, rho_v2, p = velocity_pressure(rho, u[1:4], float(u[5]), spec.D)
     rho_v2, p = float(rho_v2), float(p)
     if not p > 0:
         raise ReconstructionError(f"non-positive internal energy rho*eps = {0.5 * spec.D * p}")
-    Pi = dynamic_pressure(float(u.F_ll), rho_v2, p)
+    Pi = dynamic_pressure(float(u[4]), rho_v2, p)
     s = State6(rho=rho, v=v, T=p / rho, Pi=Pi)
     require_admissible(s, spec)
     return s

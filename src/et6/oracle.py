@@ -265,11 +265,10 @@ def oracle_flux_check(s: State6, spec: GasSpec) -> list[OracleReport]:
 
 def oracle_constraint_check(s: State6, spec: GasSpec) -> list[OracleReport]:
     """Verify the six constraint moments (F, F_i, F_ll, G_ll) by quadrature."""
-    u = conserved_from_primitive(s, spec)
-    targets = [("F", u.F, [(1.0, _powers(), 0)])]
-    targets += [(f"F_{x}", u.F_i[a], [(1.0, _powers(a), 0)]) for a, x in enumerate("xyz")]
-    targets += [("F_ll", u.F_ll, _speed2()), ("G_ll", u.G_ll, _energy())]
-    return _check(s, spec, targets)
+    names = ("F", "F_x", "F_y", "F_z", "F_ll", "G_ll")
+    terms = [[(1.0, _powers(*axes), 0)] for axes in ((), (0,), (1,), (2,))]
+    terms += [_speed2(), _energy()]
+    return _check(s, spec, list(zip(names, conserved_from_primitive(s, spec).tolist(), terms)))
 
 
 def oracle_entropy(s: State6, spec: GasSpec) -> float:

@@ -8,17 +8,17 @@ of that algebra.
 import numpy as np
 
 from et6.closure import entropy_parts, main_field
-from et6.gas import Conserved6, primitive_from_conserved
+from et6.gas import primitive_from_conserved
 
 
 def entropy_of(u_vec, spec):
     """Entropy density h at the conserved vector (F, F_x, F_y, F_z, F_ll, G_ll)."""
-    return entropy_parts(primitive_from_conserved(Conserved6.from_array(u_vec), spec), spec).h
+    return entropy_parts(primitive_from_conserved(u_vec, spec), spec).h
 
 
 def main_field_of(u_vec, spec):
     """Main field (lam, lam_i, lam_ll, mu_ll) at a conserved vector."""
-    return main_field(primitive_from_conserved(Conserved6.from_array(u_vec), spec), spec).as_array()
+    return main_field(primitive_from_conserved(u_vec, spec), spec).as_array()
 
 
 def fd_derivative(fn, u_vec, rel_step=1e-6):

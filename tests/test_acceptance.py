@@ -128,7 +128,7 @@ def test_c04_main_field_gradient_identity():
         hess = np.linalg.solve(_du_dw(s, spec).T, dmf.T).T
         worst_eig = max(worst_eig, float(np.max(np.linalg.eigvalsh(0.5 * (hess + hess.T)))))
         mf = main_field(s, spec).as_array()
-        grad = fd_gradient(u.as_array(), spec)
+        grad = fd_gradient(u, spec)
         relative = np.abs(grad - mf) / np.maximum(np.abs(mf), np.max(np.abs(mf)))
         worst_fd = max(worst_fd, float(np.max(relative)))
     ok = all_passed and worst_grad <= 1e-6 and worst_fd <= 1e-6 and worst_eig < 0.0
@@ -174,19 +174,20 @@ def test_c06_k_condition():
 
 def test_c07_homogeneous_relaxation():
     """Pi(t) = Pi0 exp(-t/tau) at every output time, three decades of tau."""
-    worst = 0.0
+    worst, fewest = 0.0, math.inf
     for tau in (1.0, 0.1, 1e-3):
         spec = GasSpec(D=5.0, tau=tau)
         t_end = min(1.0, 10.0 * tau)
         sc = Scenario(kind="uniform_relaxation", spec=spec, N=50, t_end=t_end,
                       output_cadence=t_end / 10.0, z0=0.3)
         ts = run_scenario(sc)
+        fewest = min(fewest, len(ts.snapshot_times))
         for t, snap in zip(ts.snapshot_times, ts.snapshots):
             exact = 0.3 * math.exp(-t / tau)   # p = 1
             worst = max(worst, float(np.max(np.abs(snap["Pi"] - exact))))
-    report(7, worst <= 1e-12,
+    report(7, worst <= 1e-12 and fewest >= 10,
            f"max |Pi - Pi0 exp(-t/tau)| = {worst:.3e} <= 1e-12 (pressure scale) "
-           "for tau in (1, 0.1, 1e-3)")
+           f"and fewest output times {fewest} >= 10, for tau in (1, 0.1, 1e-3)")
 
 
 def test_c08_ns_limit():

@@ -407,6 +407,21 @@ def test_output_dir_env_fallback(tmp_path, monkeypatch):
     assert (target / "relax.csv").exists()
 
 
+@pytest.mark.parametrize("sub", ["", "sub"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_output_dir_that_cannot_be_made_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                           source, sub):
+    # a path at or below an existing file
+    target = Path(write(tmp_path / "file", "")) / sub
+    argv = ["relax", "--output-dir", str(target)] if source == "flag" else ["relax"]
+    if source == "env":
+        monkeypatch.setenv("ET6_OUTPUT_DIR", str(target))
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"config error: output directory {target} cannot be created: ")
+
+
 def test_malformed_config_exits_two(tmp_path):
     cfg_file = write(tmp_path / "bad.cfg", "[gas]\nD = 3\n")
     code = main(["check", "--config", cfg_file, "--output-dir", str(tmp_path / "o")])

@@ -36,9 +36,9 @@ def _conserved(rho, v, T, Pi, spec):
 
 
 def _flux_vector(u_vec, n, spec):
-    from et6.gas import Conserved6, primitive_from_conserved
+    from et6.gas import primitive_from_conserved
 
-    s = primitive_from_conserved(Conserved6.from_array(u_vec), spec)
+    s = primitive_from_conserved(u_vec, spec)
     fl = closed_fluxes(s, spec)
     n = np.asarray(n, dtype=float)
     return np.array([
@@ -59,12 +59,11 @@ def test_jacobian_matches_finite_differences(seed, d5):
     u = _conserved(rho, v, T, z * rho * T, d5)
     n = np.array([1.0, 0.0, 0.0])
     a_matrix = flux_jacobian(u, n, d5)
-    u_vec = u.as_array()
     a_fd = np.zeros((6, 6))
     for j in range(6):
-        h = 1e-6 * max(abs(u_vec[j]), 1.0)
-        up = u_vec.copy(); up[j] += h
-        um = u_vec.copy(); um[j] -= h
+        h = 1e-6 * max(abs(u[j]), 1.0)
+        up = u.copy(); up[j] += h
+        um = u.copy(); um[j] -= h
         a_fd[:, j] = (_flux_vector(up, n, d5) - _flux_vector(um, n, d5)) / (2 * h)
     scale = np.max(np.abs(a_matrix))
     assert np.max(np.abs(a_matrix - a_fd)) <= 1e-7 * scale
@@ -107,6 +106,21 @@ def test_wave_fan_nonequilibrium_real(d5):
     assert np.all(np.isfinite(fan.speeds))
     # acoustic speeds stiffen with positive Pi
     assert fan.speeds[-1] == pytest.approx(et6_sound_speed(1.0, 1.0, 0.3), rel=1e-10)
+
+
+def test_point_checks_take_a_plain_list(d5):
+    u = _conserved(1.2, [0.5, -0.1, 0.3], 0.9, 0.15, d5)
+    fan, listed = wave_fan(u, [1, 0, 0], d5), wave_fan(u.tolist(), [1, 0, 0], d5)
+    assert listed.speeds.tobytes() == fan.speeds.tobytes()
+    assert listed.right_eigenvectors.tobytes() == fan.right_eigenvectors.tobytes()
+    assert convexity_check(u.tolist(), d5) == convexity_check(u, d5)
+
+
+def test_zero_direction_is_refused(d5):
+    u = _conserved(1.0, 0.0, 1.0, 0.0, d5)
+    for check in (wave_fan, flux_jacobian, k_condition):
+        with pytest.raises(ValueError, match="nonzero"):
+            check(u, [0.0, 0.0, 0.0], d5)
 
 
 def test_wave_fan_galilean_shift(d5):
@@ -173,17 +187,16 @@ def test_acceleration_wave_matches_eigenvector(D):
 
 
 def test_grad_pi_matches_finite_differences(d5):
-    from et6.gas import Conserved6, primitive_from_conserved
+    from et6.gas import primitive_from_conserved
 
     u = _conserved(1.1, [0.3, -0.2, 0.1], 0.9, 0.05, d5)
     grad = grad_pi_conserved(u, d5)
-    u_vec = u.as_array()
     for j in range(6):
-        h = 1e-7 * max(abs(u_vec[j]), 1.0)
-        up = u_vec.copy(); up[j] += h
-        um = u_vec.copy(); um[j] -= h
-        pi_p = primitive_from_conserved(Conserved6.from_array(up), d5).Pi
-        pi_m = primitive_from_conserved(Conserved6.from_array(um), d5).Pi
+        h = 1e-7 * max(abs(u[j]), 1.0)
+        up = u.copy(); up[j] += h
+        um = u.copy(); um[j] -= h
+        pi_p = primitive_from_conserved(up, d5).Pi
+        pi_m = primitive_from_conserved(um, d5).Pi
         assert grad[j] == pytest.approx((pi_p - pi_m) / (2 * h), rel=1e-6, abs=1e-9)
 
 
@@ -289,8 +302,7 @@ def test_entropy_hessian_matches_finite_differences_of_main_field(seed):
     _, dmf = _entropy_derivatives(s, spec, *temperatures(s, spec), entropy_parts(s, spec).h)
     du = _du_dw(s, spec)
     hess = np.linalg.solve(du.T, dmf.T).T
-    u_vec = conserved_from_primitive(s, spec).as_array()
-    hess_fd = fd_derivative(lambda u: main_field_of(u, spec), u_vec)
+    hess_fd = fd_derivative(lambda u: main_field_of(u, spec), conserved_from_primitive(s, spec))
     assert np.max(np.abs(hess - hess_fd)) <= 1e-6 * np.max(np.abs(hess))
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from et6.gas import (
-    Conserved6,
     GasModelError,
     GasSpec,
     InadmissibleStateError,
@@ -60,22 +59,23 @@ def test_gas_spec_invariants():
 
 def test_conserved_equilibrium_rest(d5):
     u = conserved_from_primitive(State6(rho=1.0, v=0.0, T=1.0, Pi=0.0), d5)
-    assert u.F == 1.0
-    assert np.all(u.F_i == 0.0)
-    assert u.G_ll == pytest.approx(5.0, rel=1e-15)
-    assert u.F_ll == pytest.approx(3.0, rel=1e-15)
+    assert u.shape == (6,) and u.dtype == float
+    assert u[0] == 1.0
+    assert np.all(u[1:4] == 0.0)
+    assert u[5] == pytest.approx(5.0, rel=1e-15)
+    assert u[4] == pytest.approx(3.0, rel=1e-15)
 
 
 def test_conserved_moving_nonequilibrium(d5):
     u = conserved_from_primitive(State6(rho=1.0, v=[1.0, 0.0, 0.0], T=1.0, Pi=0.1), d5)
-    assert u.F == 1.0
-    assert u.F_i[0] == pytest.approx(1.0, rel=1e-15)
-    assert u.G_ll == pytest.approx(6.0, rel=1e-15)
-    assert u.F_ll == pytest.approx(4.3, rel=1e-15)
+    assert u[0] == 1.0
+    assert u[1] == pytest.approx(1.0, rel=1e-15)
+    assert u[5] == pytest.approx(6.0, rel=1e-15)
+    assert u[4] == pytest.approx(4.3, rel=1e-15)
 
 
 def test_primitive_inversion_rest(d5):
-    s = primitive_from_conserved(Conserved6(F=1.0, F_i=[0, 0, 0], F_ll=3.0, G_ll=5.0), d5)
+    s = primitive_from_conserved([1.0, 0.0, 0.0, 0.0, 3.0, 5.0], d5)
     assert s.rho == 1.0
     assert np.all(s.v == 0.0)
     assert s.T == pytest.approx(1.0, rel=1e-15)
@@ -83,20 +83,34 @@ def test_primitive_inversion_rest(d5):
 
 
 def test_primitive_inversion_nonequilibrium(d5):
-    s = primitive_from_conserved(Conserved6(F=1.0, F_i=[0, 0, 0], F_ll=3.6, G_ll=5.0), d5)
+    s = primitive_from_conserved([1.0, 0.0, 0.0, 0.0, 3.6, 5.0], d5)
     assert s.T == pytest.approx(1.0, rel=1e-14)
     assert s.Pi == pytest.approx(0.2, rel=1e-14)
 
 
 def test_primitive_inversion_rejects_window_violation(d5):
     with pytest.raises(InadmissibleStateError) as err:
-        primitive_from_conserved(Conserved6(F=1.0, F_i=[0, 0, 0], F_ll=6.0, G_ll=5.0), d5)
+        primitive_from_conserved([1.0, 0.0, 0.0, 0.0, 6.0, 5.0], d5)
     assert err.value.bound == "upper"
 
 
 def test_primitive_inversion_rejects_negative_energy(d5):
     with pytest.raises(ReconstructionError):
-        primitive_from_conserved(Conserved6(F=1.0, F_i=[3.0, 0, 0], F_ll=3.0, G_ll=5.0), d5)
+        primitive_from_conserved([1.0, 3.0, 0.0, 0.0, 3.0, 5.0], d5)
+
+
+@pytest.mark.parametrize("u", [
+    [0.0, 0.0, 0.0, 0.0, 3.0, 5.0],
+    [-1.0, 0.0, 0.0, 0.0, 3.0, 5.0],
+    [math.nan, 0.0, 0.0, 0.0, 3.0, 5.0],
+    [1.0, 0.0, 0.0, 0.0, 3.0],
+    [1.0, 0.0, 0.0, 0.0, 3.0, 5.0, 0.0],
+], ids=["F=0", "F<0", "F=nan", "length5", "length7"])
+def test_primitive_inversion_rejects_malformed_moment_vectors(u, d5):
+    with pytest.raises(ReconstructionError):
+        primitive_from_conserved(u, d5)
+    with pytest.raises(ReconstructionError):
+        primitive_from_conserved(np.array(u), d5)
 
 
 @pytest.mark.parametrize("D", [3.5, 4.0, 5.0, 7.0, 12.0])

@@ -47,7 +47,7 @@ def holding(U, spec, **fields):
 
 
 def test_primitive_fields_match_point_conversions():
-    from et6.gas import Conserved6, primitive_from_conserved
+    from et6.gas import primitive_from_conserved
 
     spec = GasSpec(D=7.0)
     rng = np.random.default_rng(5)
@@ -68,7 +68,7 @@ def test_primitive_fields_match_point_conversions():
     solver_module._record_snapshot(ts, 0.0, w, spec)
     T = ts.snapshots[0]["T"]
     for j in range(N):
-        s = primitive_from_conserved(Conserved6.from_array(U[:, j]), spec)
+        s = primitive_from_conserved(U[:, j], spec)
         assert w["rho"][j] == pytest.approx(s.rho, rel=1e-13)
         assert w["vx"][j] == pytest.approx(s.v[0], rel=1e-13)
         assert w["p"][j] == pytest.approx(s.pressure(), rel=1e-12)
@@ -485,20 +485,6 @@ def test_muscl_stage_decodes_only_the_span_of_changed_cells(monkeypatch):
     assert repeats == 0 and widths.tolist() == [sc.N + 2] * (2 * steps)
 
 
-@pytest.mark.parametrize("tau", [1.0, 0.1, 1e-3])
-def test_homogeneous_relaxation_matches_ode(tau):
-    spec = GasSpec(D=5.0, tau=tau)
-    t_end = min(1.0, 10.0 * tau)
-    sc = Scenario(kind="uniform_relaxation", spec=spec, N=50, t_end=t_end,
-                  output_cadence=t_end / 10.0, z0=0.3)
-    ts = run_scenario(sc)
-    assert len(ts.snapshot_times) >= 10
-    p_scale = 1.0
-    for t, snap in zip(ts.snapshot_times, ts.snapshots):
-        exact = 0.3 * p_scale * math.exp(-t / tau)
-        assert np.max(np.abs(snap["Pi"] - exact)) <= 1e-12 * p_scale
-
-
 def test_uniform_relaxation_exact_at_steps_beyond_tau():
     # dt = 10 tau: no gradient, so the transport rate of Pi is exactly 0 and
     # the closing update is the exact exponential, step by step
@@ -551,17 +537,6 @@ def test_sod_entropy_nondecreasing_every_step():
     ts = run_scenario(sc)
     h = np.array(ts.total_entropy)
     assert np.min(np.diff(h)) >= -1e-10 * abs(h[0])
-
-
-def test_periodic_conservation_thousand_steps():
-    spec = GasSpec(D=5.0, tau=1e-2)
-    sc = Scenario(kind="smooth_wave", spec=spec, N=100, t_end=3.2, amplitude=1e-2)
-    ts = run_scenario(sc)
-    assert len(ts.diag_t) > 1000
-    for series in (ts.total_F, ts.total_Fx, ts.total_Gll):
-        arr = np.array(series)
-        scale = max(abs(arr[0]), float(np.max(np.abs(arr))))
-        assert np.max(np.abs(arr - arr[0])) <= 1e-13 * scale
 
 
 def _trace_moment_totals(ts, sc):
@@ -656,7 +631,6 @@ def test_scenario_rejects_too_few_cells():
 
 def test_cfl_bound_dominates_wave_fan():
     from et6.eigen import wave_fan
-    from et6.gas import Conserved6
 
     spec = GasSpec(D=12.0)
     rng = np.random.default_rng(9)
@@ -672,7 +646,7 @@ def test_cfl_bound_dominates_wave_fan():
         U[4] = rho * vx**2 + 3 * (p + z * p)
         U[5] = rho * vx**2 + spec.D * p
         bound = max_wave_speed(primitive_fields(U, spec), spec, SIX_FIELD)
-        fan = wave_fan(Conserved6.from_array(U[:, 0]), [1, 0, 0], spec)
+        fan = wave_fan(U[:, 0], [1, 0, 0], spec)
         assert bound >= np.max(np.abs(fan.speeds))
 
 
@@ -785,17 +759,6 @@ def test_euler_reference_steady_uniform():
     rho0 = ts.snapshots[0]["rho"]
     rho1 = ts.snapshots[-1]["rho"]
     np.testing.assert_array_equal(rho0, rho1)
-
-
-def test_monatomic_limit_matches_euler():
-    spec = GasSpec(D=3.0 + 1e-6, tau=1e-2)
-    sc = Scenario(kind="smooth_wave", spec=spec, N=200, t_end=0.4, amplitude=1e-2,
-                  cfl=0.45, scheme="rusanov")
-    ts = run_scenario(sc)
-    eu = euler_reference(sc)
-    for name in ("rho", "vx", "T"):
-        diff = np.sum(np.abs(ts.snapshots[-1][name] - eu.snapshots[-1][name])) * sc.dx
-        assert diff <= 1e-6
 
 
 def test_riemann_et6_approaches_euler_for_small_tau():
