@@ -15,8 +15,9 @@ quadrature failed to validate or met a mass Omega L[0] out of float range
 (one `oracle error:` line), 2 usage or configuration error (an `eigen --Z`
 outside the window, a nonpositive `--rho`, `--T`, `--p`, a non-finite
 `eigen` flag or config value, an `eigen` temperature p/rho out of float
-range, a zero direction and an output directory that cannot be created
-included; one `config error:` line).
+range, an `eigen` state whose moments leave float range, a zero direction
+and an output directory that cannot be created included; one `config
+error:` line).
 Identical config and seed give byte-identical CSV output.  Output directory
 resolution: --output-dir flag, then the config [output] directory, then
 $ET6_OUTPUT_DIR, then ./et6_out.
@@ -51,7 +52,7 @@ from .eigen import (
     k_condition,
     wave_fan,
 )
-from .gas import State6, conserved_from_primitive
+from .gas import GasModelError, State6, conserved_from_primitive
 from .oracle import (
     RULE,
     OracleError,
@@ -223,7 +224,7 @@ def cmd_eigen(cfg: RunConfig, out_dir: Path, args) -> bool:
         value = getattr(args, flag)
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"--{flag} {value:g} must be finite")
-    if not np.linalg.norm([args.nx, args.ny, args.nz]) > 0:
+    if args.nx == args.ny == args.nz == 0.0:
         raise ConfigError("--nx, --ny, --nz must give a nonzero direction")
     rho = args.rho
     temperature = args.T if args.p is None else args.p / rho
@@ -233,7 +234,13 @@ def cmd_eigen(cfg: RunConfig, out_dir: Path, args) -> bool:
     s = State6(rho=rho, v=[args.vx, args.vy, args.vz], T=temperature, Pi=args.Z * p0)
     n = np.array([args.nx, args.ny, args.nz])
     u = conserved_from_primitive(s, spec)
-    fan = wave_fan(u, n, spec)
+    try:
+        if not np.isfinite(u).all():
+            raise GasModelError(f"moments {u.tolist()}")
+        fan = wave_fan(u, n, spec)
+    except GasModelError as err:
+        raise ConfigError(f"--rho {rho:g}, T = {temperature:g} (--T or --p) and --vx, --vy, "
+                          f"--vz give a state out of float range: {err}") from err
     print("speeds: " + "  ".join(f"{v:+.7f}" for v in fan.speeds))
     ok = True
     k_overall = k_marginal = ""

@@ -8,9 +8,10 @@ phase-space density of the separable form
 with C the peculiar velocity and I the internal-mode energy weighted by the
 measure I**alpha dI.  The three parameters (xi, zeta, Omega) are in closed
 one-to-one correspondence with (rho, p + Pi, rho*eps) on the admissibility
-window; this module implements that inversion, the resulting closed fluxes,
-the BGK production, the entropy decomposition and the Lagrange multipliers
-(the main field that symmetrizes the balance laws).
+window; this module implements that inversion, the resulting closed fluxes
+(the flux of the moment vector along x, y and z as a (3, 6) array, in the
+solver's layout), the BGK production, the entropy decomposition and the
+Lagrange multipliers (the main field that symmetrizes the balance laws).
 
 No near-equilibrium expansion is involved anywhere: formulas are exact on
 the whole window.
@@ -57,16 +58,6 @@ class MainField:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.lam, *self.lam_i, self.lam_ll, self.mu_ll])
-
-
-@dataclass(frozen=True)
-class FluxSet:
-    """Closed fluxes of the six balance laws plus the trace production."""
-
-    F_ik: np.ndarray    # symmetric 3x3 momentum flux
-    F_llk: np.ndarray   # flux of the momentum-flux trace
-    G_llk: np.ndarray   # flux of the energy moment
-    P_ll: float         # BGK production of F_ll
 
 
 @dataclass(frozen=True)
@@ -220,15 +211,17 @@ def flux_rows(F_i, G_ll, rho_v2, ppi, v_k, k: int) -> np.ndarray:
     return rows
 
 
-def closed_fluxes(s: State6, spec: GasSpec) -> FluxSet:
-    """Closed fluxes of the six-field system, flux_rows along x, y and z.
+def closed_fluxes(s: State6, spec: GasSpec) -> np.ndarray:
+    """Closed fluxes of the six-field system, shape (3, 6): row k is
+    flux_rows along axis k, the flux of the moment vector (F, F_x, F_y,
+    F_z, F_ll, G_ll) along x, y and z:
 
-    F_ik  = rho v_i v_k + (p + Pi) delta_ik
-    F_llk = (5(p + Pi) + rho v^2) v_k
-    G_llk = (rho v^2 + 2 rho eps + 2(p + Pi)) v_k
+    F_k, F_ik = rho v_i v_k + (p + Pi) delta_ik,
+    F_llk = (5(p + Pi) + rho v^2) v_k,
+    G_llk = (rho v^2 + 2 rho eps + 2(p + Pi)) v_k.
 
-    The closure carries no shear stress and no heat flux.  The production
-    value is delegated to production_bgk.
+    The momentum block f[:, 1:4] is exactly symmetric.  The closure carries
+    no shear stress and no heat flux; the production is production_bgk's.
     """
     require_admissible(s, spec)
     p = s.pressure()
@@ -236,13 +229,11 @@ def closed_fluxes(s: State6, spec: GasSpec) -> FluxSet:
     rho_v2 = s.rho * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
     G_ll = energy_moment(rho_v2, p, spec.D)
     F_i = [s.rho * v_a for v_a in v]
-    columns = np.array([flux_rows(F_i, G_ll, rho_v2, p + s.Pi, v[k], k) for k in range(3)])
-    # row k holds (rho v_i) v_k + ppi delta_ik, column k of F_ik; the mirror
-    # entry (rho v_k) v_i differs by round-off, so copy one triangle over
-    F_ik = columns[:, 1:4]
-    F_ik[[0, 0, 1], [1, 2, 2]] = F_ik[[1, 2, 2], [0, 0, 1]]
-    return FluxSet(F_ik=F_ik, F_llk=columns[:, 4], G_llk=columns[:, 5],
-                   P_ll=production_bgk(s, spec))
+    f = np.array([flux_rows(F_i, G_ll, rho_v2, p + s.Pi, v[k], k) for k in range(3)])
+    # f[k, 1 + i] = (rho v_i) v_k + ppi delta_ik; the mirror entry
+    # (rho v_k) v_i differs by round-off, so copy one triangle over
+    f[[0, 0, 1], [2, 3, 3]] = f[[1, 2, 2], [1, 1, 2]]
+    return f
 
 
 def production_bgk(s: State6, spec: GasSpec) -> float:

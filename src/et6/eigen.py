@@ -60,11 +60,15 @@ def euler_sound_speed(rho, p, D: float):
 
 
 def _unit(n) -> np.ndarray:
+    """n / |n|.  A direction whose squares could leave float range is first
+    divided by its largest |component|; a zero or infinite one raises."""
     n = np.asarray(n, dtype=float)
-    norm = math.sqrt(float(n.dot(n)))
-    if norm == 0:
-        raise ValueError("direction must be a nonzero vector")
-    return n / norm
+    big = max(map(abs, n.tolist()))
+    if not 1e-150 < big < 1e150:
+        if not 0.0 < big < math.inf:
+            raise ValueError("direction must be a nonzero finite vector")
+        n = n / big
+    return n / math.sqrt(float(n.dot(n)))
 
 
 def _du_dw(s: State6, spec: GasSpec) -> np.ndarray:

@@ -14,10 +14,11 @@ T_K = (p + Pi)/rho and the internal T_I = (p - 3 Pi/(D-3))/rho.  The window,
 the moment map and its inverse are small functions on floats or numpy
 arrays, shared by the point API, the solver and the oracle.  A conserved
 state is the moment vector (F, F_x, F_y, F_z, F_ll, G_ll), in the order of
-the solver's rows: conserved_from_primitive returns one, and
-primitive_from_conserved inverts any 6-sequence.  require_admissible is
-the one window check of a single state and returns Z = Pi/p; temperatures
-checks a state and returns (T_K, T_I).
+the solver's rows.  moment_vector is the one home of the moment map, for
+the point API (conserved_from_primitive) and the solver's initial data
+alike, and primitive_from_conserved inverts any 6-sequence.
+require_admissible is the one window check of a single state and returns
+Z = Pi/p; temperatures checks a state and returns (T_K, T_I).
 
 Units: the Boltzmann constant and the molecular mass are 1 throughout the
 package (kB = m = 1), so p = rho T and eps = (D/2) T.  They enter the
@@ -138,8 +139,7 @@ def window_bounds(p, D: float):
 
 def momentum_flux_trace(rho_v2, p, Pi):
     """F_ll = rho v^2 + 3 (p + Pi), on floats or arrays, given rho_v2 =
-    rho v^2; dynamic_pressure inverts it.  With F = rho, F_i = rho v_i and
-    energy_moment this is the moment map of the six fields.  No checks."""
+    rho v^2; dynamic_pressure inverts it.  No checks."""
     return rho_v2 + 3.0 * (p + Pi)
 
 
@@ -205,14 +205,20 @@ def temperatures(s: State6, spec: GasSpec) -> tuple[float, float]:
     return (p + s.Pi) / s.rho, (p - 3.0 * s.Pi / (spec.D - 3.0)) / s.rho
 
 
+def moment_vector(rho, v, p, Pi, D: float) -> np.ndarray:
+    """The moment map: (F, F_x, F_y, F_z, F_ll, G_ll) of rho, the velocity
+    components v = (vx, vy, vz), p and Pi, stacked along a new first axis,
+    on floats or on arrays that broadcast to rho's shape.  No checks."""
+    vx, vy, vz = v
+    rho_v2 = rho * (vx * vx + vy * vy + vz * vz)
+    return np.array([rho, rho * vx, rho * vy, rho * vz, momentum_flux_trace(rho_v2, p, Pi),
+                     energy_moment(rho_v2, p, D)])
+
+
 def conserved_from_primitive(s: State6, spec: GasSpec) -> np.ndarray:
     """Map (rho, v, T, Pi) to the moment vector (F, F_x, F_y, F_z, F_ll,
     G_ll), in the order of the solver's rows."""
-    p, rho = s.pressure(), s.rho
-    vx, vy, vz = s.v.tolist()
-    rho_v2 = rho * (vx * vx + vy * vy + vz * vz)
-    return np.array([rho, rho * vx, rho * vy, rho * vz, momentum_flux_trace(rho_v2, p, s.Pi),
-                     energy_moment(rho_v2, p, spec.D)])
+    return moment_vector(s.rho, s.v.tolist(), s.pressure(), s.Pi, spec.D)
 
 
 def primitive_from_conserved(u, spec: GasSpec) -> State6:

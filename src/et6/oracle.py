@@ -248,18 +248,19 @@ def _check(s: State6, spec: GasSpec,
 def oracle_flux_check(s: State6, spec: GasSpec) -> list[OracleReport]:
     """Compare every closed flux entry against quadrature.
 
-    Twelve entries: the six independent components of F_ik, and the three
-    components each of F_llk and G_llk.  The reports are returned, not
-    judged: each caller holds its own tolerance for rel_err.
+    Twelve entries of the rows f of closed_fluxes: the six independent
+    F_ik = f[k, 1 + i], and F_llk = f[k, 4], G_llk = f[k, 5] for each k.
+    The reports are returned, not judged: each caller holds its own
+    tolerance for rel_err.
     """
-    fl = closed_fluxes(s, spec)
+    f = closed_fluxes(s, spec)
     labels = "xyz"
     targets = [
-        (f"F_{labels[i]}{labels[k]}", fl.F_ik[i, k], [(1.0, _powers(i, k), 0)])
+        (f"F_{labels[i]}{labels[k]}", f[k, 1 + i], [(1.0, _powers(i, k), 0)])
         for i in range(3) for k in range(i, 3)
     ]
-    targets += [(f"F_ll{labels[k]}", fl.F_llk[k], _speed2(k)) for k in range(3)]
-    targets += [(f"G_ll{labels[k]}", fl.G_llk[k], _energy(k)) for k in range(3)]
+    targets += [(f"F_ll{labels[k]}", f[k, 4], _speed2(k)) for k in range(3)]
+    targets += [(f"G_ll{labels[k]}", f[k, 5], _energy(k)) for k in range(3)]
     return _check(s, spec, targets)
 
 
@@ -387,13 +388,13 @@ def _solve_trial_xi(target_ratio: float, beta: float, xi0: float):
     derivative -(M0 M2 - M1^2) / M0^2 < 0.  The residual is positive below
     the root and negative above it; each evaluation narrows that bracket, and
     a step that leaves it is replaced by bisection.  Converged once a step
-    is at most 1e-14 max(|xi0|, 1e-3); the moments returned are those of the
-    xi returned.
+    is at most 1e-14 max(|xi0|, |xi|, 1e-3), a bound above the float spacing
+    at the iterate xi; the moments returned are those of the xi returned.
     """
-    xtol = 1e-14 * max(abs(xi0), 1e-3)
     lo, hi, xi_next = -math.inf, math.inf, xi0
     for _ in range(NEWTON_STEPS):
         xi = xi_next
+        xtol = 1e-14 * max(abs(xi0), abs(xi), 1e-3)
         moments = m0, m1, m2 = integrate.quad(xi, beta)
         resid = m1 / m0 - target_ratio
         if resid > 0.0:

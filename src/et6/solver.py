@@ -79,7 +79,7 @@ import numpy as np
 
 from .closure import entropy_terms, flux_rows
 from .eigen import et6_sound_speed, euler_sound_speed
-from .gas import GasSpec, dynamic_pressure, energy_moment, momentum_flux_trace, \
+from .gas import GasSpec, dynamic_pressure, moment_vector, momentum_flux_trace, \
     velocity_pressure, window_bounds
 
 WAVE_SPEED_SAFETY = 1.1
@@ -319,18 +319,6 @@ class TimeSeries:
 # initial conditions
 # ---------------------------------------------------------------------------
 
-def _pack(rho, vx, p, Pi, spec) -> np.ndarray:
-    """Six-field rows of states at rest in y and z."""
-    rho = np.asarray(rho, dtype=float)
-    rho_v2 = rho * (vx * vx)
-    U = np.zeros((6, rho.size))
-    U[0] = rho
-    U[1] = rho * vx
-    U[4] = momentum_flux_trace(rho_v2, p, Pi)
-    U[5] = energy_moment(rho_v2, p, spec.D)
-    return U
-
-
 def bulk_viscosity(p, spec: GasSpec):
     """nu = (2/3) ((D - 3) / D) p tau, the stiff-limit coefficient of
     Pi = -nu dv/dx."""
@@ -347,7 +335,7 @@ def initial_grid(sc: Scenario) -> np.ndarray:
         p = np.where(left, sc.p_left, sc.p_right)
         vx = np.where(left, sc.v_left, sc.v_right)
         Pi = np.where(left, sc.pi_left, sc.pi_right)
-        return _pack(rho, vx, p, Pi, spec)
+        return moment_vector(rho, (vx, 0.0, 0.0), p, Pi, spec.D)
     if sc.kind == "smooth_wave":
         kwave = 2.0 * math.pi / (sc.x_right - sc.x_left)   # one period across the domain
         p0 = sc.rho0 * sc.T0
@@ -357,10 +345,10 @@ def initial_grid(sc: Scenario) -> np.ndarray:
         rho = sc.rho0 * (1.0 + sc.amplitude * shape)
         vx = c_eq * sc.amplitude * shape
         p = p0 * (1.0 + gamma_eq * sc.amplitude * shape)
-        return _pack(rho, vx, p, np.zeros_like(x), spec)
+        return moment_vector(rho, (vx, 0.0, 0.0), p, 0.0, spec.D)
     # uniform_relaxation
     p0 = sc.rho0 * sc.T0
-    return _pack(np.full(sc.N, sc.rho0), 0.0, p0, sc.z0 * p0, spec)
+    return moment_vector(np.full(sc.N, sc.rho0), (0.0, 0.0, 0.0), p0, sc.z0 * p0, spec.D)
 
 
 # ---------------------------------------------------------------------------
@@ -529,22 +517,18 @@ def hyperbolic_step(U: np.ndarray, dt: float, sc: Scenario, system: System,
     """
     stages = 1 if sc.scheme == "rusanov" else 2
     ends = np.empty((len(_END_STATE_KEYS), 2 * stages if sc.boundary == "outflow" else 0))
-    if sc.scheme == "rusanov":
-        # U + dt rhs, in the buffer of rhs
-        U_new, clipped = _stage(U, sc, system, max_speed, ends)
-        U_new *= dt
-        U_new += U
-    else:
-        # U* = U + dt rhs(U), then (U + U* + dt rhs(U*)) / 2, in the buffer of rhs(U)
-        U_new, c1 = _stage(U, sc, system, max_speed, ends[:, :2])
-        U_new *= dt
-        U_new += U
+    # U* = U + dt rhs(U), in the buffer of rhs(U)
+    U_new, clipped = _stage(U, sc, system, max_speed, ends[:, :2])
+    U_new *= dt
+    U_new += U
+    if stages == 2:
+        # (U + U* + dt rhs(U*)) / 2, in the same buffer
         rhs2, c2 = _stage(U_new, sc, system, max_speed, ends[:, 2:])
         rhs2 *= dt
         U_new += U
         U_new += rhs2
         U_new *= 0.5
-        clipped = max(c1, c2)
+        clipped = max(clipped, c2)
     w = system.decode(U_new, sc.spec)
     _require_window(w, sc.spec)
     return TransportStep(U_new, w, clipped, ends)
@@ -648,14 +632,13 @@ def _march(sc: Scenario, U: np.ndarray, system: System) -> TimeSeries:
     _require_window(w, spec, "initial Pi/p outside the window:")
     _record_diag(ts, t, U, w, sc, 0.0, np.empty((len(_END_STATE_KEYS), 0)))
     _record_snapshot(ts, t, w, spec)
-    next_out = sc.output_cadence if sc.output_cadence > 0 else sc.t_end
+    next_out = min(sc.output_cadence or sc.t_end, sc.t_end)
     for _ in range(10_000_000):
         if t >= sc.t_end - 1e-14 * sc.t_end:
             break
         try:
             speed = max_wave_speed(w, spec, system)
-            dt = sc.cfl * sc.dx / speed
-            dt = min(dt, sc.t_end - t, next_out - t if next_out > t else dt)
+            dt = min(sc.cfl * sc.dx / speed, next_out - t)
             U, w, step = _step(U, w, dt, sc, system, speed)
         except SolverError as err:
             raise SolverError(f"step from t = {t:.6g}: {err}") from err
@@ -664,13 +647,11 @@ def _march(sc: Scenario, U: np.ndarray, system: System) -> TimeSeries:
         _record_diag(ts, t, U, w, sc, dt, step.ends)
         if t >= next_out - 1e-14 * max(next_out, 1.0):
             _record_snapshot(ts, t, w, spec)
-            next_out = min(next_out + sc.output_cadence, sc.t_end) if sc.output_cadence > 0 else sc.t_end
+            next_out = min(next_out + sc.output_cadence, sc.t_end)
             if next_out <= t:
                 next_out = sc.t_end
     else:
         raise SolverError("step budget exhausted")
-    if ts.snapshot_times[-1] < sc.t_end - 1e-12 * sc.t_end:
-        _record_snapshot(ts, t, w, spec)
     return ts
 
 

@@ -141,9 +141,25 @@ def test_eigen_cli_rejects_bad_state_or_direction(tmp_path, capsys, flags, messa
     assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
 
 
+@pytest.mark.parametrize("nx", ["1e200", "1e-200"])
+def test_eigen_cli_takes_a_direction_of_any_scale(tmp_path, capsys, nx):
+    # the squares of the components leave float range, so the direction is
+    # rescaled before it is normalized: the speeds of --nx 1, to the bit
+    speeds = []
+    for flag in ("1", nx):
+        out = tmp_path / flag
+        assert main(["eigen", "--Z", "0.2", "--vx", "0.3", "--nx", flag,
+                     "--output-dir", str(out)]) == 0
+        header, row = (out / "eigen_report.csv").read_text().splitlines()
+        speeds.append(row.split(",")[header.split(",").index("speed_1"):][:6])
+        assert capsys.readouterr().err == ""
+    assert speeds[0] == speeds[1]
+
+
 # an infinite t_end would march toward the step budget; an infinite D or
-# tau, a non-finite [scenario] state value or eigen flag, or an eigen
-# temperature p/rho out of float range would fail deep in the point layer
+# tau, a non-finite [scenario] state value or eigen flag, an eigen
+# temperature p/rho out of float range, or eigen moments that overflow or
+# underflow to a zero internal energy would fail deep in the point layer
 # or the solver.  An argument that starts with "[" is a config file's text.
 NON_FINITE = [
     (["run", "--N", "8", "--t-end", "inf"], "[scenario] t_end = inf"),
@@ -164,6 +180,11 @@ NON_FINITE = [
     (["eigen", "--nx", "inf"], "--nx inf must be finite"),
     (["eigen", "--rho", "1e-300", "--p", "1e300"], "--p 1e+300 / --rho 1e-300: T = inf"),
     (["eigen", "--rho", "1e300", "--p", "1e-300"], "--p 1e-300 / --rho 1e+300: T = 0"),
+    *((["eigen", *flags], f"--rho {rho}, T = {t} (--T or --p) and --vx, --vy, --vz give "
+                          "a state out of float range: ")
+      for flags, rho, t in ((["--rho", "1e300", "--T", "1e300"], "1e+300", "1e+300"),
+                            (["--rho", "1e-300", "--T", "1e-300"], "1e-300", "1e-300"),
+                            (["--vx", "1e200"], "1", "1"))),
 ]
 
 
@@ -392,11 +413,23 @@ def test_values_outside_the_gas_model_are_config_errors(tmp_path, capsys, comman
 
 
 def test_cli_outputs_are_deterministic(tmp_path):
-    out1 = tmp_path / "a"
-    out2 = tmp_path / "b"
-    for out in (out1, out2):
-        assert main(["relax", "--tau", "0.2", "--output-dir", str(out)]) == 0
-    assert (out1 / "relax.csv").read_bytes() == (out2 / "relax.csv").read_bytes()
+    # the same config and seed give byte-identical CSVs, for every command;
+    # sweep's convexity sample is drawn from the seed
+    commands = [
+        ["relax", "--tau", "0.2"],
+        ["check", "--quick"],
+        ["sweep", "--quick"],
+        ["eigen", "--Z", "0.2", "--vy", "0.3"],
+        ["nslimit", "--quick"],
+        ["run", "--kind", "riemann", "--scheme", "muscl", "--boundary", "outflow",
+         "--N", "32", "--t-end", "0.05"],
+    ]
+    for argv in commands:
+        outputs = []
+        for out in (tmp_path / argv[0] / "a", tmp_path / argv[0] / "b"):
+            assert main([*argv, "--output-dir", str(out)]) == 0, argv
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert outputs[0] and outputs[0] == outputs[1], argv
 
 
 def test_output_dir_env_fallback(tmp_path, monkeypatch):

@@ -38,15 +38,7 @@ def _conserved(rho, v, T, Pi, spec):
 def _flux_vector(u_vec, n, spec):
     from et6.gas import primitive_from_conserved
 
-    s = primitive_from_conserved(u_vec, spec)
-    fl = closed_fluxes(s, spec)
-    n = np.asarray(n, dtype=float)
-    return np.array([
-        s.rho * float(np.dot(s.v, n)),
-        *(fl.F_ik @ n),
-        float(np.dot(fl.F_llk, n)),
-        float(np.dot(fl.G_llk, n)),
-    ])
+    return np.asarray(n, dtype=float) @ closed_fluxes(primitive_from_conserved(u_vec, spec), spec)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

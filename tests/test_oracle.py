@@ -261,6 +261,19 @@ def test_probe_solves_each_trial_in_few_quad_calls(d5, quad_calls):
     assert len(quad_calls) <= 18
 
 
+def test_probe_converges_far_from_its_start(d5, quad_calls):
+    # at beta = 5 the root xi = -38.87 lies far from the start, the root
+    # 0.417 at beta = 0: the step bound follows the iterate, so it stays
+    # above the float spacing there and Newton's method stops at the root
+    s = State6(rho=1.0, v=0.0, T=1.0, Pi=0.3)
+    report = mep_optimality_probe(s, d5, trial_amplitudes=[5.0])
+    point = report.points[0]
+    assert point.converged and not report.inconclusive
+    assert point.xi == pytest.approx(-38.8709, abs=1e-4)
+    assert point.entropy < report.reference_entropy
+    assert len(quad_calls) <= 8
+
+
 def test_default_check_computes_each_twin_once(tmp_path, quad_calls):
     # the twins are closed forms: the probe's 18 sets of radial moments are
     # the only integrals of a default check outside the Gauss rules

@@ -9,7 +9,7 @@ from et6 import solver as solver_module
 from et6.closure import flux_rows
 from et6.config import NsLimitConfig
 from et6.eigen import et6_sound_speed
-from et6.gas import D_MIN, GasSpec, energy_moment, momentum_flux_trace
+from et6.gas import D_MIN, GasSpec, energy_moment, moment_vector, momentum_flux_trace
 from et6.solver import (
     BOUNDARIES,
     FIVE_FIELD,
@@ -84,10 +84,7 @@ def test_flux_fields_match_closed_fluxes():
     U = uniform_grid(spec, N=4, rho=1.2, T=0.8, vx=0.6, z=0.2)
     fl_arrays = flux_fields(U, primitive_fields(U, spec))
     s = State6(rho=1.2, v=[0.6, 0.0, 0.0], T=0.8, Pi=0.2 * 1.2 * 0.8)
-    fl = closed_fluxes(s, spec)
-    assert fl_arrays[1, 0] == pytest.approx(fl.F_ik[0, 0], rel=1e-14)
-    assert fl_arrays[4, 0] == pytest.approx(fl.F_llk[0], rel=1e-14)
-    assert fl_arrays[5, 0] == pytest.approx(fl.G_llk[0], rel=1e-14)
+    np.testing.assert_allclose(fl_arrays[:, 0], closed_fluxes(s, spec)[0], rtol=1e-14)
 
 
 def test_entropy_fields_match_point_values():
@@ -236,8 +233,8 @@ def test_outflow_end_faces_take_the_boundary_cells(scheme, limiter):
                            ((0, 11), (True, True)), ((6,), (False, False))]:
         j = np.isin(np.arange(sc.N), dense)
         p = np.where(j, 1.0, 0.1)
-        U = solver_module._pack(np.where(j, 1.0, 0.125), np.where(j, -0.2, 0.3), p, 0.1 * p,
-                                spec)
+        U = moment_vector(np.where(j, 1.0, 0.125), (np.where(j, -0.2, 0.3), 0.0, 0.0), p,
+                          0.1 * p, spec.D)
         edges, _, _, count, (lo, hi) = solver_module._reconstruct(U, sc, SIX_FIELD, math.inf)
         assert (lo == 0, hi == sc.N) == reaches, dense
         if dense == (0,):
@@ -601,6 +598,27 @@ def test_step_ending_outside_window_raises():
     U[4, 5] = 3.0 * (1.0 + 1.0)
     with pytest.raises(SolverError, match="^Pi/p outside the window: 1 at index 5$"):
         hyperbolic_step(U, 1e-9, holding(U, spec), SIX_FIELD)
+
+
+def test_failing_step_names_its_start_time(monkeypatch):
+    # a SolverError in the third step carries the time that step started
+    # from, the time after two steps
+    sc = Scenario(kind="riemann", N=16, t_end=0.1)
+    t_two = run_scenario(sc).diag_t[2]
+    step = solver_module.hyperbolic_step
+    calls = []
+
+    def third_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise SolverError("non-positive density -1 at index 4")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "hyperbolic_step", third_fails)
+    with pytest.raises(SolverError) as err:
+        run_scenario(sc)
+    assert str(err.value) == f"step from t = {t_two:.6g}: non-positive density -1 at index 4"
+    assert len(calls) == 3
 
 
 def test_run_aborts_on_mass_projection():
